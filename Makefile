@@ -2,12 +2,13 @@ GO ?= go
 # Extra flags for `make bench`, e.g. BENCHFLAGS='-benchtime 3s -count 5'
 BENCHFLAGS ?=
 # Hot-path benchmarks that get a machine-readable BENCH_<name>.json each.
-BENCHES := FullGame G1 Discovery GameScaling SessionRound
+BENCHES := FullGame G1 Discovery GameScaling SessionRound SessionRoundService
 # How long `make fuzz` runs each native fuzz target (corpus smoke).
 FUZZTIME ?= 5s
 # Package:Target pairs for `make fuzz` (go test -fuzz takes one target
 # per invocation).
 FUZZERS := ./internal/sampling:FuzzParseMethod \
+           ./internal/sampling:FuzzAgreeClasses \
            ./internal/persist:FuzzSnapshotDecode \
            ./internal/persist:FuzzSnapshotChecksum \
            ./internal/persist/wal:FuzzWalDecode \
@@ -166,14 +167,15 @@ benchbaseline:
 # Allocation regression gate: run each hot-path benchmark briefly and
 # fail when its allocs/op exceeds the checked-in baseline's ceiling
 # (see cmd/benchjson -check for the slack rule). One iteration is
-# enough for benchmarks that set up per iteration; SessionRound reuses
-# one session across iterations, so it gets a fixed 100x to amortize
-# cold-start scratch growth the baselines never see.
+# enough for benchmarks that set up per iteration; SessionRound and
+# SessionRoundService reuse one session across iterations, so they get
+# a fixed 100x to amortize cold-start scratch growth the baselines
+# never see.
 benchcheck:
 	@for b in $(BENCHES); do \
 		re="^Benchmark$$b\$$"; \
 		case $$b in GameScaling) re='^BenchmarkGameScaling$$/^rows=(120|240|480|960)$$';; esac; \
-		bt=1x; case $$b in SessionRound) bt=100x;; esac; \
+		bt=1x; case $$b in SessionRound|SessionRoundService) bt=100x;; esac; \
 		echo "== benchcheck Benchmark$$b (-benchtime $$bt)"; \
 		$(GO) test -run '^$$' -bench "$$re" -benchtime $$bt -benchmem . \
 			| $(GO) run ./cmd/benchjson -check BENCH_$$b.json || exit 1; \

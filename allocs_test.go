@@ -1,10 +1,13 @@
 package exptrain
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 
 	"exptrain/internal/belief"
 	"exptrain/internal/datagen"
+	"exptrain/internal/fd"
 	"exptrain/internal/game"
 	"exptrain/internal/sampling"
 )
@@ -18,54 +21,127 @@ import (
 // per-call scoring-buffer churn, not to pin the exact count.
 const maxAllocsPerRound = 200
 
+// maxResidentSessionBytes caps the live heap one resident
+// OMDB-240 session holds after 48 rounds over the service-default
+// 147-hypothesis space — relation, pool and its agree-set class table,
+// beliefs and trajectory. A per-pair violation memo held ~2.2 MiB.
+const maxResidentSessionBytes = 1 << 20
+
+// serviceSpace is the hypothesis space the session service builds by
+// default: every FD with at most two LHS attributes (147 over OMDB's
+// seven attributes).
+func serviceSpace(tb testing.TB, ds *datagen.Dataset) *fd.Space {
+	tb.Helper()
+	fds, err := fd.Enumerate(fd.SpaceConfig{Arity: ds.Rel.Schema().Arity(), MaxLHS: 2})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	space, err := fd.NewSpace(fds)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return space
+}
+
+// playRound presents one round and submits it labeled clean.
+func playRound(sess *game.Session) error {
+	pairs, err := sess.Next()
+	if err != nil {
+		return err
+	}
+	labeled := make([]belief.Labeling, len(pairs))
+	for j, p := range pairs {
+		labeled[j] = belief.Labeling{Pair: p}
+	}
+	return sess.Submit(labeled)
+}
+
 // TestSessionRoundAllocations pins the steady-state allocation count of
-// the interactive round hot path.
+// the interactive round hot path, over the paper's 38-FD space and the
+// service's 147-FD one (masks of more than one word).
 func TestSessionRoundAllocations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement is not meaningful with -short races")
 	}
 	ds := datagen.OMDB(240, 1)
-	space := ds.Space(3, 38)
-	sess, err := game.NewSession(game.SessionConfig{
-		Relation: ds.Rel,
-		Space:    space,
-		Sampler:  sampling.StochasticUS{},
-		K:        10,
-		Seed:     1,
-	})
-	if err != nil {
-		t.Fatal(err)
+	for _, space := range []*fd.Space{ds.Space(3, 38), serviceSpace(t, ds)} {
+		t.Run(fmt.Sprintf("space=%d", space.Size()), func(t *testing.T) {
+			sess, err := game.NewSession(game.SessionConfig{
+				Relation: ds.Rel,
+				Space:    space,
+				Sampler:  sampling.StochasticUS{},
+				K:        10,
+				Seed:     1,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Warm the caches: the first rounds pay one-time pool and
+			// scratch growth that the steady state never repeats.
+			for i := 0; i < 5; i++ {
+				if err := playRound(sess); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var roundErr error
+			avg := testing.AllocsPerRun(20, func() {
+				if err := playRound(sess); err != nil && roundErr == nil {
+					roundErr = err
+				}
+			})
+			if roundErr != nil {
+				t.Fatal(roundErr)
+			}
+			if avg > maxAllocsPerRound {
+				t.Fatalf("steady-state session round allocates %.0f objects/round, ceiling %d — the hot path regressed",
+					avg, maxAllocsPerRound)
+			}
+			t.Logf("steady-state allocations per round: %.1f (ceiling %d)", avg, maxAllocsPerRound)
+		})
 	}
-	round := func() error {
-		pairs, err := sess.Next()
+}
+
+// TestResidentSessionHeap pins the memory a resident session holds at
+// the service shape: 8 OMDB-240 sessions over the 147-hypothesis space
+// play 48 rounds each, and the collected live heap they add, per
+// session, must stay under maxResidentSessionBytes.
+func TestResidentSessionHeap(t *testing.T) {
+	if testing.Short() {
+		t.Skip("heap measurement is not meaningful with -short races")
+	}
+	const sessions, rounds = 8, 48
+	liveHeap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := liveHeap()
+	resident := make([]*game.Session, sessions)
+	for i := range resident {
+		ds := datagen.OMDB(240, uint64(i+1))
+		sess, err := game.NewSession(game.SessionConfig{
+			Relation: ds.Rel,
+			Space:    serviceSpace(t, ds),
+			Sampler:  sampling.StochasticUS{},
+			K:        10,
+			Seed:     uint64(i + 1),
+		})
 		if err != nil {
-			return err
-		}
-		labeled := make([]belief.Labeling, len(pairs))
-		for j, p := range pairs {
-			labeled[j] = belief.Labeling{Pair: p}
-		}
-		return sess.Submit(labeled)
-	}
-	// Warm the caches: the first rounds pay one-time pool and scratch
-	// growth that the steady state never repeats.
-	for i := 0; i < 5; i++ {
-		if err := round(); err != nil {
 			t.Fatal(err)
 		}
-	}
-	var roundErr error
-	avg := testing.AllocsPerRun(20, func() {
-		if err := round(); err != nil && roundErr == nil {
-			roundErr = err
+		for r := 0; r < rounds; r++ {
+			if err := playRound(sess); err != nil {
+				t.Fatal(err)
+			}
 		}
-	})
-	if roundErr != nil {
-		t.Fatal(roundErr)
+		resident[i] = sess
 	}
-	if avg > maxAllocsPerRound {
-		t.Fatalf("steady-state session round allocates %.0f objects/round, ceiling %d — the hot path regressed",
-			avg, maxAllocsPerRound)
+	after := liveHeap()
+	runtime.KeepAlive(resident)
+	per := (float64(after) - float64(before)) / sessions
+	if per > maxResidentSessionBytes {
+		t.Fatalf("a resident session holds %.0f bytes of live heap, ceiling %d", per, maxResidentSessionBytes)
 	}
-	t.Logf("steady-state allocations per round: %.1f (ceiling %d)", avg, maxAllocsPerRound)
+	t.Logf("live heap per resident session: %.0f bytes (ceiling %d)", per, maxResidentSessionBytes)
 }

@@ -245,10 +245,21 @@ func runStationaryGame(b *testing.B, method string) float64 {
 
 // BenchmarkSessionRound measures one step-wise session round — present,
 // label, incorporate, measure — through the same round engine game.Run
-// uses, at the service's default shape (OMDB, StochasticUS).
+// uses, at the paper's shape (OMDB, StochasticUS, 38-FD space).
 func BenchmarkSessionRound(b *testing.B) {
 	ds := datagen.OMDB(240, 1)
-	space := ds.Space(3, 38)
+	benchSessionRound(b, ds, ds.Space(3, 38))
+}
+
+// BenchmarkSessionRoundService is BenchmarkSessionRound at the session
+// service's default shape: the 147-FD MaxLHS-2 enumeration, whose
+// violation masks span three words.
+func BenchmarkSessionRoundService(b *testing.B) {
+	ds := datagen.OMDB(240, 1)
+	benchSessionRound(b, ds, serviceSpace(b, ds))
+}
+
+func benchSessionRound(b *testing.B, ds *datagen.Dataset, space *fd.Space) {
 	newSession := func(seed uint64) *game.Session {
 		sess, err := game.NewSession(game.SessionConfig{
 			Relation: ds.Rel,
@@ -265,21 +276,14 @@ func BenchmarkSessionRound(b *testing.B) {
 	sess := newSession(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pairs, err := sess.Next()
+		err := playRound(sess)
 		if errors.Is(err, game.ErrPoolExhausted) {
 			b.StopTimer()
 			sess = newSession(uint64(i) + 2)
 			b.StartTimer()
-			pairs, err = sess.Next()
+			err = playRound(sess)
 		}
 		if err != nil {
-			b.Fatal(err)
-		}
-		labeled := make([]belief.Labeling, len(pairs))
-		for j, p := range pairs {
-			labeled[j] = belief.Labeling{Pair: p}
-		}
-		if err := sess.Submit(labeled); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -342,12 +346,11 @@ func BenchmarkSamplerSelect(b *testing.B) {
 	space := ds.Space(3, 38)
 	bel := belief.DataEstimatePrior(space, ds.Rel, 0.12)
 	pool := sampling.NewPool(ds.Rel, space, sampling.PoolConfig{Seed: 1})
-	remaining := pool.Remaining()
 	rng := stats.NewRNG(2)
 	s := sampling.StochasticUS{}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Select(ds.Rel, remaining, bel, 10, rng)
+		s.Select(pool.Candidates(), bel, 10, rng)
 	}
 }
 

@@ -71,11 +71,10 @@ func main() {
 		first, last := -1.0, -1.0
 		var dirty, total int
 		for round := 0; round < 30; round++ {
-			remaining := pool.Remaining()
-			if len(remaining) == 0 {
+			if pool.RemainingCount() == 0 {
 				break
 			}
-			presented := learner.Present(rel, remaining, 10)
+			presented := learner.Present(pool.Candidates(), 10)
 			pool.MarkShown(presented)
 			trainer.Observe(rel, presented)
 			labeled := trainer.Label(rel, presented)

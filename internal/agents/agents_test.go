@@ -212,8 +212,8 @@ func TestLearnerRoundTrip(t *testing.T) {
 	if l.Name() != "Random" {
 		t.Fatalf("Name = %q", l.Name())
 	}
-	pool := dataset.AllPairs(rel.NumRows())
-	got := l.Present(rel, pool, 10)
+	pool := sampling.NewPoolFrom(rel, dataset.AllPairs(rel.NumRows()))
+	got := l.Present(pool.Candidates(), 10)
 	if len(got) != 10 {
 		t.Fatalf("presented %d", len(got))
 	}

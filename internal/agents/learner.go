@@ -42,10 +42,10 @@ func NewLearner(prior *belief.Belief, sampler sampling.Sampler, rng *stats.RNG) 
 // paper's method names.
 func (l *Learner) Name() string { return l.sampler.Name() }
 
-// Present implements the response model: select k pairs from the pool
+// Present implements the response model: select k of the candidates
 // under the current belief.
-func (l *Learner) Present(rel *dataset.Relation, pool []dataset.Pair, k int) []dataset.Pair {
-	return l.sampler.Select(rel, pool, l.belief, k, l.rng)
+func (l *Learner) Present(c sampling.Candidates, k int) []dataset.Pair {
+	return l.sampler.Select(c, l.belief, k, l.rng)
 }
 
 // Incorporate implements the prediction model: Bayesian/FP update from

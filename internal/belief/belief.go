@@ -73,22 +73,6 @@ func (l Labeling) Label() Label {
 type Belief struct {
 	space *fd.Space
 	dists []stats.Beta
-
-	// Violation memo: which hypotheses a pair syntactically violates is
-	// a property of the (rarely mutated) relation, not of the evolving
-	// distributions, yet the samplers re-derive it for the whole
-	// candidate pool every iteration through PDirty/Uncertainty. Spaces
-	// of at most 64 hypotheses (every space the paper's evaluation uses)
-	// memoize a bitmask per pair in violMask — no per-pair slice
-	// allocation; larger spaces fall back to index slices in violMemo.
-	// The memo is keyed to one relation identity+version; when the
-	// relation advances, the cell-delta journal selectively evicts only
-	// the pairs touching an edited row, and a full flush happens only
-	// when the journal cannot cover the gap (bulk mutations).
-	violRel     *dataset.Relation
-	violVersion uint64
-	violMask    map[dataset.Pair]uint64
-	violMemo    map[dataset.Pair][]int32
 }
 
 // New creates a belief over the space with every hypothesis at the given
@@ -163,11 +147,16 @@ func (b *Belief) UpdateFromData(rel *dataset.Relation, pairs []dataset.Pair, wei
 	if weight <= 0 {
 		panic(fmt.Sprintf("belief: non-positive update weight %v", weight))
 	}
+	var buf [batchBuf]fd.AttrSet
+	agree := agreeScratch(buf[:], len(pairs))
+	for _, p := range pairs {
+		agree = append(agree, fd.AgreeSet(rel, p))
+	}
 	for i := 0; i < b.space.Size(); i++ {
 		f := b.space.FD(i)
 		var succ, fail float64
-		for _, p := range pairs {
-			switch fd.Status(f, rel, p) {
+		for _, a := range agree {
+			switch fd.StatusOn(f, a) {
 			case fd.Compliant:
 				succ += weight
 			case fd.Violating:
@@ -188,10 +177,11 @@ func (b *Belief) UpdateFromData(rel *dataset.Relation, pairs []dataset.Pair, wei
 func (b *Belief) MarkPairs(rel *dataset.Relation, pairs []dataset.Pair, tau float64) []Labeling {
 	out := make([]Labeling, len(pairs))
 	for i, p := range pairs {
+		agree := fd.AgreeSet(rel, p)
 		var marked fd.AttrSet
 		for j := 0; j < b.space.Size(); j++ {
 			f := b.space.FD(j)
-			if b.dists[j].Mean() >= tau && fd.Status(f, rel, p) == fd.Violating {
+			if b.dists[j].Mean() >= tau && fd.StatusOn(f, agree) == fd.Violating {
 				marked = marked.Add(f.RHS)
 			}
 		}
@@ -221,22 +211,51 @@ func (b *Belief) UpdateFromLabelings(rel *dataset.Relation, labeled []Labeling, 
 	if weight <= 0 {
 		panic(fmt.Sprintf("belief: non-positive update weight %v", weight))
 	}
+	var buf [batchBuf]fd.AttrSet
+	agree := labelingAgreeSets(agreeScratch(buf[:], len(labeled)), rel, labeled)
 	for i := 0; i < b.space.Size(); i++ {
-		succ, fail := labelingEvidence(b.space.FD(i), rel, labeled, weight)
+		succ, fail := labelingEvidence(b.space.FD(i), labeled, agree, weight)
 		if succ > 0 || fail > 0 {
 			b.dists[i] = b.dists[i].Observe(succ, fail)
 		}
 	}
 }
 
-// labelingEvidence accumulates the (α, β) increments one hypothesis
-// receives from a batch of labelings.
-func labelingEvidence(f fd.FD, rel *dataset.Relation, labeled []Labeling, weight float64) (succ, fail float64) {
+// batchBuf is the on-stack capacity for a batch's agree sets: a round
+// presents 10 pairs.
+const batchBuf = 16
+
+// agreeScratch returns an empty slice with room for n agree sets: buf
+// when they fit, else one exact allocation.
+func agreeScratch(buf []fd.AttrSet, n int) []fd.AttrSet {
+	if n <= cap(buf) {
+		return buf[:0]
+	}
+	return make([]fd.AttrSet, 0, n)
+}
+
+// labelingAgreeSets appends each labeling's agree set to dst, so a
+// batch classifies its pairs once rather than once per hypothesis.
+// Abstained labelings carry no evidence and get the empty set.
+func labelingAgreeSets(dst []fd.AttrSet, rel *dataset.Relation, labeled []Labeling) []fd.AttrSet {
 	for _, lp := range labeled {
+		var a fd.AttrSet
+		if !lp.Abstained {
+			a = fd.AgreeSet(rel, lp.Pair)
+		}
+		dst = append(dst, a)
+	}
+	return dst
+}
+
+// labelingEvidence accumulates the (α, β) increments one hypothesis
+// receives from a batch of labelings with the given agree sets.
+func labelingEvidence(f fd.FD, labeled []Labeling, agree []fd.AttrSet, weight float64) (succ, fail float64) {
+	for j, lp := range labeled {
 		if lp.Abstained || lp.Marked.Has(f.RHS) {
 			continue
 		}
-		switch fd.Status(f, rel, lp.Pair) {
+		switch fd.StatusOn(f, agree[j]) {
 		case fd.Compliant:
 			succ += weight
 		case fd.Violating:
@@ -256,8 +275,10 @@ func (b *Belief) RemoveLabelings(rel *dataset.Relation, labeled []Labeling, weig
 		panic(fmt.Sprintf("belief: non-positive update weight %v", weight))
 	}
 	const floor = 1e-3
+	var buf [batchBuf]fd.AttrSet
+	agree := labelingAgreeSets(agreeScratch(buf[:], len(labeled)), rel, labeled)
 	for i := 0; i < b.space.Size(); i++ {
-		succ, fail := labelingEvidence(b.space.FD(i), rel, labeled, weight)
+		succ, fail := labelingEvidence(b.space.FD(i), labeled, agree, weight)
 		if succ == 0 && fail == 0 { //etlint:ignore floatcmp evidence untouched by any labeling is exactly 0, not computed
 			continue
 		}
@@ -307,117 +328,33 @@ func (b *Belief) Decay(lambda float64) {
 // rate, a violating pair is dirty exactly with the violated hypothesis'
 // confidence.
 func (b *Belief) PDirty(rel *dataset.Relation, p dataset.Pair) float64 {
-	b.ensureViolMemo(rel)
+	agree := fd.AgreeSet(rel, p)
 	var best float64
-	if len(b.dists) <= 64 {
-		m := b.violatedMask(rel, p)
-		// Bits ascend, so hypotheses are visited in the same ascending
-		// index order as the slice path — the max is bit-identical.
-		for ; m != 0; m &= m - 1 {
-			if c := b.dists[bits.TrailingZeros64(m)].Mean(); c > best {
+	for i, d := range b.dists {
+		if fd.StatusOn(b.space.FD(i), agree) == fd.Violating {
+			if c := d.Mean(); c > best {
 				best = c
 			}
-		}
-		return best
-	}
-	for _, i := range b.violated(rel, p) {
-		if c := b.dists[i].Mean(); c > best {
-			best = c
 		}
 	}
 	return best
 }
 
-// ensureViolMemo keys the violation memo to the relation's current
-// version. When only single-cell edits separate the memo from the
-// current state (per the relation's delta journal), just the pairs
-// touching an edited row are evicted; otherwise the memo flushes.
-func (b *Belief) ensureViolMemo(rel *dataset.Relation) {
-	if b.violRel == rel && b.violVersion == rel.Version() {
-		return
-	}
-	if b.violRel == rel {
-		if deltas, ok := rel.DeltasSince(b.violVersion); ok {
-			var rows []int
-			for _, d := range deltas {
-				if d.Old == d.New {
-					continue
-				}
-				dup := false
-				for _, r := range rows {
-					if r == d.Row {
-						dup = true
-						break
-					}
-				}
-				if !dup {
-					rows = append(rows, d.Row)
-				}
+// MaxConfidence returns the highest confidence among the hypotheses
+// set in mask (the fd.Space.AppendViolated layout), or 0 for an empty
+// mask: PDirty of every pair whose violated-hypothesis mask it is.
+// Hypotheses are visited in ascending index order, the same order
+// PDirty uses, so the two agree bit for bit.
+func (b *Belief) MaxConfidence(mask []uint64) float64 {
+	var best float64
+	for w, word := range mask {
+		for ; word != 0; word &= word - 1 {
+			if c := b.dists[w*64+bits.TrailingZeros64(word)].Mean(); c > best {
+				best = c
 			}
-			for p := range b.violMask {
-				for _, r := range rows {
-					if p.A == r || p.B == r {
-						delete(b.violMask, p)
-						break
-					}
-				}
-			}
-			for p := range b.violMemo {
-				for _, r := range rows {
-					if p.A == r || p.B == r {
-						delete(b.violMemo, p)
-						break
-					}
-				}
-			}
-			b.violVersion = rel.Version()
-			return
 		}
 	}
-	b.violRel = rel
-	b.violVersion = rel.Version()
-	b.violMask = nil
-	b.violMemo = nil
-}
-
-// violatedMask returns the bitmask of hypothesis indices pair p
-// violates over rel, memoized per pair; only valid for spaces of at
-// most 64 hypotheses. Callers must have run ensureViolMemo.
-func (b *Belief) violatedMask(rel *dataset.Relation, p dataset.Pair) uint64 {
-	if v, ok := b.violMask[p]; ok {
-		return v
-	}
-	var m uint64
-	for i := 0; i < b.space.Size(); i++ {
-		if fd.Status(b.space.FD(i), rel, p) == fd.Violating {
-			m |= 1 << uint(i)
-		}
-	}
-	if b.violMask == nil {
-		b.violMask = make(map[dataset.Pair]uint64)
-	}
-	b.violMask[p] = m
-	return m
-}
-
-// violated returns the indices of the hypotheses pair p violates over
-// rel, memoized per pair — the slice fallback for spaces larger than
-// 64 hypotheses. Callers must have run ensureViolMemo.
-func (b *Belief) violated(rel *dataset.Relation, p dataset.Pair) []int32 {
-	if v, ok := b.violMemo[p]; ok {
-		return v
-	}
-	var v []int32
-	for i := 0; i < b.space.Size(); i++ {
-		if fd.Status(b.space.FD(i), rel, p) == fd.Violating {
-			v = append(v, int32(i))
-		}
-	}
-	if b.violMemo == nil {
-		b.violMemo = make(map[dataset.Pair][]int32)
-	}
-	b.violMemo[p] = v
-	return v
+	return best
 }
 
 // PredictLabel is the best-response labeling under the belief: Dirty
@@ -444,7 +381,11 @@ func (b *Belief) LabelPayoff(rel *dataset.Relation, p dataset.Pair, y Label) flo
 // the way the learner's own belief predicts (Section 4's stochastic best
 // response scores).
 func (b *Belief) SelfPayoff(rel *dataset.Relation, p dataset.Pair) float64 {
-	pd := b.PDirty(rel, p)
+	return SelfPayoffOf(b.PDirty(rel, p))
+}
+
+// SelfPayoffOf is SelfPayoff as a function of the pair's PDirty.
+func SelfPayoffOf(pd float64) float64 {
 	if pd >= 0.5 {
 		return pd
 	}

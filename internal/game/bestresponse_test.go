@@ -21,8 +21,7 @@ func TestFPTrainerAlwaysBestResponds(t *testing.T) {
 	learner := agents.NewLearner(belief.DataEstimatePrior(space, rel, 0.1), sampling.StochasticUS{}, rng.Split())
 
 	for i := 0; i < 15; i++ {
-		remaining := pool.Remaining()
-		presented := learner.Present(rel, remaining, 10)
+		presented := learner.Present(pool.Candidates(), 10)
 		pool.MarkShown(presented)
 		trainer.Observe(rel, presented)
 		labeled := trainer.Label(rel, presented)
@@ -45,8 +44,7 @@ func TestNoisyTrainerIsExploitable(t *testing.T) {
 
 	var sawGap bool
 	for i := 0; i < 10; i++ {
-		remaining := pool.Remaining()
-		presented := learner.Present(rel, remaining, 10)
+		presented := learner.Present(pool.Candidates(), 10)
 		pool.MarkShown(presented)
 		trainer.Observe(rel, presented)
 		labeled := trainer.Label(rel, presented)

@@ -214,11 +214,10 @@ func TestConvergenceProposition1(t *testing.T) {
 	trMove.Observe(trainer.Belief().Confidences())
 	leMove.Observe(learner.Belief().Confidences())
 	for i := 0; i < cfg.Iterations; i++ {
-		remaining := pool.Remaining()
-		if len(remaining) == 0 {
+		if pool.RemainingCount() == 0 {
 			break
 		}
-		presented := learner.Present(rel, remaining, cfg.K)
+		presented := learner.Present(pool.Candidates(), cfg.K)
 		pool.MarkShown(presented)
 		trainer.Observe(rel, presented)
 		labeled := trainer.Label(rel, presented)

@@ -32,6 +32,9 @@ type Session struct {
 	pool    *sampling.Pool
 	k       int
 	pending []dataset.Pair
+	// pendingRNG is the learner's RNG position before the pending round
+	// was drawn; DiscardPending rewinds to it.
+	pendingRNG [4]uint64
 	// allowed and seen are Submit's validation scratch, cleared and
 	// reused every round so steady-state submission allocates nothing
 	// for bookkeeping (the fresh/full labeling slices stay freshly
@@ -164,7 +167,8 @@ func (s *Session) NextContext(ctx context.Context) ([]dataset.Pair, error) {
 	}
 	t := s.eng.round()
 	s.eng.obs.RoundStarted(t)
-	presented := s.eng.learner.Present(s.rel, s.pool.Remaining(), s.k)
+	s.pendingRNG = s.eng.learner.RNGState()
+	presented := s.eng.learner.Present(s.pool.Candidates(), s.k)
 	s.pool.MarkShown(presented)
 	s.pending = presented
 	s.eng.obs.PairsPresented(t, presented)
@@ -293,13 +297,22 @@ func (s *Session) PendingCount() int { return len(s.pending) }
 func (s *Session) RemainingPairs() int { return s.pool.RemainingCount() }
 
 // DiscardPending drops an unsubmitted round so the session can be
-// snapshotted, returning the discarded pairs (nil when idle). The pairs
-// stay consumed in this in-memory pool, but a session resumed from the
-// snapshot rebuilds its pool from submitted history only, so they
-// become presentable again.
+// snapshotted, returning the discarded pairs (nil when idle). The
+// discard is draw-exact: the pairs go back to their places in the pool
+// and the learner's RNG rewinds to where it stood before the round was
+// drawn, so the next Next — here, or in a session resumed from a
+// snapshot taken now — presents the same pairs an uninterrupted session
+// would have.
 func (s *Session) DiscardPending() []dataset.Pair {
 	p := s.pending
+	if p == nil {
+		return nil
+	}
 	s.pending = nil
+	s.pool.Unshow(p)
+	// The state was captured from a live generator, so it is never the
+	// invalid all-zero state RestoreRNG rejects.
+	_ = s.eng.learner.RestoreRNG(s.pendingRNG)
 	return p
 }
 

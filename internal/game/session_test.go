@@ -305,6 +305,77 @@ func TestSessionDiscardPending(t *testing.T) {
 	}
 }
 
+// TestSessionDiscardPendingIsDrawExact: discarding a presented round
+// rewinds the pool and the sampler RNG, so re-presenting it — in the
+// same session or in one resumed from a snapshot taken after the
+// discard — yields the pairs an uninterrupted session draws.
+func TestSessionDiscardPendingIsDrawExact(t *testing.T) {
+	rel, space := sessionFixture(t)
+	newSession := func() *Session {
+		s, err := NewSession(SessionConfig{Relation: rel, Space: space, K: 4, Seed: 9})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	play := func(s *Session, discardAt int) [][]dataset.Pair {
+		var rounds [][]dataset.Pair
+		for r := 0; r < 4; r++ {
+			pairs, err := s.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r == discardAt {
+				remaining := s.RemainingPairs()
+				s.DiscardPending()
+				if got := s.RemainingPairs(); got != remaining+len(pairs) {
+					t.Fatalf("RemainingPairs after discard = %d, want %d", got, remaining+len(pairs))
+				}
+				snap, err := s.Snapshot()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if s, err = ResumeSession(snap, SessionConfig{Relation: rel, K: 4, Seed: 9}); err != nil {
+					t.Fatal(err)
+				}
+				if again, err := s.Next(); err != nil {
+					t.Fatal(err)
+				} else if !equalPairs(again, pairs) {
+					t.Fatalf("round %d re-presented %v, first presentation %v", r, again, pairs)
+				}
+			}
+			rounds = append(rounds, pairs)
+			labeled := make([]belief.Labeling, len(pairs))
+			for i, p := range pairs {
+				labeled[i] = belief.Labeling{Pair: p}
+			}
+			if err := s.Submit(labeled); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return rounds
+	}
+	want := play(newSession(), -1)
+	got := play(newSession(), 2)
+	for r := range want {
+		if !equalPairs(got[r], want[r]) {
+			t.Fatalf("round %d: discarded-and-resumed session presented %v, uninterrupted %v", r, got[r], want[r])
+		}
+	}
+}
+
+func equalPairs(a, b []dataset.Pair) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
 func TestRunContextCancellation(t *testing.T) {
 	rel, space := sessionFixture(t)
 	rng := stats.NewRNG(10)

@@ -1,0 +1,158 @@
+package sampling
+
+import (
+	"exptrain/internal/belief"
+	"exptrain/internal/dataset"
+	"exptrain/internal/fd"
+)
+
+// classTable groups a pool's pairs by agree set. Whether a pair
+// violates a hypothesis depends only on the attributes its two tuples
+// agree on (fd.StatusOn), so every score a sampler derives from P(dirty)
+// is a function of the pair's class: a round scores each class once and
+// copies the result to the pairs by class id. Pools hold thousands of
+// pairs but only tens to a few thousand classes.
+//
+// The class ids follow the relation through its delta journal: when
+// cells change, only the pairs touching an edited row are re-derived,
+// and a journal gap (an Append, or edits past the journal window)
+// rebuilds the table.
+type classTable struct {
+	// id holds the class of each pool position; nil until first built.
+	id []int32
+	// agree holds each class's agree set. Classes a later edit emptied
+	// stay in the table until the next rebuild.
+	agree []fd.AttrSet
+	// version is the relation version id reflects.
+	version uint64
+	// space is the hypothesis space masks cover (nil: not computed).
+	space *fd.Space
+	words int
+	// masks holds class c's violated-hypothesis mask (the
+	// fd.Space.AppendViolated layout) at masks[c*words : (c+1)*words].
+	masks []uint64
+}
+
+// mask returns class c's violated-hypothesis mask.
+func (t *classTable) mask(c int) []uint64 {
+	return t.masks[c*t.words : (c+1)*t.words : (c+1)*t.words]
+}
+
+// classesFor brings the pool's class table up to date with the relation
+// and returns it with masks over space.
+func (p *Pool) classesFor(space *fd.Space) *classTable {
+	t := &p.classes
+	switch {
+	case t.id == nil:
+		p.buildClasses()
+	case t.version != p.rel.Version():
+		p.updateClasses()
+	}
+	if t.space != space {
+		t.space, t.words = space, space.MaskWords()
+		t.masks = t.masks[:0]
+		for _, a := range t.agree {
+			t.masks = space.AppendViolated(t.masks, a)
+		}
+	}
+	return t
+}
+
+// buildClasses derives every position's class from scratch.
+func (p *Pool) buildClasses() {
+	t := &p.classes
+	if t.id == nil {
+		t.id = make([]int32, len(p.pairs))
+	}
+	t.agree, t.masks, t.space = t.agree[:0], t.masks[:0], nil
+	index := make(map[fd.AttrSet]int32)
+	for pos, q := range p.pairs {
+		t.id[pos] = t.classOf(index, fd.AgreeSet(p.rel, q))
+	}
+	t.version = p.rel.Version()
+}
+
+// updateClasses replays the relation's cell deltas since the table's
+// version: only pairs touching an edited row can change class.
+func (p *Pool) updateClasses() {
+	t := &p.classes
+	deltas, ok := p.rel.DeltasSince(t.version)
+	if !ok {
+		p.buildClasses()
+		return
+	}
+	var edited []uint64
+	for _, d := range deltas {
+		if d.Old == d.New {
+			continue
+		}
+		if edited == nil {
+			edited = make([]uint64, (p.rel.NumRows()+63)/64)
+		}
+		edited[d.Row/64] |= 1 << uint(d.Row%64)
+	}
+	t.version = p.rel.Version()
+	if edited == nil {
+		return
+	}
+	touched := func(row int) bool { return edited[row/64]&(1<<uint(row%64)) != 0 }
+	index := make(map[fd.AttrSet]int32, len(t.agree))
+	for c, a := range t.agree {
+		index[a] = int32(c)
+	}
+	for pos, q := range p.pairs {
+		if touched(q.A) || touched(q.B) {
+			t.id[pos] = t.classOf(index, fd.AgreeSet(p.rel, q))
+		}
+	}
+}
+
+// classOf returns the class of agree set a, adding it (with its mask,
+// when masks are current) if it is new.
+func (t *classTable) classOf(index map[fd.AttrSet]int32, a fd.AttrSet) int32 {
+	if c, ok := index[a]; ok {
+		return c
+	}
+	c := int32(len(t.agree))
+	index[a] = c
+	t.agree = append(t.agree, a)
+	if t.space != nil {
+		t.masks = t.space.AppendViolated(t.masks, a)
+	}
+	return c
+}
+
+// Candidates is the read-only view a Sampler selects from: the pool's
+// unshown pairs in pool order. Besides the pairs themselves it scores
+// them through the pool's agree-set classes, one evaluation per class.
+// A view is invalidated by the pool's next MarkShown or Unshow.
+type Candidates struct{ p *Pool }
+
+// Len returns the number of candidates.
+func (c Candidates) Len() int { return len(c.p.unshown) }
+
+// Pair returns candidate i, 0 ≤ i < Len.
+func (c Candidates) Pair(i int) dataset.Pair { return c.p.pairs[c.p.unshown[i]] }
+
+// scores fills sc.scores with score(PDirty) of every candidate under b
+// and returns it. score runs once per agree-set class; each candidate
+// copies its class's value, so the slice holds the same float64s a
+// per-pair b.PDirty walk would produce, in candidate order.
+func (c Candidates) scores(sc *selectScratch, b *belief.Belief, score func(pdirty float64) float64) []float64 {
+	t := c.p.classesFor(b.Space())
+	sc.byClass = floats(sc.byClass, len(t.agree))
+	for k := range sc.byClass {
+		sc.byClass[k] = score(b.MaxConfidence(t.mask(k)))
+	}
+	return c.fill(sc, t)
+}
+
+// fill copies per-class values in sc.byClass to sc.scores by candidate
+// class and returns sc.scores.
+func (c Candidates) fill(sc *selectScratch, t *classTable) []float64 {
+	sc.scores = floats(sc.scores, c.Len())
+	for i, pos := range c.p.unshown {
+		sc.scores[i] = sc.byClass[t.id[pos]]
+	}
+	return sc.scores
+}

@@ -1,9 +1,10 @@
 package sampling
 
 import (
+	"math/bits"
+
 	"exptrain/internal/belief"
 	"exptrain/internal/dataset"
-	"exptrain/internal/fd"
 	"exptrain/internal/stats"
 )
 
@@ -27,7 +28,7 @@ type QueryByCommittee struct {
 func (QueryByCommittee) Name() string { return "QBC" }
 
 // Select implements Sampler.
-func (s QueryByCommittee) Select(rel *dataset.Relation, pool []dataset.Pair, b *belief.Belief, k int, rng *stats.RNG) []dataset.Pair {
+func (s QueryByCommittee) Select(c Candidates, b *belief.Belief, k int, rng *stats.RNG) []dataset.Pair {
 	committee := s.Committee
 	if committee <= 0 {
 		committee = 5
@@ -41,20 +42,37 @@ func (s QueryByCommittee) Select(rel *dataset.Relation, pool []dataset.Pair, b *
 			confs[m][i] = b.Dist(i).Sample(rng)
 		}
 	}
-	space := b.Space()
-	voteEntropy := func(p dataset.Pair) float64 {
+	// A member votes dirty on a pair when it holds (≥ 1/2) some
+	// hypothesis the pair violates — a property of the pair's agree-set
+	// class, so each class is voted on once.
+	t := c.p.classesFor(b.Space())
+	sc := selPool.Get().(*selectScratch)
+	defer selPool.Put(sc)
+	sc.byClass = floats(sc.byClass, len(t.agree))
+	for cl := range sc.byClass {
+		mask := t.mask(cl)
 		dirty := 0
 		for m := 0; m < committee; m++ {
-			for i := 0; i < space.Size(); i++ {
-				if confs[m][i] >= 0.5 && fd.Status(space.FD(i), rel, p) == fd.Violating {
-					dirty++
-					break
-				}
+			if holdsAny(confs[m], mask) {
+				dirty++
 			}
 		}
-		return stats.BernoulliEntropy(float64(dirty) / float64(committee))
+		sc.byClass[cl] = stats.BernoulliEntropy(float64(dirty) / float64(committee))
 	}
-	return topKByScore(pool, k, voteEntropy)
+	return topKByScore(c, k, sc, c.fill(sc, t))
+}
+
+// holdsAny reports whether any hypothesis set in mask has confidence at
+// least 1/2 in conf.
+func holdsAny(conf []float64, mask []uint64) bool {
+	for w, word := range mask {
+		for ; word != 0; word &= word - 1 {
+			if conf[w*64+bits.TrailingZeros64(word)] >= 0.5 {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // EpsilonGreedy mixes greedy uncertainty sampling with uniform
@@ -70,19 +88,17 @@ type EpsilonGreedy struct {
 func (EpsilonGreedy) Name() string { return "EpsilonGreedy" }
 
 // Select implements Sampler.
-func (s EpsilonGreedy) Select(rel *dataset.Relation, pool []dataset.Pair, b *belief.Belief, k int, rng *stats.RNG) []dataset.Pair {
+func (s EpsilonGreedy) Select(c Candidates, b *belief.Belief, k int, rng *stats.RNG) []dataset.Pair {
 	eps := s.Epsilon
 	if eps == 0 { //etlint:ignore floatcmp zero value means unset; callers assign literals
 		eps = 0.2
 	}
-	if k > len(pool) {
-		k = len(pool)
-	}
+	k = min(k, c.Len())
 	// Rank once by entropy; then walk the ranking, substituting random
 	// picks with probability ε.
-	ranked := topKByScore(pool, len(pool), func(p dataset.Pair) float64 {
-		return b.Uncertainty(rel, p)
-	})
+	sc := selPool.Get().(*selectScratch)
+	ranked := topKByScore(c, c.Len(), sc, c.scores(sc, b, stats.BernoulliEntropy))
+	selPool.Put(sc)
 	taken := make(map[dataset.Pair]struct{}, k)
 	out := make([]dataset.Pair, 0, k)
 	next := 0
@@ -103,7 +119,7 @@ func (s EpsilonGreedy) Select(rel *dataset.Relation, pool []dataset.Pair, b *bel
 			// fall back to greedy so selection always terminates.
 			picked := false
 			for attempt := 0; attempt < 8; attempt++ {
-				p := pool[rng.Intn(len(pool))]
+				p := c.Pair(rng.Intn(c.Len()))
 				if _, dup := taken[p]; !dup {
 					taken[p] = struct{}{}
 					out = append(out, p)

@@ -13,7 +13,7 @@ func TestQBCSelectBasics(t *testing.T) {
 	rel, space := fixture()
 	b := belief.UniformPrior(space, 0.5, 0.15)
 	pool := allPairs(rel)
-	got := QueryByCommittee{}.Select(rel, pool, b, 5, stats.NewRNG(1))
+	got := QueryByCommittee{}.Select(cands(rel, pool), b, 5, stats.NewRNG(1))
 	if len(got) != 5 {
 		t.Fatalf("selected %d", len(got))
 	}
@@ -45,7 +45,7 @@ func TestQBCPrefersContestedPairs(t *testing.T) {
 	violatesSomething := func(p dataset.Pair) bool {
 		return wide.PDirty(rel, p) > 0 || tight.PDirty(rel, p) > 0
 	}
-	got := s.Select(rel, pool, wide, 3, rng)
+	got := s.Select(cands(rel, pool), wide, 3, rng)
 	any := false
 	for _, p := range got {
 		if violatesSomething(p) {
@@ -61,8 +61,8 @@ func TestQBCDeterministicGivenRNG(t *testing.T) {
 	rel, space := fixture()
 	b := belief.UniformPrior(space, 0.5, 0.15)
 	pool := allPairs(rel)
-	a := QueryByCommittee{}.Select(rel, pool, b, 4, stats.NewRNG(9))
-	c := QueryByCommittee{}.Select(rel, pool, b, 4, stats.NewRNG(9))
+	a := QueryByCommittee{}.Select(cands(rel, pool), b, 4, stats.NewRNG(9))
+	c := QueryByCommittee{}.Select(cands(rel, pool), b, 4, stats.NewRNG(9))
 	for i := range a {
 		if a[i] != c[i] {
 			t.Fatal("same RNG state produced different selections")
@@ -74,7 +74,7 @@ func TestEpsilonGreedyBasics(t *testing.T) {
 	rel, space := fixture()
 	b := belief.UniformPrior(space, 0.5, 0.15)
 	pool := allPairs(rel)
-	got := EpsilonGreedy{Epsilon: 0.3}.Select(rel, pool, b, 8, stats.NewRNG(2))
+	got := EpsilonGreedy{Epsilon: 0.3}.Select(cands(rel, pool), b, 8, stats.NewRNG(2))
 	if len(got) != 8 {
 		t.Fatalf("selected %d", len(got))
 	}
@@ -86,7 +86,7 @@ func TestEpsilonGreedyBasics(t *testing.T) {
 		seen[p] = true
 	}
 	// Oversized k clamps.
-	if got := (EpsilonGreedy{}).Select(rel, pool[:3], b, 10, stats.NewRNG(2)); len(got) != 3 {
+	if got := (EpsilonGreedy{}).Select(cands(rel, pool[:3]), b, 10, stats.NewRNG(2)); len(got) != 3 {
 		t.Fatalf("clamped select returned %d", len(got))
 	}
 }
@@ -99,8 +99,8 @@ func TestEpsilonGreedyZeroEpsMatchesUS(t *testing.T) {
 	pool := allPairs(rel)
 
 	// ε close to zero: first pick must be US's first pick.
-	eg := EpsilonGreedy{Epsilon: 1e-12}.Select(rel, pool, b, 1, stats.NewRNG(4))
-	us := Uncertainty{}.Select(rel, pool, b, 1, stats.NewRNG(4))
+	eg := EpsilonGreedy{Epsilon: 1e-12}.Select(cands(rel, pool), b, 1, stats.NewRNG(4))
+	us := Uncertainty{}.Select(cands(rel, pool), b, 1, stats.NewRNG(4))
 	if eg[0] != us[0] {
 		t.Fatalf("ε→0 pick %v differs from US pick %v", eg[0], us[0])
 	}
@@ -115,7 +115,7 @@ func TestEpsilonGreedyExplores(t *testing.T) {
 	distinct := func(s Sampler, trials int) int {
 		seen := map[dataset.Pair]bool{}
 		for i := 0; i < trials; i++ {
-			for _, p := range s.Select(rel, pool, b, 2, rng) {
+			for _, p := range s.Select(cands(rel, pool), b, 2, rng) {
 				seen[p] = true
 			}
 		}

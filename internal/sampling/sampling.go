@@ -26,13 +26,15 @@ import (
 
 // selectScratch holds the per-selection scoring buffers. The samplers
 // are stateless values, so the scratch lives in a package pool; every
-// buffer is fully overwritten before it is read (scores and probs are
-// assigned for all pool indices, idx is refilled), so reuse cannot leak
-// state between selections and determinism is unaffected.
+// buffer is fully overwritten before it is read (byClass is assigned for
+// every class, scores and probs for every candidate, idx is refilled),
+// so reuse cannot leak state between selections and determinism is
+// unaffected.
 type selectScratch struct {
-	scores []float64
-	probs  []float64
-	idx    []int
+	byClass []float64
+	scores  []float64
+	probs   []float64
+	idx     []int
 }
 
 var selPool = sync.Pool{New: func() any { return new(selectScratch) }}
@@ -49,15 +51,15 @@ func floats(buf []float64, n int) []float64 {
 // paper's evaluation (§C.1 sets γ = 0.5 in all experiments).
 const DefaultGamma = 0.5
 
-// Sampler selects k pairs from the candidate pool given the learner's
+// Sampler selects k pairs from the candidates given the learner's
 // current belief. Implementations must not mutate the pool and must be
 // deterministic given the RNG state.
 type Sampler interface {
 	// Name identifies the strategy in experiment reports, matching the
 	// paper's method names.
 	Name() string
-	// Select returns min(k, len(pool)) distinct pairs from pool.
-	Select(rel *dataset.Relation, pool []dataset.Pair, b *belief.Belief, k int, rng *stats.RNG) []dataset.Pair
+	// Select returns min(k, c.Len()) distinct candidate pairs.
+	Select(c Candidates, b *belief.Belief, k int, rng *stats.RNG) []dataset.Pair
 }
 
 // Random is the Fixed Random Sampling baseline: it ignores the belief
@@ -68,14 +70,12 @@ type Random struct{}
 func (Random) Name() string { return "Random" }
 
 // Select implements Sampler.
-func (Random) Select(_ *dataset.Relation, pool []dataset.Pair, _ *belief.Belief, k int, rng *stats.RNG) []dataset.Pair {
-	if k > len(pool) {
-		k = len(pool)
-	}
-	idx := rng.SampleWithoutReplacement(len(pool), k)
+func (Random) Select(c Candidates, _ *belief.Belief, k int, rng *stats.RNG) []dataset.Pair {
+	k = min(k, c.Len())
+	idx := rng.SampleWithoutReplacement(c.Len(), k)
 	out := make([]dataset.Pair, k)
 	for i, j := range idx {
-		out[i] = pool[j]
+		out[i] = c.Pair(j)
 	}
 	return out
 }
@@ -90,10 +90,10 @@ type Uncertainty struct{}
 func (Uncertainty) Name() string { return "US" }
 
 // Select implements Sampler.
-func (Uncertainty) Select(rel *dataset.Relation, pool []dataset.Pair, b *belief.Belief, k int, rng *stats.RNG) []dataset.Pair {
-	return topKByScore(pool, k, func(p dataset.Pair) float64 {
-		return b.Uncertainty(rel, p)
-	})
+func (Uncertainty) Select(c Candidates, b *belief.Belief, k int, _ *stats.RNG) []dataset.Pair {
+	sc := selPool.Get().(*selectScratch)
+	defer selPool.Put(sc)
+	return topKByScore(c, k, sc, c.scores(sc, b, stats.BernoulliEntropy))
 }
 
 // StochasticBR is the stochastic best response of Section 4: pair x is
@@ -110,10 +110,8 @@ type StochasticBR struct {
 func (StochasticBR) Name() string { return "StochasticBR" }
 
 // Select implements Sampler.
-func (s StochasticBR) Select(rel *dataset.Relation, pool []dataset.Pair, b *belief.Belief, k int, rng *stats.RNG) []dataset.Pair {
-	return softmaxSelect(pool, k, gammaOrDefault(s.Gamma), rng, func(p dataset.Pair) float64 {
-		return b.SelfPayoff(rel, p)
-	})
+func (s StochasticBR) Select(c Candidates, b *belief.Belief, k int, rng *stats.RNG) []dataset.Pair {
+	return softmaxSelect(c, b, k, gammaOrDefault(s.Gamma), rng, belief.SelfPayoffOf)
 }
 
 // StochasticUS is stochastic uncertainty sampling (Section 4): the
@@ -129,10 +127,8 @@ type StochasticUS struct {
 func (StochasticUS) Name() string { return "StochasticUS" }
 
 // Select implements Sampler.
-func (s StochasticUS) Select(rel *dataset.Relation, pool []dataset.Pair, b *belief.Belief, k int, rng *stats.RNG) []dataset.Pair {
-	return softmaxSelect(pool, k, gammaOrDefault(s.Gamma), rng, func(p dataset.Pair) float64 {
-		return b.Uncertainty(rel, p)
-	})
+func (s StochasticUS) Select(c Candidates, b *belief.Belief, k int, rng *stats.RNG) []dataset.Pair {
+	return softmaxSelect(c, b, k, gammaOrDefault(s.Gamma), rng, stats.BernoulliEntropy)
 }
 
 func gammaOrDefault(g float64) float64 {
@@ -145,53 +141,43 @@ func gammaOrDefault(g float64) float64 {
 	return g
 }
 
-// topKByScore returns the k highest-scoring pairs, ties broken by pool
-// order for determinism.
-func topKByScore(pool []dataset.Pair, k int, score func(dataset.Pair) float64) []dataset.Pair {
-	if k > len(pool) {
-		k = len(pool)
+// topKByScore returns the k highest-scoring candidates, ties broken by
+// candidate order for determinism. scores holds one value per
+// candidate.
+func topKByScore(c Candidates, k int, sc *selectScratch, scores []float64) []dataset.Pair {
+	k = min(k, c.Len())
+	if cap(sc.idx) < len(scores) {
+		sc.idx = make([]int, len(scores))
 	}
-	sc := selPool.Get().(*selectScratch)
-	if cap(sc.idx) < len(pool) {
-		sc.idx = make([]int, len(pool))
-	}
-	idx := sc.idx[:len(pool)]
-	scores := floats(sc.scores, len(pool))
-	for i, p := range pool {
+	idx := sc.idx[:len(scores)]
+	for i := range idx {
 		idx[i] = i
-		scores[i] = score(p)
 	}
 	sort.SliceStable(idx, func(a, b int) bool { return scores[idx[a]] > scores[idx[b]] })
 	out := make([]dataset.Pair, k)
 	for i := 0; i < k; i++ {
-		out[i] = pool[idx[i]]
+		out[i] = c.Pair(idx[i])
 	}
-	sc.idx, sc.scores = idx, scores
-	selPool.Put(sc)
 	return out
 }
 
-// softmaxSelect draws k distinct pairs with probabilities proportional
-// to exp(score/γ), removing each drawn pair from the distribution.
-func softmaxSelect(pool []dataset.Pair, k int, gamma float64, rng *stats.RNG, score func(dataset.Pair) float64) []dataset.Pair {
-	if k > len(pool) {
-		k = len(pool)
-	}
+// softmaxSelect draws k distinct candidates with probabilities
+// proportional to exp(score(PDirty)/γ), removing each drawn candidate
+// from the distribution.
+func softmaxSelect(c Candidates, b *belief.Belief, k int, gamma float64, rng *stats.RNG, score func(pdirty float64) float64) []dataset.Pair {
+	k = min(k, c.Len())
 	sc := selPool.Get().(*selectScratch)
-	scores := floats(sc.scores, len(pool))
-	for i, p := range pool {
-		scores[i] = score(p)
-	}
-	probs := floats(sc.probs, len(pool))
+	scores := c.scores(sc, b, score)
+	probs := floats(sc.probs, len(scores))
 	stats.Softmax(probs, scores, gamma)
 	out := make([]dataset.Pair, 0, k)
 	for len(out) < k {
 		i := stats.SampleCategorical(rng, probs)
-		out = append(out, pool[i])
+		out = append(out, c.Pair(i))
 		probs[i] = 0
 		stats.Normalize(probs)
 	}
-	sc.scores, sc.probs = scores, probs
+	sc.probs = probs
 	selPool.Put(sc)
 	return out
 }

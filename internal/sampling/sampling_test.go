@@ -27,11 +27,16 @@ func allPairs(rel *dataset.Relation) []dataset.Pair {
 	return dataset.AllPairs(rel.NumRows())
 }
 
+// cands is the candidate view of a pool over exactly the given pairs.
+func cands(rel *dataset.Relation, pairs []dataset.Pair) Candidates {
+	return NewPoolFrom(rel, pairs).Candidates()
+}
+
 func TestRandomSelectBasics(t *testing.T) {
 	rel, space := fixture()
 	b := belief.UniformPrior(space, 0.5, 0.1)
 	pool := allPairs(rel)
-	got := Random{}.Select(rel, pool, b, 10, stats.NewRNG(1))
+	got := Random{}.Select(cands(rel, pool), b, 10, stats.NewRNG(1))
 	if len(got) != 10 {
 		t.Fatalf("selected %d, want 10", len(got))
 	}
@@ -43,7 +48,7 @@ func TestRandomSelectBasics(t *testing.T) {
 		seen[p] = true
 	}
 	// Oversized k clamps.
-	if got := (Random{}).Select(rel, pool[:3], b, 10, stats.NewRNG(1)); len(got) != 3 {
+	if got := (Random{}).Select(cands(rel, pool[:3]), b, 10, stats.NewRNG(1)); len(got) != 3 {
 		t.Fatalf("clamped select returned %d", len(got))
 	}
 }
@@ -58,7 +63,7 @@ func TestUncertaintySelectsHighestEntropy(t *testing.T) {
 	b.SetDist(idx, stats.NewBeta(1, 1)) // mean 0.5 → max entropy
 
 	pool := allPairs(rel)
-	got := Uncertainty{}.Select(rel, pool, b, 3, stats.NewRNG(1))
+	got := Uncertainty{}.Select(cands(rel, pool), b, 3, stats.NewRNG(1))
 	wantScore := b.Uncertainty(rel, got[0])
 	// Verify it actually returns the global top score.
 	for _, p := range pool {
@@ -67,7 +72,7 @@ func TestUncertaintySelectsHighestEntropy(t *testing.T) {
 		}
 	}
 	// Deterministic regardless of RNG.
-	again := Uncertainty{}.Select(rel, pool, b, 3, stats.NewRNG(999))
+	again := Uncertainty{}.Select(cands(rel, pool), b, 3, stats.NewRNG(999))
 	for i := range got {
 		if got[i] != again[i] {
 			t.Fatal("US should be RNG independent")
@@ -89,7 +94,7 @@ func TestStochasticBRPrefersHighPayoff(t *testing.T) {
 	rng := stats.NewRNG(7)
 	high, total := 0, 0
 	for trial := 0; trial < 200; trial++ {
-		for _, p := range s.Select(rel, pool, b, 1, rng) {
+		for _, p := range s.Select(cands(rel, pool), b, 1, rng) {
 			total++
 			if b.SelfPayoff(rel, p) > 0.9 {
 				high++
@@ -108,7 +113,7 @@ func TestStochasticUSApproachesUSAsGammaToZero(t *testing.T) {
 	b.SetDist(idx, stats.NewBeta(1, 1))
 
 	pool := allPairs(rel)
-	usPick := Uncertainty{}.Select(rel, pool, b, 1, stats.NewRNG(1))[0]
+	usPick := Uncertainty{}.Select(cands(rel, pool), b, 1, stats.NewRNG(1))[0]
 	usScore := b.Uncertainty(rel, usPick)
 
 	s := StochasticUS{Gamma: 0.005}
@@ -116,7 +121,7 @@ func TestStochasticUSApproachesUSAsGammaToZero(t *testing.T) {
 	match := 0
 	const trials = 100
 	for i := 0; i < trials; i++ {
-		p := s.Select(rel, pool, b, 1, rng)[0]
+		p := s.Select(cands(rel, pool), b, 1, rng)[0]
 		if math.Abs(b.Uncertainty(rel, p)-usScore) < 1e-9 {
 			match++
 		}
@@ -135,7 +140,7 @@ func TestStochasticSpreadsMoreThanGreedy(t *testing.T) {
 	distinct := func(s Sampler, trials int) int {
 		seen := map[dataset.Pair]bool{}
 		for i := 0; i < trials; i++ {
-			for _, p := range s.Select(rel, pool, b, 2, rng) {
+			for _, p := range s.Select(cands(rel, pool), b, 2, rng) {
 				seen[p] = true
 			}
 		}
@@ -152,7 +157,7 @@ func TestSoftmaxSelectDistinct(t *testing.T) {
 	rel, space := fixture()
 	b := belief.New(space, stats.NewBeta(1, 1))
 	pool := allPairs(rel)
-	got := StochasticBR{}.Select(rel, pool, b, len(pool), stats.NewRNG(3))
+	got := StochasticBR{}.Select(cands(rel, pool), b, len(pool), stats.NewRNG(3))
 	if len(got) != len(pool) {
 		t.Fatalf("full draw returned %d of %d", len(got), len(pool))
 	}
@@ -299,6 +304,25 @@ func TestPoolDeterministicForSeed(t *testing.T) {
 	for i := range ar {
 		if ar[i] != br[i] {
 			t.Fatal("same seed different pool contents")
+		}
+	}
+}
+
+func TestPoolUnshowRestoresOrder(t *testing.T) {
+	rel, space := fixture()
+	pool := NewPool(rel, space, PoolConfig{Seed: 5})
+	before := pool.Remaining()
+	shown := []dataset.Pair{before[7], before[0], before[3], before[len(before)-1]}
+	pool.MarkShown(shown)
+	pool.Unshow(append(shown[:3:3], dataset.Pair{A: -1, B: -1}))
+	after := pool.Remaining()
+	want := before[:len(before)-1]
+	if len(after) != len(want) || pool.ShownCount() != 1 {
+		t.Fatalf("after Unshow: %d remaining, %d shown; want %d and 1", len(after), pool.ShownCount(), len(want))
+	}
+	for i := range want {
+		if after[i] != want[i] {
+			t.Fatalf("Remaining[%d] = %v after Unshow, want %v (pool order)", i, after[i], want[i])
 		}
 	}
 }

@@ -422,3 +422,68 @@ func TestManagerConcurrentSessions(t *testing.T) {
 	default:
 	}
 }
+
+// TestEvictPendingRoundIsDrawExact: evicting a session with a
+// presented-but-unsubmitted round parks it at the round's start, so
+// Next → Evict → (unpark) Next presents the same pairs, and the whole
+// trajectory — pairs and /rounds series — equals an uninterrupted
+// session's (DESIGN §12 "Draw-exact resume").
+func TestEvictPendingRoundIsDrawExact(t *testing.T) {
+	ctx := context.Background()
+	m := NewManager(Options{Store: persist.NewMemStore()})
+	const rounds = 4
+	play := func(evictAt int) (trail, series []string) {
+		info, err := m.Create(ctx, datasetSpec(5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r := 0; r < rounds; r++ {
+			pairs, err := m.Next(ctx, info.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r == evictAt {
+				if err := m.Evict(ctx, info.ID); err != nil {
+					t.Fatal(err)
+				}
+				again, err := m.Next(ctx, info.ID)
+				if err != nil {
+					t.Fatalf("Next after evict: %v", err)
+				}
+				if fmt.Sprint(again) != fmt.Sprint(pairs) {
+					t.Fatalf("round %d re-presented %v after evict, first presentation %v", r, again, pairs)
+				}
+			}
+			labeled := make([]belief.Labeling, len(pairs))
+			for i, p := range pairs {
+				labeled[i] = belief.Labeling{Pair: dataset.NewPair(p.A, p.B)}
+				if i == 0 {
+					labeled[i].Marked = labeled[i].Marked.Add(1)
+				}
+			}
+			if _, err := m.Submit(ctx, info.ID, r, labeled); err != nil {
+				t.Fatal(err)
+			}
+			trail = append(trail, fmt.Sprint(pairs))
+		}
+		rvs, err := m.Rounds(ctx, info.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rv := range rvs {
+			series = append(series, fmt.Sprintf("round %d: labeled=%d revised=%d mae=%x payoff=%x",
+				rv.Round, rv.Labeled, rv.Revised, rv.MAE, rv.Payoff))
+		}
+		return trail, series
+	}
+	wantPairs, wantSeries := play(-1)
+	gotPairs, gotSeries := play(2)
+	for r := range wantPairs {
+		if gotPairs[r] != wantPairs[r] {
+			t.Fatalf("round %d: evicted session presented %s, uninterrupted %s", r, gotPairs[r], wantPairs[r])
+		}
+	}
+	if fmt.Sprint(gotSeries) != fmt.Sprint(wantSeries) {
+		t.Fatalf("/rounds series diverged:\n got %v\nwant %v", gotSeries, wantSeries)
+	}
+}

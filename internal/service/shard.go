@@ -253,8 +253,8 @@ func (sh *shard) victimLocked(keep *entry) *entry {
 func (sh *shard) evict(ctx context.Context, e *entry) error {
 	defer e.mu.Unlock()
 	// An unsubmitted round is dropped: it carries no annotator evidence,
-	// and resuming rebuilds the pool from submitted history so its pairs
-	// become presentable again.
+	// and the discard rewinds the sampler RNG and the pool, so the
+	// snapshot resumes to re-present the same pairs.
 	e.sess.DiscardPending()
 	snap, err := e.sess.Snapshot()
 	if err != nil {
