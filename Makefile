@@ -32,9 +32,10 @@ vet:
 # goroutines), chanlock (blocking channel ops under a mutex), ctxflow
 # (manufactured contexts outside cmd/) and errkind (error-envelope
 # registry coverage).
-# Exits non-zero on any finding, unjustified suppression, or stale
-# suppression; `go run ./cmd/etlint -audit` lists every suppression
-# with its reason.
+# etlint loads the module once — each package type-checked exactly
+# once — and exits non-zero on any finding, unjustified suppression,
+# or stale suppression; `go run ./cmd/etlint -audit` lists every
+# suppression with its reason.
 lint:
 	$(GO) run ./cmd/etlint ./...
 
@@ -141,22 +142,21 @@ bench:
 		echo "   wrote BENCH_$$b.json"; \
 	done
 
+# Record the lint baseline (BENCH_Lint.json): one LoadModule plus
+# RunAudit over the real module with every rule. One iteration is
+# enough — each sample is a whole-module type-check, and the gated
+# metric is allocs/op, which does not depend on machine load.
+lintbench:
+	@echo "== BenchmarkLintModule"
+	@$(GO) test -run '^$$' -bench '^BenchmarkLintModule$$' -benchtime 1x -benchmem ./internal/lint \
+		| $(GO) run ./cmd/benchjson > BENCH_Lint.json
+	@echo "   wrote BENCH_Lint.json"
+
 # Record the incremental-PLI baseline (BENCH_PLIIncremental.json): the
 # warm-cache revision benchmark plus the one-iteration rows=100000
 # scaling case that the delta protocol makes feasible at all. Revision
 # runs 100 iterations so the recorded numbers are the steady state, not
 # the first call's one-time memo warm-up.
-# Record the lint-loader baseline (BENCH_Lint.json): the sequential
-# full-module analysis versus the parallel loader on a cold cache and
-# versus a warm cache hit. One iteration is enough — each sample is a
-# whole-module type-check, and the gated metrics are ratios of runs on
-# the same machine, so load noise mostly cancels.
-lintbench:
-	@echo "== BenchmarkLintLoader"
-	@$(GO) test -run '^$$' -bench '^BenchmarkLintLoader$$' -benchtime 1x ./internal/lint \
-		| $(GO) run ./cmd/benchjson > BENCH_Lint.json
-	@echo "   wrote BENCH_Lint.json"
-
 benchbaseline:
 	@echo "== BenchmarkRevision + BenchmarkGameScaling/rows=100000"
 	@( $(GO) test -run '^$$' -bench '^BenchmarkRevision$$' -benchtime 100x -benchmem . && \
@@ -190,8 +190,8 @@ benchcheck:
 	@echo "== benchcheck WAL group commit (etload -wal)"
 	@$(GO) run ./cmd/etload -wal -sessions 64 -rounds 4 -store-delay 20ms \
 		| $(GO) run ./cmd/benchjson -check BENCH_WalCommit.json
-	@echo "== benchcheck lint loader (parallel + cache speedups)"
-	@$(GO) test -run '^$$' -bench '^BenchmarkLintLoader$$' -benchtime 1x ./internal/lint \
+	@echo "== benchcheck lint (BenchmarkLintModule)"
+	@$(GO) test -run '^$$' -bench '^BenchmarkLintModule$$' -benchtime 1x -benchmem ./internal/lint \
 		| $(GO) run ./cmd/benchjson -check BENCH_Lint.json
 
 clean:

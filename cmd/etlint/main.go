@@ -2,8 +2,7 @@
 // rules (internal/lint) over the whole module and exits non-zero on
 // findings. It is part of `make verify`:
 //
-//	etlint [-rules detrand,maporder] [-json|-sarif] [-audit] [-list]
-//	       [-cache auto|off|DIR] [-seq] [./...]
+//	etlint [-rules detrand,maporder] [-json] [-audit] [-list] [./...]
 //
 // Package patterns are accepted for muscle-memory compatibility with
 // go vet, but the tool always lints the entire module containing the
@@ -11,10 +10,7 @@
 //
 // -audit prints every //etlint:ignore directive with its reason and
 // whether it covered a finding (stale directives are marked and are
-// also findings in their own right). -sarif emits a SARIF 2.1.0 log.
-// -cache controls the content-hash result cache (default auto: the
-// user cache dir); -seq forces the old sequential loader and disables
-// the cache — the escape hatch and the benchmark baseline.
+// also findings in their own right).
 //
 // Exit status: 0 clean, 1 findings, 2 usage or load error.
 package main
@@ -35,11 +31,8 @@ import (
 type options struct {
 	rulesCSV string
 	jsonOut  bool
-	sarifOut bool
 	audit    bool
 	list     bool
-	cache    string // "auto", "off", or a directory
-	seq      bool
 	dir      string
 }
 
@@ -47,11 +40,8 @@ func main() {
 	var opt options
 	flag.StringVar(&opt.rulesCSV, "rules", "", "comma-separated subset of rules to run (default: all)")
 	flag.BoolVar(&opt.jsonOut, "json", false, "emit findings as a JSON array instead of text")
-	flag.BoolVar(&opt.sarifOut, "sarif", false, "emit findings as a SARIF 2.1.0 log")
 	flag.BoolVar(&opt.audit, "audit", false, "report every etlint:ignore directive with its reason and usage")
 	flag.BoolVar(&opt.list, "list", false, "print the rule registry and exit")
-	flag.StringVar(&opt.cache, "cache", "auto", "result cache: auto, off, or a directory")
-	flag.BoolVar(&opt.seq, "seq", false, "use the sequential loader without caching (benchmark baseline)")
 	flag.Parse()
 	opt.dir = "."
 	code, err := run(os.Stdout, opt)
@@ -79,36 +69,15 @@ func run(w io.Writer, opt options) (int, error) {
 		}
 		return 0, nil
 	}
-	if opt.jsonOut && opt.sarifOut {
-		return 2, fmt.Errorf("-json and -sarif are mutually exclusive")
-	}
 	root, err := findModuleRoot(opt.dir)
 	if err != nil {
 		return 2, err
 	}
-
-	var findings []lint.Finding
-	var audit []lint.AuditRecord
-	if opt.seq {
-		pkgs, err := lint.LoadModule(root)
-		if err != nil {
-			return 2, err
-		}
-		findings, audit = lint.RunAudit(pkgs, rules)
-	} else {
-		cacheDir := ""
-		switch opt.cache {
-		case "auto":
-			cacheDir = lint.DefaultCacheDir()
-		case "off", "":
-		default:
-			cacheDir = opt.cache
-		}
-		findings, audit, err = lint.LintModule(root, rules, cacheDir)
-		if err != nil {
-			return 2, err
-		}
+	pkgs, err := lint.LoadModule(root)
+	if err != nil {
+		return 2, err
 	}
+	findings, audit := lint.RunAudit(pkgs, rules)
 	if findings == nil {
 		findings = []lint.Finding{} // -json promises an array, not null
 	}
@@ -118,28 +87,19 @@ func run(w io.Writer, opt options) (int, error) {
 		return 0, nil
 	}
 
-	switch {
-	case opt.jsonOut:
+	if opt.jsonOut {
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(findings); err != nil {
 			return 2, err
 		}
-	case opt.sarifOut:
-		data, err := lint.SARIF(findings, rules)
-		if err != nil {
-			return 2, err
-		}
-		if _, err := w.Write(append(data, '\n')); err != nil {
-			return 2, err
-		}
-	default:
+	} else {
 		for _, f := range findings {
 			fmt.Fprintln(w, f)
 		}
 	}
 	if len(findings) > 0 {
-		if !opt.jsonOut && !opt.sarifOut {
+		if !opt.jsonOut {
 			fmt.Fprintf(w, "etlint: %d finding(s)\n", len(findings))
 		}
 		return 1, nil

@@ -2,8 +2,11 @@ package main
 
 import (
 	"encoding/json"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"exptrain/internal/lint"
 )
 
 // TestListRules: -list prints every rule with its doc line, including
@@ -37,109 +40,85 @@ func TestListSubset(t *testing.T) {
 	}
 }
 
-// TestModuleClean: the real tree lints clean from a subdirectory (the
-// tool walks up to go.mod), in both text and JSON modes.
+// fixtureDir is a package directory inside testdata/mod, a two-package
+// module with one chanlock finding and one justified suppression. Runs
+// start there, so the walk up to go.mod stays covered.
+var fixtureDir = filepath.Join("testdata", "mod", "internal", "relay")
+
+// TestModuleClean: a rule subset that finds nothing prints nothing
+// (text) or an empty array (-json), and exits zero. The fixture's
+// chanlock directive is not stale here: its rule did not run.
 func TestModuleClean(t *testing.T) {
 	var sb strings.Builder
-	code, err := run(&sb, options{cache: "off", dir: "."})
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if code != 0 {
-		t.Fatalf("module should lint clean, exit %d:\n%s", code, sb.String())
+	code, err := run(&sb, options{rulesCSV: "detrand", dir: fixtureDir})
+	if err != nil || code != 0 {
+		t.Fatalf("run(-rules detrand) = %d, %v:\n%s", code, err, sb.String())
 	}
 	if sb.Len() != 0 {
 		t.Errorf("clean run should print nothing, got:\n%s", sb.String())
 	}
 
 	sb.Reset()
-	code, err = run(&sb, options{jsonOut: true, cache: "off", dir: "."})
+	code, err = run(&sb, options{rulesCSV: "detrand", jsonOut: true, dir: fixtureDir})
 	if err != nil || code != 0 {
-		t.Fatalf("json run = %d, %v", code, err)
+		t.Fatalf("run(-rules detrand -json) = %d, %v", code, err)
 	}
-	var findings []map[string]any
+	if got := sb.String(); got != "[]\n" {
+		t.Errorf("clean -json run: want an empty array, got %q", got)
+	}
+}
+
+// TestModuleFindings: the unsuppressed chanlock violation is reported
+// once, as a text line plus the summary or as a one-element -json
+// array, and the exit status is 1 either way.
+func TestModuleFindings(t *testing.T) {
+	wantAt := filepath.Join("internal", "feed", "feed.go") + ":18:7: "
+
+	var sb strings.Builder
+	code, err := run(&sb, options{dir: fixtureDir})
+	if err != nil || code != 1 {
+		t.Fatalf("run = %d, %v; want exit 1", code, err)
+	}
+	lines := strings.Split(strings.TrimSuffix(sb.String(), "\n"), "\n")
+	if len(lines) != 2 || !strings.Contains(lines[0], wantAt) || !strings.HasSuffix(lines[0], "[chanlock]") ||
+		lines[1] != "etlint: 1 finding(s)" {
+		t.Errorf("want one chanlock finding at %s plus the summary, got:\n%s", wantAt, sb.String())
+	}
+
+	sb.Reset()
+	code, err = run(&sb, options{jsonOut: true, dir: fixtureDir})
+	if err != nil || code != 1 {
+		t.Fatalf("run(-json) = %d, %v; want exit 1", code, err)
+	}
+	var findings []lint.Finding
 	if err := json.Unmarshal([]byte(sb.String()), &findings); err != nil {
 		t.Fatalf("-json output is not a JSON array: %v\n%s", err, sb.String())
 	}
-	if len(findings) != 0 {
-		t.Errorf("clean run: want empty findings array, got %v", findings)
+	if len(findings) != 1 || findings[0].Rule != "chanlock" || !strings.Contains(findings[0].String(), wantAt) {
+		t.Errorf("want one chanlock finding at %s, got %v", wantAt, findings)
 	}
 }
 
-// TestSARIFClean: -sarif always emits a well-formed log with the
-// driver's rule table, even with zero findings.
-func TestSARIFClean(t *testing.T) {
-	var sb strings.Builder
-	code, err := run(&sb, options{sarifOut: true, cache: "off", dir: "."})
-	if err != nil || code != 0 {
-		t.Fatalf("sarif run = %d, %v", code, err)
-	}
-	var log struct {
-		Version string `json:"version"`
-		Runs    []struct {
-			Tool struct {
-				Driver struct {
-					Name  string           `json:"name"`
-					Rules []map[string]any `json:"rules"`
-				} `json:"driver"`
-			} `json:"tool"`
-			Results []any `json:"results"`
-		} `json:"runs"`
-	}
-	if err := json.Unmarshal([]byte(sb.String()), &log); err != nil {
-		t.Fatalf("-sarif output is not JSON: %v\n%s", err, sb.String())
-	}
-	if log.Version != "2.1.0" || len(log.Runs) != 1 {
-		t.Fatalf("want one SARIF 2.1.0 run, got version %q runs %d", log.Version, len(log.Runs))
-	}
-	if got := log.Runs[0].Tool.Driver.Name; got != "etlint" {
-		t.Errorf("driver name = %q, want etlint", got)
-	}
-	if len(log.Runs[0].Tool.Driver.Rules) == 0 {
-		t.Errorf("driver rule table is empty")
-	}
-	if len(log.Runs[0].Results) != 0 {
-		t.Errorf("clean tree: want zero SARIF results, got %d", len(log.Runs[0].Results))
-	}
-}
-
-// TestAudit: -audit lists every suppression with its reason and exits
-// zero; the real tree has at least one justified suppression.
+// TestAudit: -audit lists the fixture's one suppression as used, with
+// its reason, and exits zero.
 func TestAudit(t *testing.T) {
 	var sb strings.Builder
-	code, err := run(&sb, options{audit: true, cache: "off", dir: "."})
+	code, err := run(&sb, options{audit: true, dir: fixtureDir})
 	if err != nil || code != 0 {
 		t.Fatalf("audit run = %d, %v", code, err)
 	}
-	out := sb.String()
-	if !strings.Contains(out, "suppression(s)") {
-		t.Fatalf("-audit output missing summary line:\n%s", out)
-	}
-	if strings.Contains(out, "STALE") {
-		t.Errorf("real tree must not carry stale suppressions:\n%s", out)
-	}
-}
-
-// TestCacheRoundTrip: a warm cache run returns the same (clean) result
-// as the cold run that populated it.
-func TestCacheRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	var cold, warm strings.Builder
-	if code, err := run(&cold, options{jsonOut: true, cache: dir, dir: "."}); err != nil || code != 0 {
-		t.Fatalf("cold run = %d, %v", code, err)
-	}
-	if code, err := run(&warm, options{jsonOut: true, cache: dir, dir: "."}); err != nil || code != 0 {
-		t.Fatalf("warm run = %d, %v", code, err)
-	}
-	if cold.String() != warm.String() {
-		t.Errorf("cold and warm cache runs differ:\ncold: %s\nwarm: %s", cold.String(), warm.String())
+	lines := strings.Split(strings.TrimSuffix(sb.String(), "\n"), "\n")
+	wantAt := filepath.Join("internal", "relay", "relay.go") + ":21: chanlock — ordering needs the lock"
+	if len(lines) != 2 || !strings.HasPrefix(lines[0], "used ") || !strings.Contains(lines[0], wantAt) ||
+		lines[1] != "etlint: 1 suppression(s), 0 stale" {
+		t.Errorf("want one used suppression at %s plus the summary, got:\n%s", wantAt, sb.String())
 	}
 }
 
 // TestNoModuleRoot: starting outside any module errors cleanly.
 func TestNoModuleRoot(t *testing.T) {
 	var sb strings.Builder
-	if code, err := run(&sb, options{cache: "off", dir: t.TempDir()}); err == nil || code != 2 {
+	if code, err := run(&sb, options{dir: t.TempDir()}); err == nil || code != 2 {
 		t.Errorf("want exit 2 with error outside a module, got %d, %v", code, err)
 	}
 }

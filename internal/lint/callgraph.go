@@ -109,8 +109,8 @@ type Module struct {
 // NewModule builds the call graph and function summaries for pkgs.
 // Static calls resolve through go/types; calls through interface
 // methods resolve CHA-style to every module method with the same name
-// and signature shape — a documented over-approximation that keeps the
-// build independent of cross-package type identity.
+// and signature shape, whether or not its receiver implements the
+// interface — a documented over-approximation.
 func NewModule(pkgs []*Package) *Module {
 	m := &Module{
 		Pkgs:    pkgs,
@@ -203,9 +203,10 @@ func (m *Module) nodeFor(fn *types.Func) *FuncNode {
 // implementers returns every declared module method with the given
 // name and an identical parameter/result type list — the CHA
 // resolution of an interface-method call. Types are compared as
-// package-qualified strings rather than by object identity so the
-// result is the same whether packages were type-checked once (parallel
-// loader) or re-imported per package (sequential loader).
+// package-qualified strings rather than by object identity, and no
+// method set is consulted, so every true implementer is included along
+// with any same-shaped method on a type that does not implement the
+// interface.
 func (m *Module) implementers(name string, sig *types.Signature) []*FuncNode {
 	want := sigKey(sig)
 	var out []*FuncNode

@@ -10,11 +10,7 @@ import (
 // diamondModule loads the call-graph fixture once per test.
 func diamondModule(t *testing.T) *Module {
 	t.Helper()
-	p, err := LoadPackage(filepath.Join("testdata", "callgraph", "diamond"), "internal/diamond")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return NewModule([]*Package{p})
+	return NewModule([]*Package{loadFixture(t, filepath.Join("testdata", "callgraph", "diamond"), "internal/diamond")})
 }
 
 // edgesOf renders a node's outgoing edges as "kind→key" strings.

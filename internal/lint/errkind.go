@@ -111,9 +111,9 @@ type kindCase struct {
 	isDefault bool
 }
 
-// sentinelKey names a sentinel independent of type-checker identity,
-// so the sequential loader's per-package re-imports and the parallel
-// loader's shared packages agree.
+// sentinelKey names a sentinel "rel.Name" by its module-relative
+// package: the name errkind findings print, and a key that sorts into
+// a stable report order.
 func sentinelKey(m *Module, obj types.Object) (string, bool) {
 	if obj == nil || obj.Pkg() == nil {
 		return "", false

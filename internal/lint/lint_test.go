@@ -53,10 +53,7 @@ func TestRuleFixtures(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.dir, func(t *testing.T) {
 			dir := filepath.Join("testdata", tc.dir)
-			p, err := LoadPackage(dir, tc.rel)
-			if err != nil {
-				t.Fatalf("loading fixture: %v", err)
-			}
+			p := loadFixture(t, dir, tc.rel)
 			want, err := wantMarkers(dir)
 			if err != nil {
 				t.Fatal(err)
@@ -127,10 +124,7 @@ func countByRule(fs []Finding) map[string]int {
 // silences the finding on its line and the next, both leading and
 // trailing.
 func TestSuppressionHonored(t *testing.T) {
-	p, err := LoadPackage(filepath.Join("testdata", "suppress", "ok"), "internal/belief")
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := loadFixture(t, filepath.Join("testdata", "suppress", "ok"), "internal/belief")
 	if fs := Run([]*Package{p}, AllRules()); len(fs) != 0 {
 		t.Errorf("suppressed fixture should be clean, got %v", fs)
 	}
@@ -139,10 +133,7 @@ func TestSuppressionHonored(t *testing.T) {
 // TestSuppressionUnjustified: malformed directives — no reason, unknown
 // rule, bare — are findings themselves and suppress nothing.
 func TestSuppressionUnjustified(t *testing.T) {
-	p, err := LoadPackage(filepath.Join("testdata", "suppress", "bad"), "internal/belief")
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := loadFixture(t, filepath.Join("testdata", "suppress", "bad"), "internal/belief")
 	got := countByRule(Run([]*Package{p}, AllRules()))
 	if got["suppress"] != 3 {
 		t.Errorf("want 3 suppress findings (no reason, unknown rule, bare), got %d", got["suppress"])
@@ -169,10 +160,7 @@ func TestRulesByID(t *testing.T) {
 // TestRuleSubsetScoping: running only detrand over the floatcmp bad
 // fixture reports nothing — subsets really do scope.
 func TestRuleSubsetScoping(t *testing.T) {
-	p, err := LoadPackage(filepath.Join("testdata", "floatcmp", "bad"), "internal/belief")
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := loadFixture(t, filepath.Join("testdata", "floatcmp", "bad"), "internal/belief")
 	rules, err := RulesByID([]string{"detrand"})
 	if err != nil {
 		t.Fatal(err)

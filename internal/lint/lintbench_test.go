@@ -1,82 +1,18 @@
 package lint
 
-import (
-	"reflect"
-	"testing"
-	"time"
-)
+import "testing"
 
-// moduleRoot is the real module this package lives in — the benchmark
-// and the cache-identity test run the full production analysis.
-const moduleRoot = "../.."
-
-// TestLintModuleCacheIdentity: a cold run (empty cache) and the warm
-// run replaying its entry must return identical findings and audit
-// records, and both must match the uncached parallel run.
-func TestLintModuleCacheIdentity(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-module type-check in -short mode")
-	}
-	dir := t.TempDir()
+// BenchmarkLintModule times the production analysis of the real module
+// this package lives in: one LoadModule plus RunAudit with every rule.
+// `make lintbench` records it into BENCH_Lint.json with -benchmem, and
+// `make benchcheck` gates its allocs/op.
+func BenchmarkLintModule(b *testing.B) {
 	rules := AllRules()
-	coldF, coldA, err := LintModule(moduleRoot, rules, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	warmF, warmA, err := LintModule(moduleRoot, rules, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(coldF, warmF) {
-		t.Errorf("cold vs warm findings differ:\ncold: %v\nwarm: %v", coldF, warmF)
-	}
-	if !reflect.DeepEqual(coldA, warmA) {
-		t.Errorf("cold vs warm audit differs:\ncold: %v\nwarm: %v", coldA, warmA)
-	}
-	noCacheF, noCacheA, err := LintModule(moduleRoot, rules, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(coldF, noCacheF) || !reflect.DeepEqual(coldA, noCacheA) {
-		t.Errorf("cached and uncached results differ")
-	}
-}
-
-// BenchmarkLintLoader times the full module analysis three ways — the
-// sequential loader (the baseline), the parallel loader against a cold
-// cache, and a warm cache hit — and reports the speedups as ratio
-// metrics. `make lintbench` records them into BENCH_Lint.json; the
-// "x-vs-" prefix makes benchcheck gate them with its 0.6 floor, so a
-// collapse of the parallel speedup fails the build.
-func BenchmarkLintLoader(b *testing.B) {
-	rules := AllRules()
-
-	start := time.Now()
-	pkgs, err := LoadModule(moduleRoot)
-	if err != nil {
-		b.Fatal(err)
-	}
-	RunAudit(pkgs, rules)
-	seq := time.Since(start)
-
-	var cold, warm time.Duration
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dir := b.TempDir()
-		t0 := time.Now()
-		if _, _, err := LintModule(moduleRoot, rules, dir); err != nil {
+		pkgs, err := LoadModule("../..")
+		if err != nil {
 			b.Fatal(err)
 		}
-		t1 := time.Now()
-		if _, _, err := LintModule(moduleRoot, rules, dir); err != nil {
-			b.Fatal(err)
-		}
-		t2 := time.Now()
-		cold += t1.Sub(t0)
-		warm += t2.Sub(t1)
+		RunAudit(pkgs, rules)
 	}
-	n := time.Duration(b.N)
-	b.ReportMetric(float64(seq)/float64(cold/n), "x-vs-sequential")
-	b.ReportMetric(float64(seq)/float64(warm/n), "warm-x-vs-sequential")
-	b.ReportMetric(float64(warm/n), "warm-ns")
 }
