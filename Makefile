@@ -15,7 +15,11 @@ FUZZERS := ./internal/sampling:FuzzParseMethod \
            ./internal/service:FuzzServerJSON \
            ./internal/fd:FuzzPLIDelta
 
-.PHONY: all build vet lint lintbench test race check verify bench benchbaseline benchcheck fuzz chaos loadsmoke walbench clean
+# Package directories whose source size `make loc` reports.
+LOCDIRS := internal/service internal/persist internal/persist/wal \
+           internal/persist/faulty internal/lint cmd/etserve
+
+.PHONY: all build vet lint lintbench test race check verify bench benchbaseline benchcheck fuzz chaos loadsmoke walbench loc clean
 
 all: build
 
@@ -103,15 +107,17 @@ walbench:
 	@echo "   wrote BENCH_WalCommit.json"
 
 # Fault-injection suite under the race detector: crash-point property
-# tests for the snapshot commit protocol, torn-write invariants (both
-# single-store and quorum MultiStore), the degraded-mode manager tests,
-# the 64-session flaky-store workload, and the sharded replica-loss
-# workload that kills a full replica mid-run and checks golden parity
-# against an unsharded reference (ET_CHAOS=1 scales the workloads up —
-# the sharded one to 1024 sessions across 16 shards).
+# tests for the snapshot commit protocol and the WAL append, torn-write
+# invariants (both single-store and quorum MultiStore), the
+# degraded-mode manager tests, the no-append-before-base and labelpool
+# crash-without-shutdown WAL tests, the 64-session flaky-store
+# workloads (interactive and labelpool), and the sharded and WAL
+# replica-loss workloads that kill a full replica mid-run (ET_CHAOS=1
+# scales the workloads up — the sharded one to 1024 sessions across 16
+# shards).
 chaos:
 	ET_CHAOS=1 $(GO) test -race -count=1 \
-		-run 'TestCrashPointProperty|TestTornWritesNeverCorrupt|TestFault|TestManagerEvictFailure|TestManagerUnparkFailed|TestManagerSweepContinues|TestManagerShutdownKeeps|TestServerFaultSurface|TestChaos' \
+		-run 'TestCrashPointProperty|TestTornWritesNeverCorrupt|TestFault|TestManagerEvictFailure|TestManagerUnparkFailed|TestManagerSweepContinues|TestManagerShutdownKeeps|TestManagerNoAppendBeforeBase|TestServerFaultSurface|TestChaos|TestLabelpoolChaos|TestLabelpoolWalCrash' \
 		./internal/persist/... ./internal/service/...
 
 # Corpus-smoke each native fuzz target for FUZZTIME. Failing inputs
@@ -193,6 +199,13 @@ benchcheck:
 	@echo "== benchcheck lint (BenchmarkLintModule)"
 	@$(GO) test -run '^$$' -bench '^BenchmarkLintModule$$' -benchtime 1x -benchmem ./internal/lint \
 		| $(GO) run ./cmd/benchjson -check BENCH_Lint.json
+
+# Source-line counts tracked next to ns/op: the non-test Go lines of
+# each LOCDIRS directory (subpackages counted on their own rows).
+loc:
+	@for d in $(LOCDIRS); do \
+		printf '%-24s %5d\n' $$d $$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \
+	done
 
 clean:
 	rm -f BENCH_*.json

@@ -685,7 +685,7 @@ func runWalCompare(cfg config) error {
 // rounds across its slice of the fleet, and each submit only counts
 // once it is durable — via an explicit full snapshot in snapshotEach
 // mode, or by the submit itself acking off its WAL group commit
-// otherwise. Session creation (and the WAL mode's genesis snapshots)
+// otherwise. Session creation (and the WAL mode's base snapshots)
 // happens before the clock starts.
 func runWalWorkload(cfg config, store persist.Store, snapshotEach bool) (result, error) {
 	ctx := context.Background()

@@ -1,9 +1,9 @@
 // Command etserve hosts many live exploratory-training sessions behind
 // an HTTP/JSON API. Each session is an independent learner an annotator
 // (or a driving program) advances one round at a time; idle sessions
-// are checkpointed to the snapshot store and transparently resumed on
-// their next request, and a graceful shutdown checkpoints every live
-// session so no submitted round is lost.
+// are checkpointed to the store and transparently resumed on their next
+// request, and a graceful shutdown checkpoints every live session so no
+// submitted round is lost.
 //
 // Usage:
 //
@@ -11,61 +11,58 @@
 //	        [-shards 1] [-replicas 1] [-replica-dirs a,b,c]
 //	        [-idle-ttl 15m] [-sweep 1m] [-timeout 30s]
 //	        [-retry-attempts 4] [-retry-base 5ms] [-retry-max 250ms]
-//	        [-max-queued 64] [-drain-batch 16] [-checkpoint-every 0]
-//	        [-heartbeat 15s] [-wal] [-wal-segment-bytes N]
-//	        [-wal-batch-bytes N] [-wal-compact-every N]
+//	        [-max-queued 64] [-drain-batch 16] [-heartbeat 15s]
 //
 // Besides the interactive next/submit loop, clients can POST whole
 // windows of labeled rounds to /v1/sessions/{id}/submissions and watch
 // them apply over the SSE stream at /v1/sessions/{id}/rounds?stream=1
 // (see API.md). -max-queued caps each session's admission queue,
 // -drain-batch bounds how many queued rounds one drain applies under a
-// single session-lock acquisition, -checkpoint-every snapshots a
-// session after that many pool-applied rounds (0 checkpoints only on
-// park/shutdown), and -heartbeat paces the SSE keep-alive comments.
+// single session-lock acquisition, and -heartbeat paces the SSE
+// keep-alive comments.
 //
 // -shards splits the serving core into that many independently locked
 // shards; requests route to a session's shard by rendezvous hashing on
 // its id, so one hot or degraded session domain cannot stall the rest
 // (GET /v1/healthz breaks the counters out per shard).
 //
-// With -store, snapshots go to DIR and survive restarts (resume one
-// with POST /v1/sessions {"resume": "<id>", ...}); without it they
-// live in memory for the life of the process. -replicas N writes every
-// checkpoint to N replica directories (DIR/replica-0..N-1, or the
-// explicit comma-separated -replica-dirs list) through a
-// write-majority quorum: a checkpoint acks once ⌈(N+1)/2⌉ replicas
-// have it durably, reads take the freshest intact copy and repair
-// stale or corrupt replicas in passing, so losing a full replica
-// directory loses no submitted round. On startup the store is
-// scanned: snapshots that fail their checksum are quarantined to
-// "<id>.corrupt" (and logged) so one rotten checkpoint cannot block the
-// rest from resuming, and orphaned temp files from crashed writers are
-// removed; with replicas the scan additionally reconciles the replica
-// set, re-writing any replica that missed a checkpoint. Store operations retry with exponential backoff per the
-// -retry-* flags; a session whose checkpoint keeps failing stays live
-// in degraded mode (GET /v1/healthz reports it and flips to 503 so a
-// load balancer can route around the replica). Sessions created with
-// "eval": true additionally score the learner's believed model on a
-// held-out split every round; GET /v1/sessions/{id}/rounds serves the
-// per-round MAE/payoff (and detection F1) series either way. See the
-// README for the API routes and a curl transcript.
+// Without -store, sessions live in memory for the life of the process.
+// With -store, the directory gets a crash-safe write-ahead log (its
+// "wal" subdirectory) in front of its snapshots: a new or resumed
+// session first lands a base snapshot, then each submitted round
+// appends a CRC-framed delta record, batches of records across sessions
+// ride one fsync (group commit), and a submit acks once its batch is
+// durable — O(round) bytes per submit instead of an O(history)
+// snapshot. Sessions survive restarts, crashes included (resume one
+// with POST /v1/sessions {"resume": "<id>", ...}): on startup the log
+// is replayed onto the last snapshots (torn tails from a crash are
+// truncated, never trusted) and every replayed tail is folded into a
+// fresh snapshot.
 //
-// -wal puts a crash-safe write-ahead log in front of the snapshot
-// store (a "wal" subdirectory per store directory): each submitted
-// round appends a CRC-framed delta record, batches of records across
-// sessions ride one fsync (group commit), and a submit acks once its
-// batch is durable — O(round) bytes per submit instead of an O(history)
-// snapshot. On startup the log is replayed onto the last snapshots
-// (torn tails from a crash are truncated, never trusted), and
-// -checkpoint-every N becomes a compaction point: the session's WAL
-// tail folds into a fresh snapshot and the log space is reclaimed.
-// -wal-segment-bytes, -wal-batch-bytes and -wal-compact-every tune
-// rotation, group-commit fairness, and background compaction. With
-// -replicas each replica directory gets its own log and appends ack at
-// the same write-majority quorum as checkpoints. GET /v1/healthz
-// reports per-shard appended/pending counts and log-level fsync
-// metrics.
+// -replicas N gives each of N replica directories (DIR/replica-0..N-1,
+// or the explicit comma-separated -replica-dirs list) its own log and
+// snapshots behind a write-majority quorum: a checkpoint or an append
+// acks once ⌈(N+1)/2⌉ replicas have it durably, reads take the
+// freshest intact copy and repair stale or corrupt replicas in passing,
+// so losing a full replica directory loses no submitted round.
+//
+// On startup every store directory is scanned: snapshots that fail
+// their checksum are quarantined to "<id>.corrupt" (and logged) so one
+// rotten checkpoint cannot block the rest from resuming, orphaned temp
+// files from crashed writers are removed, and with replicas the scan
+// reconciles the replica set, re-writing any replica that missed a
+// checkpoint. Store operations retry with exponential backoff per the
+// -retry-* flags; a session whose checkpoint or append keeps failing
+// stays live in degraded mode (GET /v1/healthz reports it and flips to
+// 503 so a load balancer can route around the replica). GET /v1/healthz
+// also reports per-shard appended/pending round counts and log-level
+// fsync metrics.
+//
+// Sessions created with "eval": true additionally score the learner's
+// believed model on a held-out split every round; GET
+// /v1/sessions/{id}/rounds serves the per-round MAE/payoff (and
+// detection F1) series either way. See the README for the API routes
+// and a curl transcript.
 package main
 
 import (
@@ -104,21 +101,15 @@ type config struct {
 	retryMax      time.Duration
 	maxQueued     int
 	drainBatch    int
-	ckptEvery     int
 	heartbeat     time.Duration
-
-	wal             bool
-	walSegBytes     int64
-	walBatchBytes   int
-	walCompactEvery int
 }
 
 func main() {
 	var cfg config
 	flag.StringVar(&cfg.addr, "addr", ":8080", "listen address")
-	flag.StringVar(&cfg.storeDir, "store", "", "snapshot directory (default: in-memory store)")
+	flag.StringVar(&cfg.storeDir, "store", "", "store directory: snapshots plus a write-ahead log of submitted rounds (default: in-memory store)")
 	flag.IntVar(&cfg.shards, "shards", 1, "serving shards; sessions route by rendezvous hash on their id")
-	flag.IntVar(&cfg.replicas, "replicas", 1, "checkpoint store replicas behind a write-majority quorum (requires -store)")
+	flag.IntVar(&cfg.replicas, "replicas", 1, "store replicas behind a write-majority quorum (requires -store)")
 	flag.StringVar(&cfg.replicaDirs, "replica-dirs", "", "comma-separated replica directories (default: STORE/replica-0..N-1)")
 	flag.IntVar(&cfg.maxSessions, "max-sessions", 128, "resident session cap; LRU-idle sessions are parked beyond it")
 	flag.DurationVar(&cfg.idleTTL, "idle-ttl", 15*time.Minute, "park sessions idle longer than this")
@@ -129,12 +120,7 @@ func main() {
 	flag.DurationVar(&cfg.retryMax, "retry-max", 250*time.Millisecond, "store retry backoff cap")
 	flag.IntVar(&cfg.maxQueued, "max-queued", 64, "per-session labelpool admission queue capacity")
 	flag.IntVar(&cfg.drainBatch, "drain-batch", 16, "max queued rounds applied per drain batch (one lock acquisition)")
-	flag.IntVar(&cfg.ckptEvery, "checkpoint-every", 0, "checkpoint after this many pool-applied rounds (0: only on park/shutdown)")
 	flag.DurationVar(&cfg.heartbeat, "heartbeat", 15*time.Second, "SSE stream keep-alive comment interval")
-	flag.BoolVar(&cfg.wal, "wal", false, "write-ahead log submitted rounds; submits ack after a group-committed fsync instead of a full snapshot (requires -store)")
-	flag.Int64Var(&cfg.walSegBytes, "wal-segment-bytes", 0, "WAL segment rotation size in bytes (0: 4MiB default)")
-	flag.IntVar(&cfg.walBatchBytes, "wal-batch-bytes", 0, "max payload bytes per WAL group commit (0: 1MiB default)")
-	flag.IntVar(&cfg.walCompactEvery, "wal-compact-every", 0, "fold a session's WAL tail into its snapshot after this many committed rounds (0: 64 default)")
 	flag.Parse()
 	if err := run(cfg); err != nil {
 		log.Fatal(err)
@@ -183,15 +169,13 @@ type app struct {
 	sweepDone chan struct{}
 }
 
-// scanStore runs a store's recovery scan: verify every checkpoint,
-// quarantine the rotten ones instead of letting a single bad file
-// block startup, and clean up temp files a crashed writer left behind.
-// A WAL-wrapped store's scan additionally folds every committed log
-// tail into a fresh snapshot, so the directory alone carries every
-// durable round before serving begins.
-func scanStore(st interface {
-	Scan(ctx context.Context) (persist.ScanResult, error)
-}, path string) error {
+// scanStore runs a store directory's recovery scan: verify every
+// checkpoint, quarantine the rotten ones instead of letting a single
+// bad file block startup, clean up temp files a crashed writer left
+// behind, and fold every committed log tail into a fresh snapshot, so
+// the directory alone carries every durable round before serving
+// begins.
+func scanStore(st *wal.Store, path string) error {
 	res, err := st.Scan(context.Background())
 	if err != nil {
 		return fmt.Errorf("scanning store %s: %w", path, err)
@@ -206,43 +190,40 @@ func scanStore(st interface {
 	return nil
 }
 
-// openWal puts a write-ahead log in front of a snapshot directory (in
-// a "wal" subdirectory — DirStore scans skip subdirectories, so the
-// two coexist) and logs what recovery found: replayed committed
-// deltas, torn tail bytes truncated, unreadable segments dropped.
-func openWal(inner persist.Store, base string, cfg config) (*wal.Store, error) {
-	ws, rec, err := wal.OpenStore(inner, filepath.Join(base, "wal"), wal.StoreConfig{
-		Wal: wal.Config{
-			MaxSegmentBytes: cfg.walSegBytes,
-			MaxBatchBytes:   cfg.walBatchBytes,
-		},
-		CompactEvery: cfg.walCompactEvery,
-	})
+// openDir opens one store directory: its snapshots, with a write-ahead
+// log in front of them in a "wal" subdirectory (DirStore scans skip
+// subdirectories, so the two coexist). It logs what recovery found:
+// replayed committed deltas, torn tail bytes truncated, unreadable
+// segments dropped.
+func openDir(dir string) (*wal.Store, error) {
+	snaps, err := persist.NewDirStore(dir)
 	if err != nil {
-		return nil, fmt.Errorf("opening WAL under %s: %w", base, err)
+		return nil, fmt.Errorf("opening store: %w", err)
+	}
+	ws, rec, err := wal.OpenStore(snaps, filepath.Join(dir, "wal"), wal.StoreConfig{})
+	if err != nil {
+		return nil, fmt.Errorf("opening WAL under %s: %w", dir, err)
 	}
 	if rec.TruncatedBytes > 0 {
-		log.Printf("wal %s: truncated %d torn tail byte(s) left by a crash", base, rec.TruncatedBytes)
+		log.Printf("wal %s: truncated %d torn tail byte(s) left by a crash", dir, rec.TruncatedBytes)
 	}
 	if rec.SegmentsDropped > 0 {
-		log.Printf("wal %s: dropped %d spent or unreadable segment(s)", base, rec.SegmentsDropped)
+		log.Printf("wal %s: dropped %d spent or unreadable segment(s)", dir, rec.SegmentsDropped)
 	}
 	log.Printf("wal %s: replayed %d committed round delta(s) from %d segment(s)",
-		base, len(rec.Deltas), rec.Segments)
+		dir, len(rec.Deltas), rec.Segments)
 	return ws, nil
 }
 
-// buildStore assembles the checkpoint store from the flag surface: nil
-// (in-memory) without -store, a single DirStore for -replicas 1, or a
-// quorum-replicating MultiStore over N replica directories, each
-// optionally fronted by a write-ahead log under -wal. Replicated
-// stores are reconciled on startup so a replica that missed
-// checkpoints while down converges before serving begins. The second
-// return value lists the WAL stores the caller must close on shutdown.
+// buildStore assembles the store from the flag surface: nil (in-memory)
+// without -store or -replica-dirs; otherwise a write-ahead log over
+// snapshots in each store directory — the -store directory alone, or N
+// replica directories behind a write-majority MultiStore. Every
+// directory is scanned (and a replica set reconciled) before serving
+// begins, so a replica that missed checkpoints while down converges
+// first. The second return value lists the WAL stores the caller must
+// close on shutdown.
 func buildStore(cfg config) (persist.Store, []*wal.Store, error) {
-	if cfg.wal && cfg.storeDir == "" && cfg.replicaDirs == "" {
-		return nil, nil, fmt.Errorf("-wal requires -store (or -replica-dirs); an in-memory store has nothing to recover")
-	}
 	var dirs []string
 	switch {
 	case cfg.replicaDirs != "":
@@ -258,55 +239,48 @@ func buildStore(cfg config) (persist.Store, []*wal.Store, error) {
 			dirs = append(dirs, filepath.Join(cfg.storeDir, fmt.Sprintf("replica-%d", i)))
 		}
 	case cfg.storeDir != "":
-		dir, err := persist.NewDirStore(cfg.storeDir)
-		if err != nil {
-			return nil, nil, fmt.Errorf("opening store: %w", err)
-		}
-		if !cfg.wal {
-			if err := scanStore(dir, cfg.storeDir); err != nil {
-				return nil, nil, err
-			}
-			return dir, nil, nil
-		}
-		ws, err := openWal(dir, cfg.storeDir, cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		if err := scanStore(ws, cfg.storeDir); err != nil {
-			ws.Close()
-			return nil, nil, err
-		}
-		return ws, []*wal.Store{ws}, nil
+		dirs = []string{cfg.storeDir}
 	default:
 		return nil, nil, nil
 	}
 	var walStores []*wal.Store
-	replicas := make([]persist.Store, len(dirs))
-	for i, d := range dirs {
-		if err := os.MkdirAll(d, 0o755); err != nil {
-			return nil, nil, fmt.Errorf("creating replica directory: %w", err)
-		}
-		dir, err := persist.NewDirStore(d)
+	for _, d := range dirs {
+		ws, err := openDir(d)
 		if err != nil {
-			return nil, nil, fmt.Errorf("opening replica %d: %w", i, err)
+			closeAll(walStores)
+			return nil, nil, err
 		}
-		replicas[i] = dir
-		if cfg.wal {
-			ws, err := openWal(dir, d, cfg)
-			if err != nil {
-				return nil, nil, err
-			}
-			replicas[i] = ws
-			walStores = append(walStores, ws)
-		}
+		walStores = append(walStores, ws)
+	}
+	var store persist.Store = walStores[0]
+	var err error
+	if cfg.replicaDirs == "" && cfg.replicas <= 1 {
+		err = scanStore(walStores[0], dirs[0]) // a lone directory: no replica set to reconcile
+	} else {
+		store, err = reconcile(walStores, dirs)
+	}
+	if err != nil {
+		closeAll(walStores)
+		return nil, nil, err
+	}
+	return store, walStores, nil
+}
+
+// reconcile puts replica stores behind a write-majority quorum and runs
+// the reconciling startup scan, logging what each replica's own scan
+// quarantined or removed and which snapshots had to be re-replicated.
+func reconcile(walStores []*wal.Store, dirs []string) (*persist.MultiStore, error) {
+	replicas := make([]persist.Store, len(walStores))
+	for i, ws := range walStores {
+		replicas[i] = ws
 	}
 	ms, err := persist.NewMultiStore(replicas, 0) // 0: write-majority quorum
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	res, err := ms.Scan(context.Background())
 	if err != nil {
-		return nil, nil, fmt.Errorf("reconciling replicas: %w", err)
+		return nil, fmt.Errorf("reconciling replicas: %w", err)
 	}
 	for i, rs := range res.ReplicaScans {
 		if rs == nil {
@@ -327,7 +301,17 @@ func buildStore(cfg config) (persist.Store, []*wal.Store, error) {
 	}
 	log.Printf("store: %d snapshot(s) verified across %d replicas (write quorum %d)",
 		len(res.OK), ms.Replicas(), ms.WriteQuorum())
-	return ms, walStores, nil
+	return ms, nil
+}
+
+// closeAll closes write-ahead logs, logging (not returning) failures:
+// it runs on paths that already have an error or a shutdown to report.
+func closeAll(walStores []*wal.Store) {
+	for _, ws := range walStores {
+		if err := ws.Close(); err != nil {
+			log.Printf("wal close: %v", err)
+		}
+	}
 }
 
 // start builds the store + manager + server and begins serving on
@@ -350,7 +334,6 @@ func start(cfg config) (*app, error) {
 		},
 		MaxQueuedSubmissions: cfg.maxQueued,
 		DrainBatch:           cfg.drainBatch,
-		CheckpointEvery:      cfg.ckptEvery,
 	})
 	srv := &http.Server{
 		Handler: service.NewServer(mgr, service.ServerOptions{
@@ -423,11 +406,7 @@ func (a *app) shutdown(ctx context.Context) error {
 	// The drain above checkpointed and appended everything it could;
 	// closing the logs now fsyncs any tail batch before the process
 	// exits.
-	for _, ws := range a.walStores {
-		if err := ws.Close(); err != nil {
-			log.Printf("wal close: %v", err)
-		}
-	}
+	closeAll(a.walStores)
 	if err := a.srv.Shutdown(ctx); err != nil {
 		log.Printf("http shutdown: %v", err)
 	}

@@ -193,15 +193,15 @@ func TestStartupRecoveryScan(t *testing.T) {
 	}
 }
 
-// TestWalServe boots with -wal, plays two rounds over HTTP (each
+// TestWalServe boots with -store, plays two rounds over HTTP (each
 // submit acks off a group-committed WAL append, not a full snapshot),
 // then kills the process without a graceful drain — no shutdown
-// checkpoints land. The next boot must replay the log onto the genesis
+// checkpoints land. The next boot must replay the log onto the base
 // snapshot and resume the session with both rounds intact.
 func TestWalServe(t *testing.T) {
 	dir := t.TempDir()
 	cfg := config{
-		addr: "127.0.0.1:0", storeDir: dir, wal: true,
+		addr: "127.0.0.1:0", storeDir: dir,
 		maxSessions: 8, idleTTL: time.Hour, sweepEvery: time.Hour, timeout: 10 * time.Second,
 	}
 	app, err := start(cfg)
@@ -281,8 +281,8 @@ func TestWalServe(t *testing.T) {
 	}
 
 	// Crash: tear the server down without draining the manager, so no
-	// session checkpoint lands — the two rounds exist only as genesis +
-	// WAL records.
+	// session checkpoint lands — the two rounds exist only as the base
+	// snapshot + WAL records.
 	app.stopSweeper()
 	_ = app.srv.Close()
 	<-app.serveErr

@@ -26,6 +26,16 @@ func encodeFixture(t *testing.T) (*Snapshot, []byte) {
 	return snap, buf.Bytes()
 }
 
+// framed frames a hand-written JSON snapshot body the way Write does:
+// the body, newline-terminated, then its checksum footer line.
+func framed(body string) []byte {
+	b := []byte(body)
+	if len(b) == 0 || b[len(b)-1] != '\n' {
+		b = append(b, '\n')
+	}
+	return appendFooter(b)
+}
+
 func TestWriteAppendsVerifiableFooter(t *testing.T) {
 	_, enc := encodeFixture(t)
 	trimmed := strings.TrimSuffix(string(enc), "\n")
@@ -34,9 +44,9 @@ func TestWriteAppendsVerifiableFooter(t *testing.T) {
 	if !strings.HasPrefix(last, footerMagic) {
 		t.Fatalf("last line %q does not open with the footer magic", last)
 	}
-	body, sum, hasFooter, err := splitChecksumFooter(enc)
-	if err != nil || !hasFooter {
-		t.Fatalf("splitChecksumFooter: hasFooter=%t err=%v", hasFooter, err)
+	body, sum, err := splitChecksumFooter(enc)
+	if err != nil {
+		t.Fatalf("splitChecksumFooter: %v", err)
 	}
 	if got := crc32.ChecksumIEEE(body); got != sum {
 		t.Fatalf("footer sum %08x does not match body %08x", sum, got)
@@ -69,43 +79,22 @@ func TestChecksumDetectsBitFlips(t *testing.T) {
 	}
 }
 
-func TestLegacyV1SnapshotStillReads(t *testing.T) {
-	legacy := `{
-  "version": 1,
-  "schema": ["a", "b"],
-  "space": [{"lhs": [0], "rhs": 1}],
-  "trainer": [{"alpha": 2, "beta": 3}],
-  "learner": [{"alpha": 1, "beta": 1}]
-}
-`
-	snap, err := Read(strings.NewReader(legacy))
-	if err != nil {
-		t.Fatalf("legacy checksum-less snapshot rejected: %v", err)
-	}
-	if snap.Version != 1 {
-		t.Fatalf("version = %d, want 1", snap.Version)
-	}
-	if _, err := snap.RestoreSpace(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestTruncatedSnapshotIsCorrupt(t *testing.T) {
 	_, enc := encodeFixture(t)
-	body, _, _, err := splitChecksumFooter(enc)
+	body, _, err := splitChecksumFooter(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A prefix is what a torn write leaves. All must be rejected — except
-	// the one cut that removes exactly the footer line, which is
-	// indistinguishable from a legitimate legacy snapshot.
+	// A prefix is what a torn write leaves. Every one must be rejected as
+	// corrupt — including the cut that removes exactly the footer line,
+	// which leaves a well-formed but unverifiable body.
+	cuts := []int{len(body)}
 	for _, frac := range []float64{0.25, 0.5, 0.9, 0.99} {
-		cut := enc[:int(frac*float64(len(enc)))]
-		if len(cut) == len(body) {
-			continue
-		}
-		if _, err := Read(bytes.NewReader(cut)); err == nil {
-			t.Fatalf("truncation to %d/%d bytes decoded successfully", len(cut), len(enc))
+		cuts = append(cuts, int(frac*float64(len(enc))))
+	}
+	for _, n := range cuts {
+		if _, err := Read(bytes.NewReader(enc[:n])); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("truncation to %d/%d bytes: err = %v, want ErrCorrupt", n, len(enc), err)
 		}
 	}
 }

@@ -3,8 +3,6 @@ package persist
 import (
 	"context"
 	"fmt"
-
-	"exptrain/internal/belief"
 )
 
 // RoundDelta is the wire form of one submitted round's effect on a
@@ -93,32 +91,6 @@ func ApplyDelta(snap *Snapshot, d *RoundDelta) (applied bool, err error) {
 		snap.LearnerRNG = append([]uint64(nil), d.LearnerRNG...)
 	}
 	return true, nil
-}
-
-// BeliefToJSON extracts an agent belief's Beta vector in wire form
-// (nil belief → nil), for callers assembling round deltas.
-func BeliefToJSON(b *belief.Belief) []BetaJSON {
-	return beliefToJSON(b)
-}
-
-// FromRound converts one recorded round to its wire form, mirroring
-// how NewSnapshotRounds serializes history entries.
-func FromRound(r Round) InteractionJSON {
-	ij := InteractionJSON{MAE: r.MAE, Payoff: r.Payoff}
-	for _, l := range r.Labeled {
-		ij.Labeled = append(ij.Labeled, FromLabeling(l))
-	}
-	for _, l := range r.Revisions {
-		ij.Revisions = append(ij.Revisions, FromLabeling(l))
-	}
-	if r.Detection != nil {
-		ij.Detection = &PRF1JSON{
-			Precision: r.Detection.Precision,
-			Recall:    r.Detection.Recall,
-			F1:        r.Detection.F1,
-		}
-	}
-	return ij
 }
 
 // WalStats is a WAL-backed store's operational counters, surfaced on

@@ -37,22 +37,25 @@ func TestReadNeverPanicsOnGarbage(t *testing.T) {
 }
 
 // FuzzSnapshotDecode: native fuzzing over the checkpoint decode path.
-// Arbitrary bytes must come back as an error, never a panic; any bytes
-// that do decode must survive every restore path, and a decoded
-// version-1 snapshot must round-trip through Write/Read to a stable
-// canonical form (Write∘Read is idempotent on Write's output).
+// Arbitrary bytes must come back as an error, never a panic. The input
+// is then framed as a snapshot body under a valid checksum footer, so
+// the fuzzer reaches the JSON decode and the restore paths: any body
+// that decodes must survive every restore path and round-trip through
+// Write/Read to a stable canonical form (Write∘Read is idempotent on
+// Write's output).
 func FuzzSnapshotDecode(f *testing.F) {
-	f.Add([]byte(`{"version":1}`))
-	f.Add([]byte(`{"version":1,"schema":["a","b"],"space":[{"lhs":[0],"rhs":1}],` +
+	f.Add([]byte(`{"version":2}`))
+	f.Add([]byte(`{"version":2,"schema":["a","b"],"space":[{"lhs":[0],"rhs":1}],` +
 		`"trainer":[{"alpha":2,"beta":3}],"learner":[{"alpha":1,"beta":1}],` +
 		`"history":[{"labeled":[{"pair":[0,1],"marked":[1]}],"mae":0.25,"payoff":1.5,` +
 		`"detection":{"precision":1,"recall":0.5,"f1":0.6666666666666666}}]}`))
-	f.Add([]byte(`{"version":2}`))
-	f.Add([]byte(`{"version":1,"history":[{"revisions":[{"pair":[0,2],"abstained":true}]}]}`))
+	f.Add([]byte(`{"version":1}`))
+	f.Add([]byte(`{"version":2,"history":[{"revisions":[{"pair":[0,2],"abstained":true}]}]}`))
 	f.Add([]byte(`not json at all`))
 	f.Add([]byte{0xff, 0xfe, 0x00})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		snap, err := Read(bytes.NewReader(data))
+		_, _ = Read(bytes.NewReader(data)) // unframed: must not panic
+		snap, err := Read(bytes.NewReader(framed(string(data))))
 		if err != nil {
 			return // rejected cleanly
 		}
@@ -151,13 +154,13 @@ func FuzzSnapshotChecksum(f *testing.F) {
 // content errors cleanly on restore.
 func TestReadStructuredCorruption(t *testing.T) {
 	cases := []string{
-		`{"version":1,"space":[{"lhs":[99],"rhs":1}]}`,                    // attr out of range
-		`{"version":1,"space":[{"lhs":[],"rhs":1}]}`,                      // empty LHS
-		`{"version":1,"space":[{"lhs":[0],"rhs":-5}]}`,                    // RHS out of range
-		`{"version":1,"space":[{"lhs":[0],"rhs":1},{"lhs":[0],"rhs":1}]}`, // duplicate FD
+		`{"version":2,"space":[{"lhs":[99],"rhs":1}]}`,                    // attr out of range
+		`{"version":2,"space":[{"lhs":[],"rhs":1}]}`,                      // empty LHS
+		`{"version":2,"space":[{"lhs":[0],"rhs":-5}]}`,                    // RHS out of range
+		`{"version":2,"space":[{"lhs":[0],"rhs":1},{"lhs":[0],"rhs":1}]}`, // duplicate FD
 	}
 	for _, c := range cases {
-		snap, err := Read(strings.NewReader(c))
+		snap, err := Read(bytes.NewReader(framed(c)))
 		if err != nil {
 			t.Fatalf("parse of %q failed: %v", c, err)
 		}
@@ -170,12 +173,12 @@ func TestReadStructuredCorruption(t *testing.T) {
 // TestHistoryCorruption: degenerate pairs and bad marks error cleanly.
 func TestHistoryCorruption(t *testing.T) {
 	cases := []string{
-		`{"version":1,"history":[{"labeled":[{"pair":[2,2]}]}]}`,
-		`{"version":1,"history":[{"labeled":[{"pair":[-1,3]}]}]}`,
-		`{"version":1,"history":[{"labeled":[{"pair":[0,1],"marked":[70]}]}]}`,
+		`{"version":2,"history":[{"labeled":[{"pair":[2,2]}]}]}`,
+		`{"version":2,"history":[{"labeled":[{"pair":[-1,3]}]}]}`,
+		`{"version":2,"history":[{"labeled":[{"pair":[0,1],"marked":[70]}]}]}`,
 	}
 	for _, c := range cases {
-		snap, err := Read(strings.NewReader(c))
+		snap, err := Read(bytes.NewReader(framed(c)))
 		if err != nil {
 			t.Fatalf("parse of %q failed: %v", c, err)
 		}

@@ -110,12 +110,10 @@ func (s *MultiStore) note(i int, err error, repaired bool) {
 func (s *MultiStore) Flush() { s.wg.Wait() }
 
 // Put implements Store: the snapshot is written to every replica
-// concurrently and the call returns once W replicas acked. Replicas
-// still in flight at ack time complete in the background (Flush waits
-// for them); if more than N-W replicas fail, the joined errors are
-// returned and the Put does not count as committed — though replicas
-// that did take the write keep it, which is exactly the ambiguity the
-// old-or-new read path resolves.
+// concurrently and the call returns once W replicas acked (see
+// quorumWrite). A Put that misses its quorum does not count as
+// committed — though replicas that did take the write keep it, which is
+// exactly the ambiguity the old-or-new read path resolves.
 func (s *MultiStore) Put(ctx context.Context, id string, snap *Snapshot) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -123,6 +121,68 @@ func (s *MultiStore) Put(ctx context.Context, id string, snap *Snapshot) error {
 	if err := ValidateID(id); err != nil {
 		return err
 	}
+	if err := s.quorumWrite(func(r Store) error { return r.Put(ctx, id, snap) }); err != nil {
+		return fmt.Errorf("persist: put %q %w", id, err)
+	}
+	return nil
+}
+
+// RoundAppender reports the replica set's round-append capability:
+// non-nil (the multistore itself) only when every replica supports
+// appends. A mixed set falls back to snapshot-only durability — quorum
+// math over appends is only sound when all N replicas can take them,
+// otherwise a "quorum" of the appendable minority would not intersect
+// a snapshot write quorum.
+func (s *MultiStore) RoundAppender() RoundAppender {
+	for _, r := range s.replicas {
+		if AppenderOf(r) == nil {
+			return nil
+		}
+	}
+	return s
+}
+
+// AppendRounds implements RoundAppender across the replica set with
+// the same quorum discipline as Put: every replica's log takes the
+// deltas concurrently and the call acks once W replicas fsynced. A
+// replica that missed the append heals through the ordinary read path
+// — its next Get folds a shorter tail, loses the freshness race, and
+// read-repair rewrites it with the winner.
+func (s *MultiStore) AppendRounds(ctx context.Context, deltas []*RoundDelta) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if len(deltas) == 0 {
+		return nil
+	}
+	for _, d := range deltas {
+		if d == nil {
+			return errors.New("persist: nil round delta")
+		}
+		if err := ValidateID(d.Session); err != nil {
+			return err
+		}
+	}
+	err := s.quorumWrite(func(r Store) error {
+		app := AppenderOf(r)
+		if app == nil {
+			return errors.New("replica lacks a round appender")
+		}
+		return app.AppendRounds(ctx, deltas)
+	})
+	if err != nil {
+		return fmt.Errorf("persist: append of %d round(s) %w", len(deltas), err)
+	}
+	return nil
+}
+
+// quorumWrite runs write against every replica concurrently and
+// returns nil once W replicas acked. Replicas still in flight at ack
+// time complete in the background (Flush waits for them). Once more
+// than N-W replicas fail the quorum is out of reach: the error counts
+// the acks and joins the replica errors, and the caller prefixes what
+// it wrote.
+func (s *MultiStore) quorumWrite(write func(r Store) error) error {
 	n := len(s.replicas)
 	type result struct {
 		i   int
@@ -133,14 +193,14 @@ func (s *MultiStore) Put(ctx context.Context, id string, snap *Snapshot) error {
 	for i, r := range s.replicas {
 		go func(i int, r Store) {
 			defer s.wg.Done()
-			err := r.Put(ctx, id, snap)
+			err := write(r)
 			s.note(i, err, false)
 			results <- result{i, err}
 		}(i, r)
 	}
 	acks, fails := 0, 0
 	var errs []error
-	for seen := 0; seen < n; seen++ {
+	for acks < s.w && fails <= n-s.w {
 		res := <-results
 		if res.err == nil {
 			acks++
@@ -148,17 +208,11 @@ func (s *MultiStore) Put(ctx context.Context, id string, snap *Snapshot) error {
 			fails++
 			errs = append(errs, fmt.Errorf("replica %d: %w", res.i, res.err))
 		}
-		if acks >= s.w {
-			return nil // quorum reached; stragglers finish in background
-		}
-		if fails > n-s.w {
-			return fmt.Errorf("persist: put %q acked by %d of %d replicas (need %d): %w",
-				id, acks, n, s.w, errors.Join(errs...))
-		}
 	}
-	// Unreachable: one of the two branches above fires by the last result.
-	return fmt.Errorf("persist: put %q acked by %d of %d replicas (need %d): %w",
-		id, acks, n, s.w, errors.Join(errs...))
+	if acks >= s.w {
+		return nil
+	}
+	return fmt.Errorf("acked by %d of %d replicas (need %d): %w", acks, n, s.w, errors.Join(errs...))
 }
 
 // readResult is one replica's answer to a Get.
@@ -451,4 +505,25 @@ func (s *MultiStore) Scan(ctx context.Context) (MultiScanResult, error) {
 	sort.Strings(res.Repaired)
 	sort.Strings(res.Failed)
 	return res, nil
+}
+
+// WalStats implements WalStatter across the replica set: counts sum,
+// the p99 is the worst replica's. Reports false when no replica
+// surfaces WAL counters.
+func (s *MultiStore) WalStats() (WalStats, bool) {
+	var agg WalStats
+	any := false
+	for _, r := range s.replicas {
+		ws, ok := r.(WalStatter)
+		if !ok {
+			continue
+		}
+		st, reported := ws.WalStats()
+		if !reported {
+			continue
+		}
+		agg.merge(st)
+		any = true
+	}
+	return agg, any
 }

@@ -23,15 +23,11 @@ import (
 	"exptrain/internal/stats"
 )
 
-// Version is the snapshot format version this package writes. Version 2
-// appends a CRC-32 checksum footer after the JSON body so torn or
-// bit-rotted checkpoints are detected on read instead of silently
-// resuming a session from mangled state.
+// Version is the snapshot format version this package writes and the
+// only one Read accepts. Version 2 appends a CRC-32 checksum footer
+// after the JSON body so torn or bit-rotted checkpoints are detected on
+// read instead of silently resuming a session from mangled state.
 const Version = 2
-
-// minVersion is the oldest snapshot format Read still accepts.
-// Version-1 snapshots have no checksum footer and read unverified.
-const minVersion = 1
 
 // ErrCorrupt is the sentinel wrapped when snapshot bytes fail their
 // checksum or do not parse — the bytes on disk are not a snapshot any
@@ -97,10 +93,9 @@ type LabelingJSON struct {
 }
 
 // InteractionJSON is one interaction's labelings plus the optional
-// per-round measurements. The measurement fields are omitempty
-// additions to the Version-1 format: snapshots written before they
-// existed parse unchanged, and a history-only snapshot still serializes
-// byte-identically.
+// per-round measurements. The measurement fields are omitempty: a
+// history-only round serializes without them, and one written without
+// them restores with zero measurements.
 type InteractionJSON struct {
 	Labeled []LabelingJSON `json:"labeled"`
 	// Revisions are corrected labelings for pairs from earlier rounds.
@@ -175,8 +170,9 @@ func (j LabelingJSON) ToLabeling() (belief.Labeling, error) {
 	}, nil
 }
 
-// beliefToJSON extracts the Beta vector.
-func beliefToJSON(b *belief.Belief) []BetaJSON {
+// BeliefToJSON extracts an agent belief's Beta vector in wire form
+// (nil belief → nil).
+func BeliefToJSON(b *belief.Belief) []BetaJSON {
 	if b == nil {
 		return nil
 	}
@@ -218,26 +214,32 @@ func NewSnapshotRounds(schema *dataset.Schema, space *fd.Space, trainer, learner
 	for _, f := range space.FDs() {
 		snap.Space = append(snap.Space, FromFD(f))
 	}
-	snap.Trainer = beliefToJSON(trainer)
-	snap.Learner = beliefToJSON(learner)
+	snap.Trainer = BeliefToJSON(trainer)
+	snap.Learner = BeliefToJSON(learner)
 	for _, r := range rounds {
-		ij := InteractionJSON{MAE: r.MAE, Payoff: r.Payoff}
-		for _, l := range r.Labeled {
-			ij.Labeled = append(ij.Labeled, FromLabeling(l))
-		}
-		for _, l := range r.Revisions {
-			ij.Revisions = append(ij.Revisions, FromLabeling(l))
-		}
-		if r.Detection != nil {
-			ij.Detection = &PRF1JSON{
-				Precision: r.Detection.Precision,
-				Recall:    r.Detection.Recall,
-				F1:        r.Detection.F1,
-			}
-		}
-		snap.History = append(snap.History, ij)
+		snap.History = append(snap.History, FromRound(r))
 	}
 	return snap, nil
+}
+
+// FromRound converts one recorded round to its wire form — a snapshot
+// history entry, or a round delta's interaction.
+func FromRound(r Round) InteractionJSON {
+	ij := InteractionJSON{MAE: r.MAE, Payoff: r.Payoff}
+	for _, l := range r.Labeled {
+		ij.Labeled = append(ij.Labeled, FromLabeling(l))
+	}
+	for _, l := range r.Revisions {
+		ij.Revisions = append(ij.Revisions, FromLabeling(l))
+	}
+	if r.Detection != nil {
+		ij.Detection = &PRF1JSON{
+			Precision: r.Detection.Precision,
+			Recall:    r.Detection.Recall,
+			F1:        r.Detection.F1,
+		}
+	}
+	return ij
 }
 
 // footerMagic opens the checksum footer — the last line of a Version-2
@@ -263,11 +265,16 @@ func (s *Snapshot) Write(w io.Writer) error {
 	if err := enc.Encode(s); err != nil {
 		return fmt.Errorf("persist: encoding snapshot: %w", err)
 	}
-	fmt.Fprintf(&buf, footerMagic+`,"sum":"%08x"}`+"\n", crc32.ChecksumIEEE(buf.Bytes()))
-	if _, err := w.Write(buf.Bytes()); err != nil {
+	if _, err := w.Write(appendFooter(buf.Bytes())); err != nil {
 		return fmt.Errorf("persist: writing snapshot: %w", err)
 	}
 	return nil
+}
+
+// appendFooter appends the checksum footer line covering body, which
+// ends in a newline.
+func appendFooter(body []byte) []byte {
+	return fmt.Appendf(body, footerMagic+`,"sum":"%08x"}`+"\n", crc32.ChecksumIEEE(body))
 }
 
 // WriteFile writes the snapshot to a file, fsyncing before close so the
@@ -288,10 +295,9 @@ func (s *Snapshot) WriteFile(path string) error {
 	return f.Close()
 }
 
-// Read parses a snapshot, verifies its checksum footer when present
-// (legacy checksum-less Version-1 snapshots still read), and validates
-// its version. Failed checksums and unparseable bytes come back as
-// ErrCorrupt.
+// Read parses a snapshot, verifies its checksum footer, and validates
+// its version. A missing or failed checksum and unparseable bytes come
+// back as ErrCorrupt.
 func Read(r io.Reader) (*Snapshot, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
@@ -302,31 +308,28 @@ func Read(r io.Reader) (*Snapshot, error) {
 
 // decodeSnapshot is Read over bytes already in memory.
 func decodeSnapshot(data []byte) (*Snapshot, error) {
-	body, sum, hasFooter, err := splitChecksumFooter(data)
+	body, sum, err := splitChecksumFooter(data)
 	if err != nil {
 		return nil, err
 	}
-	if hasFooter {
-		if got := crc32.ChecksumIEEE(body); got != sum {
-			return nil, fmt.Errorf("%w: CRC-32 mismatch (footer %08x, body %08x)", ErrCorrupt, sum, got)
-		}
+	if got := crc32.ChecksumIEEE(body); got != sum {
+		return nil, fmt.Errorf("%w: CRC-32 mismatch (footer %08x, body %08x)", ErrCorrupt, sum, got)
 	}
 	var snap Snapshot
 	if err := json.Unmarshal(body, &snap); err != nil {
 		return nil, fmt.Errorf("%w: decoding snapshot: %v", ErrCorrupt, err)
 	}
-	if snap.Version < minVersion || snap.Version > Version {
-		return nil, fmt.Errorf("persist: unsupported snapshot version %d (want %d..%d)", snap.Version, minVersion, Version)
+	if snap.Version != Version {
+		return nil, fmt.Errorf("persist: unsupported snapshot version %d (want %d)", snap.Version, Version)
 	}
 	return &snap, nil
 }
 
 // splitChecksumFooter separates the snapshot body from the checksum
-// footer. A last line that opens with the footer magic is a footer —
-// and from there any malformation is ErrCorrupt, never a silent
-// fallback to the unverified legacy path. Input without a footer line
-// is a legacy snapshot: the whole buffer is the body.
-func splitChecksumFooter(data []byte) (body []byte, sum uint32, hasFooter bool, err error) {
+// footer, which must be the last line and open with the footer magic.
+// Anything else — no footer line (a torn write that lost it), or a
+// malformed one — is ErrCorrupt.
+func splitChecksumFooter(data []byte) (body []byte, sum uint32, err error) {
 	trimmed := data
 	if n := len(trimmed); n > 0 && trimmed[n-1] == '\n' {
 		trimmed = trimmed[:n-1]
@@ -334,17 +337,17 @@ func splitChecksumFooter(data []byte) (body []byte, sum uint32, hasFooter bool, 
 	i := bytes.LastIndexByte(trimmed, '\n')
 	last := trimmed[i+1:]
 	if !bytes.HasPrefix(last, []byte(footerMagic)) {
-		return data, 0, false, nil
+		return nil, 0, fmt.Errorf("%w: missing checksum footer", ErrCorrupt)
 	}
 	var f footerJSON
 	if uerr := json.Unmarshal(last, &f); uerr != nil || f.Footer != "crc32" {
-		return nil, 0, false, fmt.Errorf("%w: malformed checksum footer %q", ErrCorrupt, last)
+		return nil, 0, fmt.Errorf("%w: malformed checksum footer %q", ErrCorrupt, last)
 	}
 	v, perr := strconv.ParseUint(f.Sum, 16, 32)
 	if perr != nil {
-		return nil, 0, false, fmt.Errorf("%w: malformed checksum %q", ErrCorrupt, f.Sum)
+		return nil, 0, fmt.Errorf("%w: malformed checksum %q", ErrCorrupt, f.Sum)
 	}
-	return data[:i+1], uint32(v), true, nil
+	return data[:i+1], uint32(v), nil
 }
 
 // ReadFile parses a snapshot file.

@@ -1,6 +1,8 @@
 package persist
 
 import (
+	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -161,6 +163,11 @@ func TestReadRejectsBadInput(t *testing.T) {
 	}
 	if _, err := Read(strings.NewReader(`{"version": 99}`)); err == nil {
 		t.Error("wrong version should error")
+	}
+	for _, v := range []int{1, 3} {
+		if _, err := Read(bytes.NewReader(framed(fmt.Sprintf(`{"version": %d}`, v)))); err == nil {
+			t.Errorf("version %d under a valid footer should error", v)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package persist
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -79,10 +80,8 @@ func TestSnapshotRoundsRoundTrip(t *testing.T) {
 }
 
 func TestHistoryOnlySnapshotOmitsRoundFields(t *testing.T) {
-	// The measurement fields are omitempty additions to the Version-1
-	// wire format: a snapshot built from plain history must serialize
-	// without them, so pre-existing readers see the exact bytes they
-	// always did.
+	// The measurement fields are omitempty: a snapshot built from plain
+	// history must serialize without them.
 	schema, space, trainer, learner, history := fixture(t)
 	snap, err := NewSnapshot(schema, space, trainer, learner, history)
 	if err != nil {
@@ -101,17 +100,18 @@ func TestHistoryOnlySnapshotOmitsRoundFields(t *testing.T) {
 }
 
 func TestRestoreRoundsFromLegacySnapshot(t *testing.T) {
-	// A snapshot written before the measurement fields existed parses
-	// into rounds with zero measurements and no revisions.
+	// A snapshot whose history carries no measurement fields (written
+	// before they existed) parses into rounds with zero measurements and
+	// no revisions.
 	legacy := `{
-	  "version": 1,
+	  "version": 2,
 	  "schema": ["a", "b"],
 	  "space": [{"lhs": [0], "rhs": 1}],
 	  "history": [
 	    {"labeled": [{"pair": [0, 1]}, {"pair": [2, 3], "abstained": true}]}
 	  ]
 	}`
-	snap, err := Read(strings.NewReader(legacy))
+	snap, err := Read(bytes.NewReader(framed(legacy)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package wal
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -221,10 +220,9 @@ func (s *Store) Put(ctx context.Context, id string, snap *persist.Snapshot) erro
 		s.tail[id] = append([]*persist.RoundDelta(nil), tail[i:]...)
 	}
 	s.mu.Unlock()
-	if err := s.log.Mark(id, through); err != nil && !errors.Is(err, ErrClosed) {
-		// The snapshot is durable; only compaction bookkeeping was lost.
-		return nil
-	}
+	// Best-effort: the snapshot is durable, so a lost mark only costs
+	// recovery a re-replay of rounds the snapshot already holds.
+	_ = s.log.Mark(id, through)
 	return nil
 }
 
@@ -239,9 +237,9 @@ func (s *Store) Delete(ctx context.Context, id string) error {
 	delete(s.tail, id)
 	s.water[id] = deletedWatermark
 	s.mu.Unlock()
-	if err := s.log.Mark(id, deletedWatermark); err != nil && !errors.Is(err, ErrClosed) {
-		return nil // the delete is durable; only the log hint was lost
-	}
+	// Best-effort: the delete itself is durable; only the log hint that
+	// retires the id's rounds is lost.
+	_ = s.log.Mark(id, deletedWatermark)
 	return nil
 }
 
@@ -250,8 +248,8 @@ func (s *Store) Delete(ctx context.Context, id string) error {
 const deletedWatermark = 1 << 30
 
 // List implements persist.Store. The log never creates ids the inner
-// store lacks — the service writes a genesis snapshot before its first
-// append — so the inner listing is the listing.
+// store lacks — the service lands a session's base snapshot before its
+// first append — so the inner listing is the listing.
 func (s *Store) List(ctx context.Context) ([]string, error) {
 	return s.inner.List(ctx)
 }
@@ -286,7 +284,7 @@ func (s *Store) Scan(ctx context.Context) (persist.ScanResult, error) {
 			return res, err
 		}
 		// Best-effort per session, like quarantining: one unfoldable tail
-		// (e.g. its genesis snapshot never landed) must not hide the rest.
+		// (e.g. its base snapshot was lost) must not hide the rest.
 		_ = s.compactSession(ctx, id)
 	}
 	if _, err := s.log.Compact(); err != nil {

@@ -25,11 +25,15 @@ type ShardHealth struct {
 	StoreFailures uint64 `json:"store_failures"`
 	StoreError    string `json:"store_error,omitempty"`
 	// WalAppended counts round deltas this shard durably appended
-	// through the store's WAL (0 on snapshot-only stores).
+	// through the store's WAL (always 0 over a store without round
+	// appends, such as MemStore). Rounds covered by a full checkpoint
+	// instead — a session's base snapshot landing late — are not
+	// counted.
 	WalAppended uint64 `json:"wal_appended,omitempty"`
 	// WalPending counts rounds recorded by this shard's live sessions
-	// but not yet durably appended — the shard's crash-loss exposure;
-	// non-zero steady state means appends are failing.
+	// but not yet durable — waiting on an append, or on a base snapshot
+	// that has not landed. It is the shard's crash-loss exposure; a
+	// non-zero steady state means the store is failing.
 	WalPending int `json:"wal_pending,omitempty"`
 }
 

@@ -17,8 +17,8 @@ import (
 // index (the session's nonce), get tickets back immediately, and a
 // per-session drain applies queued rounds into the engine in batches
 // under one entry-lock acquisition — observer events, belief updates
-// and checkpoint scheduling amortize across the batch instead of
-// costing one lock round-trip per round.
+// and the round append amortize across the batch instead of costing
+// one lock round-trip per round.
 //
 // The shape is a transaction pool keyed by nonce: the queue is kept
 // sorted by round, the drain only applies the consecutive run starting
@@ -90,9 +90,6 @@ type labelPool struct {
 	order []string
 	// seq numbers tickets; guarded by mu.
 	seq uint64
-	// sinceCkpt counts rounds applied since the last drain checkpoint;
-	// guarded by mu.
-	sinceCkpt int
 }
 
 // newTicketLocked mints a queued ticket, aging out old terminal ones.
@@ -444,42 +441,16 @@ func (sh *shard) drainOnce(p *labelPool) bool {
 			sort.Slice(p.queue, func(i, j int) bool { return p.queue[i].round < p.queue[j].round })
 		}
 	}
-	p.sinceCkpt += applied
-	ckpt := sh.opts.CheckpointEvery > 0 && p.sinceCkpt >= sh.opts.CheckpointEvery
-	if ckpt {
-		p.sinceCkpt = 0
-	}
 	p.mu.Unlock()
 
 	if applied > 0 {
 		sh.notifyStreams(p.id)
-		// WAL-era durability: the whole applied run rides one group
-		// commit (one append call, one fsync shared with whatever other
-		// sessions' drains queued meanwhile) before the tickets' rounds
-		// count as durable. Failure degrades the session and keeps the
-		// deltas for the next flush, exactly like the direct-submit path.
+		// The whole applied run rides one group commit (one append call,
+		// one fsync shared with whatever other sessions' drains queued
+		// meanwhile). Failure degrades the session and keeps the deltas
+		// for the next flush, exactly like the direct-submit path.
 		//etlint:ignore ctxflow ticketed rounds are persisted by the detached drain; a submitter's context must not abort a group commit other sessions ride on
 		_ = sh.flushWal(context.Background(), e)
-	}
-	if ckpt && e.sess.PendingCount() == 0 {
-		// With a WAL-backed store this snapshot is the compaction point —
-		// the piggyback that used to be the only durability is now just
-		// the fold that lets the log drop committed segments. Without a
-		// WAL it remains the amortized checkpoint: one snapshot per
-		// CheckpointEvery applied rounds, taken while we still hold the
-		// entry lock. Failure leaves the session live and degraded,
-		// exactly like an explicit Snapshot; the drain keeps going.
-		if snap, err := e.sess.Snapshot(); err == nil {
-			//etlint:ignore ctxflow amortized checkpoints belong to the drain's lifetime, not any request's; a caller context here could tear a snapshot mid-write
-			if err := sh.storeRetry(context.Background(), "checkpointing "+e.id, func(ctx context.Context) error {
-				return sh.store.Put(ctx, e.id, snap)
-			}); err != nil {
-				sh.setDegraded(e.id, true)
-			} else {
-				e.snapshotLandedLocked()
-				sh.setDegraded(e.id, false)
-			}
-		}
 	}
 	return applied > 0 || serr != nil
 }

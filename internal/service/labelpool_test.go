@@ -14,6 +14,7 @@ import (
 	"exptrain/internal/fd"
 	"exptrain/internal/persist"
 	"exptrain/internal/persist/faulty"
+	"exptrain/internal/persist/wal"
 )
 
 // waitTicket polls a ticket until it leaves the queued state.
@@ -352,29 +353,84 @@ func TestLabelpoolShutdownFlush(t *testing.T) {
 	}
 }
 
-// TestLabelpoolCheckpointEvery: with CheckpointEvery set, the drain
-// checkpoints mid-stream, so even a kill without Shutdown loses at
-// most CheckpointEvery-1 rounds.
-func TestLabelpoolCheckpointEvery(t *testing.T) {
-	m := NewManager(Options{CheckpointEvery: 2, DrainBatch: 2})
+// TestLabelpoolWalCrashLosesNothing drives the drain's group commit
+// through a crash: windows enqueued into a manager over a write-ahead
+// log must be durable once their tickets read applied, so closing the
+// log without Shutdown — no parting checkpoints — and reopening it
+// still yields every applied round.
+func TestLabelpoolWalCrashLosesNothing(t *testing.T) {
+	const sessions, rounds, window = 4, 4, 2
 	ctx := context.Background()
-	info, err := m.Create(ctx, testSpec())
+	storeDir, walDir := t.TempDir(), t.TempDir()
+	dir, err := persist.NewDirStore(storeDir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tickets, err := m.EnqueueSubmissions(ctx, info.ID, abstainWindow(0, 4))
+	ws, _, err := wal.OpenStore(dir, walDir, wal.StoreConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tk := range tickets {
-		waitTicket(t, m, info.ID, tk.ID)
+	m := NewManager(Options{Store: ws, DrainBatch: window})
+	ids := make([]string, sessions)
+	type queued struct{ session, ticket string }
+	var tickets []queued
+	for s := range ids {
+		info, err := m.Create(ctx, testSpec())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[s] = info.ID
+		for base := 0; base < rounds; base += window {
+			tks, err := m.EnqueueSubmissions(ctx, info.ID, abstainWindow(base, base+window))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, tk := range tks {
+				tickets = append(tickets, queued{info.ID, tk.ID})
+			}
+		}
 	}
-	snap, err := m.Store().Get(ctx, info.ID)
+	for _, q := range tickets {
+		if got := waitTicket(t, m, q.session, q.ticket); got.State != TicketApplied {
+			t.Fatalf("ticket %s: state %q error %q, want applied", q.ticket, got.State, got.Error)
+		}
+	}
+	// A ticket turns applied before its drain's group commit returns;
+	// the drain is idle, and every round appended, once nothing is
+	// pending or draining.
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		h := m.Health()
+		if h.Shards[0].WalPending == 0 && h.Shards[0].Draining == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("drain never settled: %+v", h.Shards[0])
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	// The crash: the log closes under the manager; no Shutdown runs.
+	if err := ws.Close(); err != nil {
+		t.Fatal(err)
+	}
+	dir2, err := persist.NewDirStore(storeDir)
 	if err != nil {
-		t.Fatalf("no checkpoint despite CheckpointEvery: %v", err)
+		t.Fatal(err)
 	}
-	if len(snap.History) < 2 {
-		t.Fatalf("checkpoint carries %d rounds, want at least one CheckpointEvery batch", len(snap.History))
+	ws2, _, err := wal.OpenStore(dir2, walDir, wal.StoreConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ws2.Close()
+	for _, id := range ids {
+		snap, err := ws2.Get(ctx, id)
+		if err != nil {
+			t.Fatalf("%s unreadable after the crash: %v", id, err)
+		}
+		if got := len(snap.History); got != rounds {
+			t.Fatalf("%s recovered %d rounds, want %d — an applied round was lost", id, got, rounds)
+		}
 	}
 }
 
@@ -390,13 +446,12 @@ func TestLabelpoolChaosZeroLoss(t *testing.T) {
 	ctx := context.Background()
 	fs := faulty.Wrap(persist.NewMemStore(), faulty.Config{Seed: chaosSeed, FailRate: 0.2})
 	m := NewManager(Options{
-		MaxSessions:     16,
-		IdleTTL:         time.Minute,
-		Store:           fs,
-		Retry:           fastRetry(),
-		RetrySeed:       chaosSeed,
-		DrainBatch:      window,
-		CheckpointEvery: 4,
+		MaxSessions: 16,
+		IdleTTL:     time.Minute,
+		Store:       fs,
+		Retry:       fastRetry(),
+		RetrySeed:   chaosSeed,
+		DrainBatch:  window,
 	})
 
 	transient := func(err error) bool {

@@ -158,10 +158,14 @@ type Options struct {
 	// IdleTTL parks sessions idle at least this long on each Sweep
 	// (default 15 minutes).
 	IdleTTL time.Duration
-	// Store receives eviction and shutdown checkpoints (default: a
-	// fresh in-memory store). Shards share it — wrap it in a
-	// persist.MultiStore to replicate checkpoints across backing
-	// stores.
+	// Store receives the sessions' checkpoints (default: a fresh
+	// in-memory store). When it takes round appends (persist.AppenderOf:
+	// a wal.Store, or a MultiStore or faulty wrapper over them), a
+	// session lands a base snapshot when it is created or resumed and
+	// every later submit acks only after its round is appended on top of
+	// it. Otherwise (MemStore) sessions are checkpointed only on park,
+	// explicit snapshot and shutdown. Shards share the store — wrap it in
+	// a persist.MultiStore to replicate across backing stores.
 	Store persist.Store
 	// Retry bounds retries of store operations (zero value → defaults:
 	// 4 attempts, 5ms base backoff, 250ms cap).
@@ -177,14 +181,9 @@ type Options struct {
 	MaxQueuedSubmissions int
 	// DrainBatch caps how many queued rounds one drain applies under a
 	// single entry-lock acquisition (default 16) — large enough to
-	// amortize locking and checkpoint scheduling, small enough that
-	// interactive requests interleave with a deep backlog.
+	// amortize locking and the batch's one round append, small enough
+	// that interactive requests interleave with a deep backlog.
 	DrainBatch int
-	// CheckpointEvery, when positive, has the labelpool drain
-	// checkpoint a session after that many applied rounds, amortizing
-	// durability across the batch instead of paying a snapshot per
-	// round (0 = checkpoint only on park/shutdown/explicit snapshot).
-	CheckpointEvery int
 }
 
 func (o Options) withDefaults() Options {
@@ -392,30 +391,7 @@ func (m *Manager) Create(ctx context.Context, spec Spec) (Info, error) {
 	if err := ctx.Err(); err != nil {
 		return Info{}, err
 	}
-	var wrec *walRecorder
-	if persist.AppenderOf(m.store) != nil {
-		wrec = &walRecorder{}
-	}
-	sess, rs, err := buildSession(spec, nil, wrec)
-	if err != nil {
-		return Info{}, err
-	}
-	id, err := m.mintID()
-	if err != nil {
-		return Info{}, err
-	}
-	if wrec != nil {
-		wrec.id = id // before any round flows; deltas are immutable after recording
-	}
-	sh := m.shardFor(id)
-	e := &entry{id: id, spec: spec, sess: sess, stats: rs, wal: wrec}
-	if err := sh.install(ctx, e); err != nil {
-		return Info{}, err
-	}
-	// WAL-backed sessions checkpoint a genesis snapshot immediately, so
-	// every later round needs only an O(space) append, never a snapshot.
-	sh.genesis(ctx, e)
-	return sh.infoOf(e, false), nil
+	return m.register(ctx, spec, nil)
 }
 
 // Resume registers a new session restored from a snapshot previously
@@ -440,6 +416,17 @@ func (m *Manager) Resume(ctx context.Context, snapshotID string, spec Spec) (Inf
 	if err != nil {
 		return Info{}, err
 	}
+	return m.register(ctx, spec, snap)
+}
+
+// register builds a session (resumed from snap when it is non-nil)
+// under a freshly minted id and installs it on its home shard. Over a
+// store that takes round appends, the first flush then lands the
+// session's base snapshot under its own id — a resumed session's
+// snapshot lives under the old id — so every later round needs only an
+// append. A failed base snapshot degrades the session but does not fail
+// the registration; its rounds wait in memory until a checkpoint lands.
+func (m *Manager) register(ctx context.Context, spec Spec, snap *persist.Snapshot) (Info, error) {
 	var wrec *walRecorder
 	if persist.AppenderOf(m.store) != nil {
 		wrec = &walRecorder{}
@@ -460,10 +447,11 @@ func (m *Manager) Resume(ctx context.Context, snapshotID string, spec Spec) (Inf
 	if err := sh.install(ctx, e); err != nil {
 		return Info{}, err
 	}
-	// The loaded snapshot lives under snapshotID, not the new id: the
-	// resumed session still needs its own base snapshot for appends to
-	// replay onto.
-	sh.genesis(ctx, e)
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if !e.gone { // a capacity eviction may have parked it already, base and all
+		_ = sh.flushWal(ctx, e)
+	}
 	return sh.infoOf(e, false), nil
 }
 

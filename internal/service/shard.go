@@ -63,10 +63,11 @@ type entry struct {
 	// wal records per-round deltas for WAL-backed durability; nil when
 	// the store takes no appends. Its take/restore/clear run under mu.
 	wal *walRecorder
-	// walBased marks that a base snapshot for this entry durably landed
-	// in the store, so appended deltas alone restore the session (and a
-	// successful append may heal the degraded mark); guarded by mu.
-	walBased bool
+	// based marks that a snapshot of this session durably landed in the
+	// store under its id — the base appended deltas replay onto. Until
+	// it is set, flushWal checkpoints instead of appending; guarded by
+	// mu.
+	based bool
 	// gone marks the entry evicted or shut down. A goroutine that won
 	// the entry lock after blocking must re-check it and retry the
 	// lookup: the session now lives in the store, not here.
@@ -89,9 +90,9 @@ type shard struct {
 	// shard count); everything else is shared verbatim.
 	opts  Options
 	store persist.Store
-	// appender is the store's round-append capability (nil when the
-	// store is snapshot-only); when present, submits are made durable by
-	// group-committed WAL appends instead of full snapshots.
+	// appender is the store's round-append capability (nil over a store
+	// without one, such as MemStore); when present, submits are made
+	// durable by group-committed WAL appends on top of a base snapshot.
 	appender persist.RoundAppender
 	// now is the clock; a test hook (set via Manager.setNow).
 	now func() time.Time
@@ -256,6 +257,26 @@ func (sh *shard) evict(ctx context.Context, e *entry) error {
 	// and the discard rewinds the sampler RNG and the pool, so the
 	// snapshot resumes to re-present the same pairs.
 	e.sess.DiscardPending()
+	if err := sh.checkpointLocked(ctx, e); err != nil {
+		return err
+	}
+	e.gone = true
+	sh.mu.Lock()
+	delete(sh.live, e.id)
+	sh.parked[e.id] = e.spec
+	sh.mu.Unlock()
+	return nil
+}
+
+// checkpointLocked writes a full snapshot of the session into the store
+// under the retry policy. It is the one checkpoint path: park, explicit
+// snapshots, shutdown, and a flush that still owes the session's base
+// snapshot all go through it. A landed snapshot supersedes the
+// recorder's pending deltas, becomes the base later appends replay
+// onto, and heals the degraded mark. A failed one marks the session
+// degraded: it stays live and serves from memory until a later
+// checkpoint lands. Caller holds e.mu.
+func (sh *shard) checkpointLocked(ctx context.Context, e *entry) error {
 	snap, err := e.sess.Snapshot()
 	if err != nil {
 		return err
@@ -266,13 +287,11 @@ func (sh *shard) evict(ctx context.Context, e *entry) error {
 		sh.setDegraded(e.id, true)
 		return err
 	}
-	e.snapshotLandedLocked()
-	e.gone = true
-	sh.mu.Lock()
-	delete(sh.live, e.id)
-	delete(sh.degraded, e.id)
-	sh.parked[e.id] = e.spec
-	sh.mu.Unlock()
+	e.based = true
+	if e.wal != nil {
+		e.wal.clear()
+	}
+	sh.setDegraded(e.id, false)
 	return nil
 }
 
@@ -362,8 +381,7 @@ func (sh *shard) acquireOpt(ctx context.Context, id string, evenWhileDraining bo
 				e.sess = sess
 				e.stats = rs
 				e.wal = wrec
-				// The snapshot we just resumed from IS the base snapshot.
-				e.walBased = wrec != nil
+				e.based = true // the snapshot we just resumed from is the base
 				return e, nil
 			}
 		}
@@ -507,10 +525,11 @@ func (sh *shard) Submit(ctx context.Context, id string, round int, labeled []bel
 	if err := e.sess.SubmitContext(ctx, labeled); err != nil {
 		return Info{}, err
 	}
-	// WAL-era durability: the submitted round's delta rides a group
-	// commit before the submit acks. Failure degrades the session (the
-	// round lives on in memory and in the recorder's backlog) rather
-	// than failing a submit that already applied.
+	// The submitted round is made durable before the submit acks: its
+	// delta rides a group commit (or, while the base snapshot is still
+	// owed, a full checkpoint). Failure degrades the session (the round
+	// lives on in memory and in the recorder's backlog) rather than
+	// failing a submit that already applied.
 	_ = sh.flushWal(ctx, e)
 	sh.notifyStreams(id)
 	// A direct submit can fill the gap a parked labelpool drain stalled
@@ -593,20 +612,9 @@ func (sh *shard) Snapshot(ctx context.Context, id string) (string, error) {
 		return "", err
 	}
 	defer e.mu.Unlock()
-	snap, err := e.sess.Snapshot()
-	if err != nil {
+	if err := sh.checkpointLocked(ctx, e); err != nil {
 		return "", err
 	}
-	if err := sh.storeRetry(ctx, "checkpointing "+e.id, func(ctx context.Context) error {
-		return sh.store.Put(ctx, e.id, snap)
-	}); err != nil {
-		sh.setDegraded(e.id, true)
-		return "", err
-	}
-	// A successful explicit checkpoint heals a degraded session: its
-	// state is durable again.
-	e.snapshotLandedLocked()
-	sh.setDegraded(e.id, false)
 	return e.id, nil
 }
 

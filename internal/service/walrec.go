@@ -113,21 +113,26 @@ func (w *walRecorder) backlog() int {
 	return int(w.n.Load())
 }
 
-// flushWal durably appends the entry's recorded round deltas through
-// the store's group committer — the WAL-era durability unit: a submit
-// acks to its caller only after its delta's group commit fsynced
-// (quorum-fsynced under replication). Caller holds e.mu.
+// flushWal makes the entry's recorded rounds durable — the durability
+// unit behind every submit: a submit acks to its caller only after its
+// delta's group commit fsynced (quorum-fsynced under replication).
+// Deltas are appended only on top of a base snapshot: until one lands
+// (at create or resume, or after that checkpoint failed), the flush is
+// a full checkpoint instead, which covers every recorded round. So no
+// delta ever reaches the log without a snapshot to replay onto. Caller
+// holds e.mu.
 //
 // Failure follows the degraded-mode playbook: the deltas are restored
 // for the next flush, the session is marked degraded, and serving
 // continues from memory — nothing submitted is lost while the process
 // lives, and any later full snapshot covers the backlog. A successful
-// append heals the mark only for WAL-based entries (ones whose base
-// snapshot durably landed): appended deltas without a base snapshot
-// are not recoverable on their own.
+// append heals the mark.
 func (sh *shard) flushWal(ctx context.Context, e *entry) error {
-	if e.wal == nil || sh.appender == nil {
+	if e.wal == nil {
 		return nil
+	}
+	if !e.based {
+		return sh.checkpointLocked(ctx, e)
 	}
 	deltas := e.wal.take()
 	if len(deltas) == 0 {
@@ -146,48 +151,6 @@ func (sh *shard) flushWal(ctx context.Context, e *entry) error {
 	sh.mu.Lock()
 	sh.walAppended += uint64(len(deltas))
 	sh.mu.Unlock()
-	if e.walBased {
-		sh.setDegraded(e.id, false)
-	}
-	return nil
-}
-
-// genesis writes the session's base snapshot right after creation, so
-// subsequent WAL appends have a snapshot to replay onto. Failure marks
-// the session degraded (its rounds will pile up in the recorder until
-// a snapshot lands) but does not fail the creation — the same contract
-// as every other checkpoint path.
-func (sh *shard) genesis(ctx context.Context, e *entry) {
-	if e.wal == nil {
-		return
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.gone {
-		return
-	}
-	snap, err := e.sess.Snapshot()
-	if err != nil {
-		return // a round is already pending; a later checkpoint catches up
-	}
-	if err := sh.storeRetry(ctx, "genesis checkpoint "+e.id, func(ctx context.Context) error {
-		return sh.store.Put(ctx, e.id, snap)
-	}); err != nil {
-		sh.setDegraded(e.id, true)
-		return
-	}
-	e.walBased = true
-	e.wal.clear() // the snapshot covers every recorded round
 	sh.setDegraded(e.id, false)
-}
-
-// snapshotLandedLocked records that a full snapshot for the entry
-// durably landed: pending deltas are superseded and appends may heal
-// the degraded mark from here on. Caller holds e.mu.
-func (e *entry) snapshotLandedLocked() {
-	if e.wal == nil {
-		return
-	}
-	e.wal.clear()
-	e.walBased = true
+	return nil
 }

@@ -176,6 +176,84 @@ func TestManagerWalSubmitDurability(t *testing.T) {
 	}
 }
 
+// TestManagerNoAppendBeforeBase: while a session's base snapshot has not
+// landed, its rounds must not reach the log — a delta with no snapshot
+// under it is unreadable after a crash and pins compaction lag forever.
+// They wait in memory, the session degraded, until a flush lands a full
+// snapshot carrying all of them.
+func TestManagerNoAppendBeforeBase(t *testing.T) {
+	ctx := context.Background()
+	storeDir, walDir := t.TempDir(), t.TempDir()
+	dir, err := persist.NewDirStore(storeDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws, _, err := wal.OpenStore(dir, walDir, wal.StoreConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := faulty.Wrap(ws, faulty.Config{Seed: 3, FailRate: 1, Ops: []faulty.Op{faulty.OpPut}})
+	m := NewManager(Options{Store: fs, Retry: RetryPolicy{MaxAttempts: 1}})
+	info, err := m.Create(ctx, testSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < 2; r++ {
+		if err := walPlayRound(ctx, m, info.ID); err != nil {
+			t.Fatalf("round %d: %v", r, err)
+		}
+	}
+	h := m.Health()
+	if h.Wal == nil || h.Wal.Appended != 0 {
+		t.Fatalf("Health.Wal = %+v, want 0 appended records before the base snapshot", h.Wal)
+	}
+	if got := h.Shards[0].WalPending; got != 2 {
+		t.Fatalf("shard WalPending = %d, want 2 rounds held in memory", got)
+	}
+	if got, err := m.Get(ctx, info.ID); err != nil || !got.Degraded {
+		t.Fatalf("Get = %+v, %v; want a degraded session", got, err)
+	}
+
+	fs.ClearFaults()
+	if err := walPlayRound(ctx, m, info.ID); err != nil {
+		t.Fatal(err)
+	}
+	base, err := dir.Get(ctx, info.ID)
+	if err != nil {
+		t.Fatalf("base snapshot missing after the store healed: %v", err)
+	}
+	if len(base.History) != 3 {
+		t.Fatalf("base snapshot has %d rounds, want 3", len(base.History))
+	}
+	if got, err := m.Get(ctx, info.ID); err != nil || got.Degraded {
+		t.Fatalf("Get = %+v, %v; want the degraded mark cleared", got, err)
+	}
+
+	// Crash and reopen: the log holds nothing the snapshot lacks.
+	if err := ws.Close(); err != nil {
+		t.Fatal(err)
+	}
+	dir2, err := persist.NewDirStore(storeDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws2, _, err := wal.OpenStore(dir2, walDir, wal.StoreConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ws2.Close()
+	snap, err := ws2.Get(ctx, info.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(snap.History) != 3 {
+		t.Fatalf("recovered %d rounds, want 3", len(snap.History))
+	}
+	if st, _ := ws2.WalStats(); st.CompactionLag != 0 {
+		t.Fatalf("CompactionLag = %d after reopen, want 0", st.CompactionLag)
+	}
+}
+
 // TestChaosWalReplicaLoss is the WAL acceptance chaos test: a manager
 // whose durability runs through a 3-replica quorum of WAL-backed
 // stores — every operation flaky at 30%, one replica killed for good
