@@ -32,7 +32,7 @@ vet:
 # Project-specific determinism & concurrency rules (internal/lint):
 # per-function — detrand, detclock, maporder, lockedfield, printclean,
 # floatcmp, scratchalias — plus the interprocedural, call-graph-driven
-# set: lockorder (DESIGN §12 lock order), goroleak (unjoined
+# set: lockorder (DESIGN §6 lock order), goroleak (unjoined
 # goroutines), chanlock (blocking channel ops under a mutex), ctxflow
 # (manufactured contexts outside cmd/) and errkind (error-envelope
 # registry coverage).
@@ -69,28 +69,30 @@ check:
 # labelpool load smoke.
 verify: build vet lint test race chaos check loadsmoke
 
-# Labelpool + shard load smokes (~30s): etload plays the
+# Labelpool + parking load smokes (~30s): etload plays the
 # request-per-round baseline and the batched labelpool pipeline against
 # an in-process server with a simulated 20ms client RTT, and benchjson
 # records the result as BENCH_Labelpool.json (throughput, per-request
-# p50/p99, and the pool-vs-baseline speedup). A second run drives the
-# same submission workload through 1-, 4- and 16-shard managers over a
-# 10ms-latency store and records BENCH_Shard.json, including the
-# 16-vs-1-shard throughput ratio. These are smokes, not perf gates:
-# they fail only when the workload itself errors — numbers are
-# recorded, never asserted, so a loaded CI machine cannot flake them
-# (the shard ratio is gated separately by `make benchcheck`).
+# p50/p99, and the pool-vs-baseline speedup). A second run plays 96
+# sessions × 3 rounds with a Sweep parking the whole fleet after every
+# round through a 10ms-latency store and records BENCH_Park.json,
+# including x-vs-serial-store: the mean number of store waits in
+# flight. These are smokes, not perf gates: they fail only when the
+# workload itself errors — numbers are recorded, never asserted, so a
+# loaded CI machine cannot flake them. `make benchcheck` does not gate
+# BENCH_Park.json: its store lets any number of calls overlap, which no
+# store etserve opens does.
 loadsmoke:
 	@echo "== etload labelpool smoke"
 	@$(GO) run ./cmd/etload -inproc -sessions 16 -rounds 8 -window 8 \
 		-rows 24 -k 2 -net-delay 20ms \
 		| $(GO) run ./cmd/benchjson > BENCH_Labelpool.json
 	@echo "   wrote BENCH_Labelpool.json"
-	@echo "== etload shard-scaling smoke"
-	@$(GO) run ./cmd/etload -shards 1,4,16 -sessions 96 -rounds 3 \
+	@echo "== etload parking smoke"
+	@$(GO) run ./cmd/etload -park -sessions 96 -rounds 3 \
 		-rows 24 -k 3 -store-delay 10ms \
-		| $(GO) run ./cmd/benchjson > BENCH_Shard.json
-	@echo "   wrote BENCH_Shard.json"
+		| $(GO) run ./cmd/benchjson > BENCH_Park.json
+	@echo "   wrote BENCH_Park.json"
 
 # WAL durability bench (~10s): etload plays the same 64-session submit
 # workload against a simulated 20ms-fsync disk twice — making every
@@ -109,15 +111,15 @@ walbench:
 # Fault-injection suite under the race detector: crash-point property
 # tests for the snapshot commit protocol and the WAL append, torn-write
 # invariants (both single-store and quorum MultiStore), the
-# degraded-mode manager tests, the no-append-before-base and labelpool
-# crash-without-shutdown WAL tests, the 64-session flaky-store
-# workloads (interactive and labelpool), and the sharded and WAL
-# replica-loss workloads that kill a full replica mid-run (ET_CHAOS=1
-# scales the workloads up — the sharded one to 1024 sessions across 16
-# shards).
+# degraded-mode manager tests, the sweep-yields-to-requests test, the
+# no-append-before-base and labelpool crash-without-shutdown WAL tests,
+# the 64-session flaky-store workloads (interactive and labelpool), and
+# the replicated and WAL replica-loss workloads that kill a full replica
+# mid-run (ET_CHAOS=1 scales the workloads up — the replicated one to
+# 1024 sessions).
 chaos:
 	ET_CHAOS=1 $(GO) test -race -count=1 \
-		-run 'TestCrashPointProperty|TestTornWritesNeverCorrupt|TestFault|TestManagerEvictFailure|TestManagerUnparkFailed|TestManagerSweepContinues|TestManagerShutdownKeeps|TestManagerNoAppendBeforeBase|TestServerFaultSurface|TestChaos|TestLabelpoolChaos|TestLabelpoolWalCrash' \
+		-run 'TestCrashPointProperty|TestTornWritesNeverCorrupt|TestFault|TestManagerEvictFailure|TestManagerUnparkFailed|TestManagerSweepContinues|TestManagerShutdownKeeps|TestManagerSweepYields|TestManagerNoAppendBeforeBase|TestServerFaultSurface|TestChaos|TestLabelpoolChaos|TestLabelpoolWalCrash' \
 		./internal/persist/... ./internal/service/...
 
 # Corpus-smoke each native fuzz target for FUZZTIME. Failing inputs
@@ -189,10 +191,6 @@ benchcheck:
 	@echo "== benchcheck BenchmarkRevision (-benchtime 100x)"
 	@$(GO) test -run '^$$' -bench '^BenchmarkRevision$$' -benchtime 100x -benchmem . \
 		| $(GO) run ./cmd/benchjson -check BENCH_PLIIncremental.json
-	@echo "== benchcheck shard scaling (etload -shards)"
-	@$(GO) run ./cmd/etload -shards 1,4,16 -sessions 96 -rounds 3 \
-		-rows 24 -k 3 -store-delay 10ms \
-		| $(GO) run ./cmd/benchjson -check BENCH_Shard.json
 	@echo "== benchcheck WAL group commit (etload -wal)"
 	@$(GO) run ./cmd/etload -wal -sessions 64 -rounds 4 -store-delay 20ms \
 		| $(GO) run ./cmd/benchjson -check BENCH_WalCommit.json

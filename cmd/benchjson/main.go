@@ -18,11 +18,11 @@
 // Two metric families are asserted. allocs/op is gated because it is
 // deterministic for a fixed code path, unlike ns/op which varies with
 // machine load, so the gate never flakes on timing noise. Ratio
-// metrics — any custom unit starting "x-vs-", e.g. the shard-scaling
-// "x-vs-1shard" speedup — are gated with a generous floor (the current
-// ratio may fall to 60% of the baseline's) because a ratio of two
-// runs on the same machine cancels most load noise while still
-// catching a scaling property that collapsed. All other units are
+// metrics — any custom unit starting "x-vs-", e.g. the WAL group
+// commit's "x-vs-snapshot" speedup — are gated with a generous floor
+// (the current ratio may fall to 60% of the baseline's) because a
+// ratio of two runs on the same machine cancels most load noise while
+// still catching a scaling property that collapsed. All other units are
 // recorded, never asserted. A benchmark missing from the baseline is
 // skipped with a note (new benchmarks need `make bench` to record them).
 package main

@@ -36,6 +36,12 @@
 // trips per submission while the pool amortizes one round trip over a
 // whole window. `make loadsmoke` records that configuration.
 //
+// -park switches to the parking smoke `make loadsmoke` also records: a
+// Sweep parks the whole fleet after every round through a store with
+// -store-delay latency per operation, and the next round unparks it.
+// Emits BenchmarkParkServe and a BenchmarkParkOverlap line: the mean
+// number of store waits in flight (1.0 = serial).
+//
 // -wal switches to the durability comparison `make walbench` records:
 // the same submit workload is played twice against a simulated
 // fsync-bound disk (-store-delay per disk operation), once making each
@@ -56,9 +62,8 @@ import (
 	"net/http"
 	"os"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"exptrain/client"
@@ -83,9 +88,9 @@ type config struct {
 	seed     uint64
 	netDelay time.Duration
 
-	shardCounts string
-	storeDelay  time.Duration
-	walCompare  bool
+	park       bool
+	storeDelay time.Duration
+	walCompare bool
 }
 
 func main() {
@@ -102,8 +107,8 @@ func main() {
 	flag.IntVar(&cfg.k, "k", 4, "pairs per round")
 	flag.Uint64Var(&cfg.seed, "seed", 1, "base seed; session i uses seed+i")
 	flag.DurationVar(&cfg.netDelay, "net-delay", 0, "simulated client-side round-trip delay per request (e.g. 10ms)")
-	flag.StringVar(&cfg.shardCounts, "shards", "", "comma-separated shard counts to compare (e.g. 1,4,16); drives the manager directly and ignores -mode/-addr")
-	flag.DurationVar(&cfg.storeDelay, "store-delay", 4*time.Millisecond, "simulated checkpoint-store latency per operation in -shards and -wal runs")
+	flag.BoolVar(&cfg.park, "park", false, "run the park-heavy workload (a Sweep parks the fleet after every round) over a store with -store-delay latency; drives the manager directly and ignores -mode/-addr")
+	flag.DurationVar(&cfg.storeDelay, "store-delay", 4*time.Millisecond, "simulated checkpoint-store latency per operation in -park and -wal runs")
 	flag.BoolVar(&cfg.walCompare, "wal", false, "compare snapshot-per-submit durability against WAL group commit on a simulated fsync-bound disk; drives the manager directly and ignores -mode/-addr")
 	flag.Parse()
 	if err := run(cfg); err != nil {
@@ -115,8 +120,8 @@ func run(cfg config) error {
 	if cfg.walCompare {
 		return runWalCompare(cfg)
 	}
-	if cfg.shardCounts != "" {
-		return runShardCompare(cfg)
+	if cfg.park {
+		return runPark(cfg)
 	}
 	if cfg.mode != "baseline" && cfg.mode != "pool" && cfg.mode != "both" {
 		return fmt.Errorf("unknown -mode %q", cfg.mode)
@@ -437,18 +442,22 @@ func createAll(ctx context.Context, c *client.Client, cfg config) ([]string, err
 	return ids, nil
 }
 
-// delayStore simulates a real checkpoint store — a network filesystem,
-// an object store, a database — by sleeping a fixed latency before
-// every operation over an in-memory store. The -shards comparison
-// exists to show the sharded serving core overlapping exactly this
-// latency: one shard checkpoints its parked sessions serially, N
-// shards do so N ways in parallel.
+// delayStore simulates a remote checkpoint store — a network
+// filesystem, an object store, a database — by sleeping a fixed
+// latency before every operation over an in-memory store, and counts
+// the operations. Any number of its calls can wait at once, which no
+// store etserve opens allows (a directory store commits one Put at a
+// time), so the -park overlap figure is a record of how many store
+// waits the manager keeps in flight, not a throughput a deployment
+// sees.
 type delayStore struct {
 	d     time.Duration
 	inner persist.Store
+	calls atomic.Int64
 }
 
 func (s *delayStore) wait(ctx context.Context) error {
+	s.calls.Add(1)
 	select {
 	case <-ctx.Done():
 		return ctx.Err()
@@ -485,55 +494,29 @@ func (s *delayStore) List(ctx context.Context) ([]string, error) {
 	return s.inner.List(ctx)
 }
 
-// runShardCompare runs the park-heavy shard workload once per
-// requested shard count and emits one benchmark line each, plus the
-// scaling ratio of the last count against the first:
+// runPark drives a service.Manager directly (no HTTP) through a
+// park-heavy access pattern: every round each session plays one
+// Next/Submit, then a Sweep parks the whole fleet through the delayed
+// store and the next round's requests transparently unpark it. It
+// emits the throughput line and the store-overlap ratio:
 //
-//	BenchmarkShardServe/shards=1 ...
-//	BenchmarkShardServe/shards=16 ...
-//	BenchmarkShardScaling16v1 1 6.42 x-vs-1shard
-func runShardCompare(cfg config) error {
-	var counts []int
-	for _, f := range strings.Split(cfg.shardCounts, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || n < 1 {
-			return fmt.Errorf("bad -shards entry %q", f)
-		}
-		counts = append(counts, n)
-	}
-	results := make([]result, len(counts))
-	for i, n := range counts {
-		r, err := runShardWorkload(cfg, n)
-		if err != nil {
-			return fmt.Errorf("shards=%d: %w", n, err)
-		}
-		results[i] = r
-		emit(fmt.Sprintf("ShardServe/shards=%d", n), r)
-	}
-	first, last := counts[0], counts[len(counts)-1]
-	if len(counts) > 1 && results[0].throughput() > 0 {
-		fmt.Printf("BenchmarkShardScaling%dv%d 1 %.2f x-vs-%dshard\n",
-			last, first, results[len(counts)-1].throughput()/results[0].throughput(), first)
-	}
-	return nil
-}
-
-// runShardWorkload drives a service.Manager directly (no HTTP) through
-// the access pattern sharding scales: every round each session plays
-// one Next/Submit, then a Sweep parks the whole fleet through the
-// delayed store and the next round's requests transparently unpark
-// them. The per-round Sweep is the serialized store bottleneck a
-// single lock domain imposes; per-shard sweeps overlap it.
-func runShardWorkload(cfg config, shards int) (result, error) {
+//	BenchmarkParkServe ...
+//	BenchmarkParkOverlap 1 1.40 x-vs-serial-store
+//
+// The ratio is store calls in the timed window × store delay ÷ elapsed
+// time: the mean number of store waits in flight, so 1.0 means the
+// manager waited on the store one call at a time. Sweep parks one
+// session at a time; what overlap there is comes from the workers'
+// concurrent unparks.
+func runPark(cfg config) error {
 	ctx := context.Background()
+	store := &delayStore{d: cfg.storeDelay, inner: persist.NewMemStore()}
 	m := service.NewManager(service.Options{
-		Shards: shards,
-		// Double the fleet so even the busiest shard's rendezvous share
-		// fits its ceil(MaxSessions/shards) slice: parking here comes
-		// from the per-round Sweep, not from capacity churn.
-		MaxSessions: 2 * cfg.sessions,
+		// The whole fleet fits: parking comes from the per-round Sweep,
+		// not from capacity churn.
+		MaxSessions: cfg.sessions,
 		IdleTTL:     time.Nanosecond, // every session is sweep-eligible the moment it goes idle
-		Store:       &delayStore{d: cfg.storeDelay, inner: persist.NewMemStore()},
+		Store:       store,
 	})
 	ids := make([]string, cfg.sessions)
 	for i := range ids {
@@ -544,7 +527,7 @@ func runShardWorkload(cfg config, shards int) (result, error) {
 			Seed:   cfg.seed + uint64(i),
 		})
 		if err != nil {
-			return result{}, fmt.Errorf("create session %d: %w", i, err)
+			return fmt.Errorf("create session %d: %w", i, err)
 		}
 		ids[i] = info.ID
 	}
@@ -557,6 +540,7 @@ func runShardWorkload(cfg config, shards int) (result, error) {
 		res result
 		ec  = make(chan error, workers)
 	)
+	callsBefore := store.calls.Load()
 	start := time.Now()
 	for r := 0; r < cfg.rounds; r++ {
 		var wg sync.WaitGroup
@@ -585,19 +569,23 @@ func runShardWorkload(cfg config, shards int) (result, error) {
 		wg.Wait()
 		select {
 		case err := <-ec:
-			return result{}, err
+			return err
 		default:
 		}
 		if _, err := m.Sweep(ctx); err != nil {
-			return result{}, fmt.Errorf("sweep round %d: %w", r, err)
+			return fmt.Errorf("sweep round %d: %w", r, err)
 		}
 	}
 	res.rounds = cfg.sessions * cfg.rounds
 	res.elapsed = time.Since(start)
+	calls := store.calls.Load() - callsBefore
 	if err := m.Shutdown(ctx); err != nil {
-		return result{}, fmt.Errorf("shutdown: %w", err)
+		return fmt.Errorf("shutdown: %w", err)
 	}
-	return res, nil
+	emit("ParkServe", res)
+	fmt.Printf("BenchmarkParkOverlap 1 %.2f x-vs-serial-store\n",
+		float64(calls)*cfg.storeDelay.Seconds()/res.elapsed.Seconds())
+	return nil
 }
 
 // serialDiskStore models one disk with one fsync queue: every Put

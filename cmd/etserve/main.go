@@ -8,7 +8,7 @@
 // Usage:
 //
 //	etserve [-addr :8080] [-store DIR] [-max-sessions 128]
-//	        [-shards 1] [-replicas 1] [-replica-dirs a,b,c]
+//	        [-replicas 1] [-replica-dirs a,b,c]
 //	        [-idle-ttl 15m] [-sweep 1m] [-timeout 30s]
 //	        [-retry-attempts 4] [-retry-base 5ms] [-retry-max 250ms]
 //	        [-max-queued 64] [-drain-batch 16] [-heartbeat 15s]
@@ -20,11 +20,6 @@
 // -drain-batch bounds how many queued rounds one drain applies under a
 // single session-lock acquisition, and -heartbeat paces the SSE
 // keep-alive comments.
-//
-// -shards splits the serving core into that many independently locked
-// shards; requests route to a session's shard by rendezvous hashing on
-// its id, so one hot or degraded session domain cannot stall the rest
-// (GET /v1/healthz breaks the counters out per shard).
 //
 // Without -store, sessions live in memory for the life of the process.
 // With -store, the directory gets a crash-safe write-ahead log (its
@@ -55,8 +50,8 @@
 // -retry-* flags; a session whose checkpoint or append keeps failing
 // stays live in degraded mode (GET /v1/healthz reports it and flips to
 // 503 so a load balancer can route around the replica). GET /v1/healthz
-// also reports per-shard appended/pending round counts and log-level
-// fsync metrics.
+// also reports appended/pending round counts and log-level fsync
+// metrics.
 //
 // Sessions created with "eval": true additionally score the learner's
 // believed model on a held-out split every round; GET
@@ -89,7 +84,6 @@ import (
 type config struct {
 	addr          string
 	storeDir      string
-	shards        int
 	replicas      int
 	replicaDirs   string
 	maxSessions   int
@@ -108,7 +102,6 @@ func main() {
 	var cfg config
 	flag.StringVar(&cfg.addr, "addr", ":8080", "listen address")
 	flag.StringVar(&cfg.storeDir, "store", "", "store directory: snapshots plus a write-ahead log of submitted rounds (default: in-memory store)")
-	flag.IntVar(&cfg.shards, "shards", 1, "serving shards; sessions route by rendezvous hash on their id")
 	flag.IntVar(&cfg.replicas, "replicas", 1, "store replicas behind a write-majority quorum (requires -store)")
 	flag.StringVar(&cfg.replicaDirs, "replica-dirs", "", "comma-separated replica directories (default: STORE/replica-0..N-1)")
 	flag.IntVar(&cfg.maxSessions, "max-sessions", 128, "resident session cap; LRU-idle sessions are parked beyond it")
@@ -323,7 +316,6 @@ func start(cfg config) (*app, error) {
 		return nil, err
 	}
 	mgr := service.NewManager(service.Options{
-		Shards:      cfg.shards,
 		MaxSessions: cfg.maxSessions,
 		IdleTTL:     cfg.idleTTL,
 		Store:       store,

@@ -322,14 +322,14 @@ func TestWalServe(t *testing.T) {
 	}
 }
 
-// TestReplicatedShardedServe boots a sharded server over a 3-replica
-// quorum store, plays a round, shuts down, deletes one entire replica
-// directory, and boots again: the startup reconcile must re-replicate
-// the lost checkpoints and the session must resume over HTTP.
-func TestReplicatedShardedServe(t *testing.T) {
+// TestReplicatedServe boots a server over a 3-replica quorum store,
+// creates a session, shuts down, deletes one entire replica directory,
+// and boots again: the startup reconcile must re-replicate the lost
+// checkpoints and the session must resume over HTTP.
+func TestReplicatedServe(t *testing.T) {
 	dir := t.TempDir()
 	cfg := config{
-		addr: "127.0.0.1:0", storeDir: dir, shards: 4, replicas: 3,
+		addr: "127.0.0.1:0", storeDir: dir, replicas: 3,
 		maxSessions: 8, idleTTL: time.Hour, sweepEvery: time.Hour, timeout: 10 * time.Second,
 	}
 	app, err := start(cfg)
@@ -350,15 +350,13 @@ func TestReplicatedShardedServe(t *testing.T) {
 	}
 	resp.Body.Close()
 
-	// Healthz carries the shard breakdown and replica counters.
+	// Healthz carries the session counts and replica counters.
 	resp, err = http.Get(base + "/v1/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
 	var health struct {
-		Shards []struct {
-			Shard int `json:"shard"`
-		} `json:"shards"`
+		Live     int `json:"live"`
 		Replicas []struct {
 			Ops uint64 `json:"ops"`
 		} `json:"replicas"`
@@ -367,8 +365,8 @@ func TestReplicatedShardedServe(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if len(health.Shards) != 4 || len(health.Replicas) != 3 {
-		t.Fatalf("healthz shards=%d replicas=%d, want 4 and 3", len(health.Shards), len(health.Replicas))
+	if health.Live != 1 || len(health.Replicas) != 3 {
+		t.Fatalf("healthz live=%d replicas=%d, want 1 and 3", health.Live, len(health.Replicas))
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)

@@ -16,7 +16,7 @@ func (chanLock) Check(p *Package) []Finding { return nil }
 
 // chanLockExempt lists coarse locks designed to be held across
 // blocking work. The per-session entry lock serializes all session
-// work including checkpoint retries and store I/O (DESIGN §12);
+// work including checkpoint retries and store I/O (DESIGN §6);
 // holding it across a bounded sleep or store call is the design, not
 // a defect.
 var chanLockExempt = map[lockClass]bool{

@@ -11,7 +11,7 @@ import (
 // sibling — a recv.mu.Lock() or recv.mu.RLock() call somewhere in the
 // body. Methods whose name ends in "Locked" are exempt by convention:
 // that suffix is the project's contract that the caller already holds
-// the lock (see Manager.lruVictimLocked).
+// the lock (see Manager.victimLocked).
 //
 // The check is method-granular, not flow-sensitive: it proves the lock
 // is taken somewhere in the method, not that it is held at the access.

@@ -6,7 +6,7 @@ import (
 )
 
 // lockOrder flags lock acquisitions that invert the declared partial
-// order of the serving core (DESIGN §12) and cycles among undeclared
+// order of the serving core (DESIGN §6) and cycles among undeclared
 // lock classes. The order is inferred from actual call paths: a direct
 // nested Lock is a pair, and a call made while holding a lock pairs
 // the held class with everything the callee may transitively acquire
@@ -16,24 +16,23 @@ type lockOrder struct{}
 
 func (lockOrder) ID() string { return "lockorder" }
 func (lockOrder) Doc() string {
-	return "lock acquisition must follow the declared shard→pool→entry partial order; cycles and inversions are flagged"
+	return "lock acquisition must follow the declared entry→pool→manager partial order; cycles and inversions are flagged"
 }
 func (lockOrder) Check(p *Package) []Finding { return nil }
 
-// lockLevels encodes DESIGN §12's per-shard lock order as the expected
-// partial order: a lock may only be acquired while holding locks of
-// strictly lower level. entry locks are coarse session locks and come
-// first; pool and manager metadata locks sit above them; the shard map
-// lock above those; the leaf metadata locks (pool registry, stream
+// lockLevels encodes the serving core's lock order (DESIGN §6) as the
+// expected partial order: a lock may only be acquired while holding
+// locks of strictly lower level. entry locks are coarse session locks
+// and come first; the labelpool lock sits above them; the manager's
+// map lock above that; the leaf metadata locks (pool registry, stream
 // registry) are taken last and never held across other acquisitions.
 // Classes absent from the table participate only in cycle detection.
 var lockLevels = map[lockClass]int{
-	"internal/service|entry.mu":       0,
-	"internal/service|labelPool.mu":   10,
-	"internal/service|Manager.mu":     10,
-	"internal/service|shard.mu":       20,
-	"internal/service|shard.poolMu":   30,
-	"internal/service|shard.streamMu": 30,
+	"internal/service|entry.mu":         0,
+	"internal/service|labelPool.mu":     10,
+	"internal/service|Manager.mu":       20,
+	"internal/service|Manager.poolMu":   30,
+	"internal/service|Manager.streamMu": 30,
 }
 
 // lockPair is one observed "acquired b while holding a" fact.
@@ -121,9 +120,9 @@ func (lockOrder) CheckModule(m *Module) []Finding {
 		case hasHL && hasAL:
 			if al <= hl {
 				if p.via == "" {
-					report(p, "acquires %s while holding %s — inverts the declared lock order (DESIGN §12)", p.acq.display(), p.held.display())
+					report(p, "acquires %s while holding %s — inverts the declared lock order (DESIGN §6)", p.acq.display(), p.held.display())
 				} else {
-					report(p, "call to %s may acquire %s while %s is held — inverts the declared lock order (DESIGN §12)", p.via, p.acq.display(), p.held.display())
+					report(p, "call to %s may acquire %s while %s is held — inverts the declared lock order (DESIGN §6)", p.via, p.acq.display(), p.held.display())
 				}
 			}
 		default:

@@ -13,7 +13,7 @@ import (
 // one package merge into one class — an accepted over-approximation.
 type lockClass string
 
-// display renders a class for findings: internal/service:shard.mu.
+// display renders a class for findings: internal/service:Manager.mu.
 func (c lockClass) display() string {
 	s := string(c)
 	for i := 0; i < len(s); i++ {
@@ -516,8 +516,8 @@ func (w *bodyWalker) methodCall(sel *ast.SelectorExpr, kind EdgeKind, c *ast.Cal
 // syncOp recognizes and consumes calls to sync primitives: mutex
 // lock/unlock mutate the held set, WaitGroup.Wait and Cond.Wait record
 // blocking sites. TryLock/TryRLock are deliberately untracked: success
-// is conditional, and DESIGN §12 explicitly allows TryLock under the
-// shard mutex.
+// is conditional, and DESIGN §6 explicitly allows TryLock under the
+// manager mutex.
 func (w *bodyWalker) syncOp(c *ast.CallExpr, kind EdgeKind) bool {
 	sel, ok := unparen(c.Fun).(*ast.SelectorExpr)
 	if !ok {

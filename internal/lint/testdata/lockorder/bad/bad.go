@@ -1,5 +1,5 @@
 // Package bad exercises lockorder: inversions of the declared
-// shard→pool→entry order (DESIGN §12), an undeclared cycle, and a
+// entry→pool→manager order (DESIGN §6), an undeclared cycle, and a
 // self re-acquire — directly and through a callee.
 package bad
 
@@ -43,7 +43,7 @@ func doubleLock(e *entry) {
 	e.mu.Unlock()
 }
 
-// journal and index are undeclared classes: no level in DESIGN §12,
+// journal and index are undeclared classes: no level in DESIGN §6,
 // so only a cycle between them is a finding.
 type journal struct{ mu sync.Mutex }
 type index struct{ mu sync.Mutex }

@@ -1,5 +1,5 @@
 // Package good holds lock-order patterns that must stay clean: the
-// declared entry→pool→shard acquisition order, release-before-acquire,
+// declared entry→pool→manager acquisition order, release-before-acquire,
 // one-way undeclared nesting, and TryLock (untracked by design).
 package good
 
@@ -7,14 +7,14 @@ import "sync"
 
 type entry struct{ mu sync.Mutex }
 type labelPool struct{ mu sync.Mutex }
-type shard struct{ mu sync.Mutex }
+type Manager struct{ mu sync.Mutex }
 
 // declaredOrder acquires strictly up the declared levels.
-func declaredOrder(e *entry, p *labelPool, sh *shard) {
+func declaredOrder(e *entry, p *labelPool, m *Manager) {
 	e.mu.Lock()
 	p.mu.Lock()
-	sh.mu.Lock()
-	sh.mu.Unlock()
+	m.mu.Lock()
+	m.mu.Unlock()
 	p.mu.Unlock()
 	e.mu.Unlock()
 }

@@ -153,7 +153,7 @@ func (s *Store) Stats() (ops, injected uint64) {
 }
 
 // SetFailRate re-arms (or disarms) the per-op failure probability
-// mid-run. Sharded chaos tests use SetFailRate(1) to kill a whole
+// mid-run. Replica-loss chaos tests use SetFailRate(1) to kill a whole
 // replica at a chosen point in the workload — every subsequent
 // operation fails until ClearFaults or another SetFailRate.
 func (s *Store) SetFailRate(rate float64) {

@@ -142,18 +142,18 @@ func TestChaosFlakyStoreWorkload(t *testing.T) {
 	}
 }
 
-// TestChaosShardedReplicaLoss is the sharded acceptance chaos test: a
-// multi-shard manager checkpointing through a 3-replica quorum store
-// (W=2) must survive losing an entire replica mid-run — every store
-// operation flaky at 5% besides — with zero lost submitted rounds, and
-// every session's trajectory fingerprint bit-identical to a clean
-// single-shard reference run of the same spec. Run under -race
-// (make chaos); ET_CHAOS=1 scales to 1024 sessions over 16 shards.
-func TestChaosShardedReplicaLoss(t *testing.T) {
-	sessions, shards, workers := 96, 8, 32
+// TestChaosReplicaLoss is the replicated acceptance chaos test: a
+// manager holding half its sessions resident and checkpointing through
+// a 3-replica quorum store (W=2) must survive losing an entire replica
+// mid-run — every store operation flaky at 5% besides — with zero lost
+// submitted rounds, and every session's trajectory fingerprint
+// bit-identical to a clean reference run of the same spec. Run under
+// -race (make chaos); ET_CHAOS=1 scales to 1024 sessions.
+func TestChaosReplicaLoss(t *testing.T) {
+	sessions, workers := 96, 32
 	const rounds, specSeeds = 2, 8
 	if os.Getenv("ET_CHAOS") != "" {
-		sessions, shards = 1024, 16
+		sessions = 1024
 	}
 	const chaosSeed = 2026
 	ctx := context.Background()
@@ -171,8 +171,7 @@ func TestChaosShardedReplicaLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := NewManager(Options{
-		Shards:      shards,
-		MaxSessions: sessions / 2, // half-resident: routing + park churn on every shard
+		MaxSessions: sessions / 2, // half-resident: constant park/unpark churn
 		IdleTTL:     time.Minute,
 		Store:       ms,
 		Retry:       fastRetry(),
@@ -320,9 +319,9 @@ func TestChaosShardedReplicaLoss(t *testing.T) {
 		}
 	}
 
-	// Golden parity: a clean, single-shard, single-store run of each
-	// spec seed must produce the exact trajectory every chaotic sharded
-	// session recorded.
+	// Golden parity: a clean, fully resident, single-store run of each
+	// spec seed must produce the exact trajectory every chaotic session
+	// recorded.
 	ref := NewManager(Options{})
 	for seed := 0; seed < specSeeds; seed++ {
 		info, err := ref.Create(ctx, datasetSpec(uint64(seed)))
@@ -353,7 +352,7 @@ func TestChaosShardedReplicaLoss(t *testing.T) {
 			}
 			for i := range want {
 				if got[i] != want[i] {
-					t.Fatalf("session %d (seed %d) diverges from single-shard reference at line %d:\nsharded:   %s\nreference: %s",
+					t.Fatalf("session %d (seed %d) diverges from the clean reference at line %d:\nchaotic:   %s\nreference: %s",
 						sess, seed, i, got[i], want[i])
 				}
 			}

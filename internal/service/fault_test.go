@@ -4,8 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -304,4 +306,140 @@ func errKind(t *testing.T, raw []byte) string {
 		t.Fatalf("decoding error body %q: %v", raw, err)
 	}
 	return eb.Kind
+}
+
+// TestManagerHealth exercises the healthz surface: a failed evict
+// through a dead store flips ok and counts one degraded session and
+// one store failure with its error, and a replicated store surfaces its
+// per-replica counters.
+func TestManagerHealth(t *testing.T) {
+	ctx := context.Background()
+	fs := faulty.Wrap(persist.NewMemStore(), faulty.Config{
+		Seed: 99, FailRate: 1, Ops: []faulty.Op{faulty.OpPut},
+	})
+	m := NewManager(Options{
+		Store: fs,
+		Retry: RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond},
+	})
+	var infos []Info
+	for i := 0; i < 6; i++ {
+		info, err := m.Create(ctx, testSpec())
+		if err != nil {
+			t.Fatal(err)
+		}
+		infos = append(infos, info)
+	}
+	if h := m.Health(); !h.OK || h.Live != 6 || h.StoreFailures != 0 {
+		t.Fatalf("healthy baseline = %+v", h)
+	}
+
+	if err := m.Evict(ctx, infos[0].ID); err == nil {
+		t.Fatal("evict through a dead store should fail")
+	}
+	h := m.Health()
+	if h.OK || h.Live != 6 || h.Degraded != 1 || h.StoreFailures != 1 || h.StoreError == "" {
+		t.Fatalf("after failed evict: %+v", h)
+	}
+
+	ms, err := persist.NewMultiStore([]persist.Store{persist.NewMemStore(), persist.NewMemStore()}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mr := NewManager(Options{Store: ms})
+	info, err := mr.Create(ctx, testSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mr.Snapshot(ctx, info.ID); err != nil {
+		t.Fatal(err)
+	}
+	ms.Flush()
+	hr := mr.Health()
+	if len(hr.Replicas) != 2 || hr.Replicas[0].Ops == 0 {
+		t.Fatalf("replicated store stats missing from health: %+v", hr.Replicas)
+	}
+}
+
+// gateStore holds every Put until release is closed, announcing each
+// on started and counting them. The held write goes through after
+// release even if the caller's ctx was cancelled meanwhile: the store
+// had already accepted it.
+type gateStore struct {
+	persist.Store
+	started chan string
+	release chan struct{}
+	puts    atomic.Int32
+}
+
+func (s *gateStore) Put(ctx context.Context, id string, snap *persist.Snapshot) error {
+	s.puts.Add(1)
+	s.started <- id
+	<-s.release
+	return s.Store.Put(context.WithoutCancel(ctx), id, snap)
+}
+
+// TestManagerSweepYieldsToRequests: a sweep locks a session only when
+// it reaches it, so a request to another idle session during a slow
+// Put returns at once and keeps that session live, and a cancelled
+// sweep attempts no further evictions.
+func TestManagerSweepYieldsToRequests(t *testing.T) {
+	const n = 3
+	gs := &gateStore{Store: persist.NewMemStore(), started: make(chan string, n), release: make(chan struct{})}
+	m := NewManager(Options{Store: gs, Retry: RetryPolicy{MaxAttempts: 1}, IdleTTL: time.Minute})
+	base := time.Now()
+	m.setNow(func() time.Time { return base })
+	var ids []string
+	for i := 0; i < n; i++ {
+		info, err := m.Create(context.Background(), testSpec())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, info.ID)
+	}
+	m.setNow(func() time.Time { return base.Add(time.Hour) })
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	type result struct {
+		swept []string
+		err   error
+	}
+	done := make(chan result, 1)
+	go func() {
+		swept, err := m.Sweep(ctx)
+		done <- result{swept, err}
+	}()
+	first := <-gs.started
+	other := ids[0]
+	if other == first {
+		other = ids[1]
+	}
+	got := make(chan error, 1)
+	go func() {
+		info, err := m.Get(context.Background(), other)
+		if err == nil && info.Parked {
+			err = fmt.Errorf("%s parked during the sweep", other)
+		}
+		got <- err
+	}()
+	select {
+	case err := <-got:
+		if err != nil {
+			t.Error(err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Errorf("Get(%s) blocked behind the sweep's Put of %s", other, first)
+	}
+	cancel()
+	close(gs.release)
+	r := <-done
+	if !errors.Is(r.err, context.Canceled) || len(r.swept) != 1 || r.swept[0] != first {
+		t.Fatalf("Sweep = %v, %v; want [%s] and context.Canceled", r.swept, r.err, first)
+	}
+	if puts := gs.puts.Load(); puts != 1 {
+		t.Fatalf("cancelled sweep made %d Puts, want 1", puts)
+	}
+	if live, parked := m.Counts(); live != n-1 || parked != 1 {
+		t.Fatalf("Counts = (%d, %d), want (%d, 1)", live, parked, n-1)
+	}
 }

@@ -72,10 +72,9 @@ type poolItem struct {
 
 // labelPool is one session's admission queue. Lock order: an entry
 // lock may be taken before pool.mu (the drain resynchronizes under
-// both), and the shard mutex may be taken under pool.mu (short
-// metadata reads);
-// pool.mu is never held while taking an entry lock, and nothing takes
-// pool.mu while holding sh.mu.
+// both), and the manager mutex may be taken under pool.mu (short
+// metadata reads); pool.mu is never held while taking an entry lock,
+// and nothing takes pool.mu while holding the manager mutex.
 type labelPool struct {
 	id string
 
@@ -130,13 +129,13 @@ func (p *labelPool) resolveLocked(id string, state TicketState, err error) {
 // poolFor returns the session's labelpool, creating it on first use.
 // Pools are keyed by session id and survive park/unpark — a queued
 // submission must not vanish because the session got evicted.
-func (sh *shard) poolFor(id string) *labelPool {
-	sh.poolMu.Lock()
-	defer sh.poolMu.Unlock()
-	p, ok := sh.pools[id]
+func (m *Manager) poolFor(id string) *labelPool {
+	m.poolMu.Lock()
+	defer m.poolMu.Unlock()
+	p, ok := m.pools[id]
 	if !ok {
 		p = &labelPool{id: id, tickets: make(map[string]*Ticket)}
-		sh.pools[id] = p
+		m.pools[id] = p
 	}
 	return p
 }
@@ -152,14 +151,14 @@ func (sh *shard) poolFor(id string) *labelPool {
 // the idempotency contract: an identical evidence replay of what that
 // round recorded resolves applied, anything else fails its ticket
 // with a round-mismatch reason.
-func (sh *shard) EnqueueSubmissions(ctx context.Context, id string, subs []Submission) ([]Ticket, error) {
+func (m *Manager) EnqueueSubmissions(ctx context.Context, id string, subs []Submission) ([]Ticket, error) {
 	if len(subs) == 0 {
 		return nil, badRequest(errors.New("empty submission batch"))
 	}
 	// One entry acquisition up front: it proves the session exists,
 	// unparks it if needed, and reads the relation bounds the labels are
 	// validated against. Released before the pool lock.
-	e, err := sh.acquire(ctx, id)
+	e, err := m.acquire(ctx, id)
 	if err != nil {
 		return nil, err
 	}
@@ -173,7 +172,7 @@ func (sh *shard) EnqueueSubmissions(ctx context.Context, id string, subs []Submi
 		}
 	}
 
-	p := sh.poolFor(id)
+	p := m.poolFor(id)
 	p.mu.Lock()
 	queued := make(map[int]bool, len(p.queue)+len(subs))
 	for _, it := range p.queue {
@@ -186,10 +185,10 @@ func (sh *shard) EnqueueSubmissions(ctx context.Context, id string, subs []Submi
 		}
 		queued[s.Round] = true
 	}
-	if len(p.queue)+len(subs) > sh.opts.MaxQueuedSubmissions {
+	if len(p.queue)+len(subs) > m.opts.MaxQueuedSubmissions {
 		p.mu.Unlock()
 		return nil, fmt.Errorf("%w: %d queued, batch of %d exceeds the bound of %d",
-			ErrSubmissionBacklog, len(p.queue), len(subs), sh.opts.MaxQueuedSubmissions)
+			ErrSubmissionBacklog, len(p.queue), len(subs), m.opts.MaxQueuedSubmissions)
 	}
 	out := make([]Ticket, len(subs))
 	for i, s := range subs {
@@ -199,15 +198,15 @@ func (sh *shard) EnqueueSubmissions(ctx context.Context, id string, subs []Submi
 	}
 	sort.Slice(p.queue, func(i, j int) bool { return p.queue[i].round < p.queue[j].round })
 	// Re-check draining while still holding the pool lock: Shutdown sets
-	// the shard's flag and then flushes its pools, so an enqueue that won its
-	// acquire just before the flag flipped could otherwise slip items in
+	// the manager's flag and then flushes the pools, so an enqueue that won
+	// its acquire just before the flag flipped could otherwise slip items in
 	// after the flush already drained this pool. Observing the flag here
 	// (under p.mu, which the flush must also take) makes the two cases
 	// exhaustive: either the flush sees our items, or we see the flag
 	// and roll back.
-	sh.mu.Lock()
-	draining := sh.draining
-	sh.mu.Unlock()
+	m.mu.Lock()
+	draining := m.draining
+	m.mu.Unlock()
 	if draining {
 		for _, t := range out {
 			delete(p.tickets, t.ID)
@@ -235,7 +234,7 @@ func (sh *shard) EnqueueSubmissions(ctx context.Context, id string, subs []Submi
 	}
 	p.mu.Unlock()
 
-	sh.kickDrain(p)
+	m.kickDrain(p)
 	return out, nil
 }
 
@@ -268,13 +267,13 @@ func validateLabels(labeled []belief.Labeling, rows, arity int) error {
 }
 
 // Ticket reports the state of one queued submission.
-func (sh *shard) Ticket(ctx context.Context, id, ticketID string) (Ticket, error) {
+func (m *Manager) Ticket(ctx context.Context, id, ticketID string) (Ticket, error) {
 	if err := ctx.Err(); err != nil {
 		return Ticket{}, err
 	}
-	sh.poolMu.Lock()
-	p, ok := sh.pools[id]
-	sh.poolMu.Unlock()
+	m.poolMu.Lock()
+	p, ok := m.pools[id]
+	m.poolMu.Unlock()
 	if !ok {
 		return Ticket{}, fmt.Errorf("%w: session %q has no submission queue", ErrTicketNotFound, id)
 	}
@@ -288,16 +287,16 @@ func (sh *shard) Ticket(ctx context.Context, id, ticketID string) (Ticket, error
 }
 
 // peekPool returns the session's labelpool without creating one.
-func (sh *shard) peekPool(id string) *labelPool {
-	sh.poolMu.Lock()
-	defer sh.poolMu.Unlock()
-	return sh.pools[id]
+func (m *Manager) peekPool(id string) *labelPool {
+	m.poolMu.Lock()
+	defer m.poolMu.Unlock()
+	return m.pools[id]
 }
 
 // QueuedSubmissions reports how many submissions are waiting in the
 // session's labelpool (0 if it has none).
-func (sh *shard) QueuedSubmissions(id string) int {
-	p := sh.peekPool(id)
+func (m *Manager) QueuedSubmissions(id string) int {
+	p := m.peekPool(id)
 	if p == nil {
 		return 0
 	}
@@ -309,7 +308,7 @@ func (sh *shard) QueuedSubmissions(id string) int {
 // kickDrain starts the pool's drain goroutine unless one is already
 // running — single-flight per session, so concurrent enqueues never
 // contend on the entry lock themselves.
-func (sh *shard) kickDrain(p *labelPool) {
+func (m *Manager) kickDrain(p *labelPool) {
 	p.mu.Lock()
 	if p.draining || len(p.queue) == 0 {
 		p.mu.Unlock()
@@ -317,19 +316,19 @@ func (sh *shard) kickDrain(p *labelPool) {
 	}
 	p.draining = true
 	p.mu.Unlock()
-	sh.drainWG.Add(1)
+	m.drainWG.Add(1)
 	go func() {
-		defer sh.drainWG.Done()
-		sh.drainLoop(p)
+		defer m.drainWG.Done()
+		m.drainLoop(p)
 	}()
 }
 
 // drainLoop applies queued rounds until the queue is empty or stalls
 // on a gap. Each iteration is one entry-lock acquisition covering up
 // to DrainBatch rounds.
-func (sh *shard) drainLoop(p *labelPool) {
+func (m *Manager) drainLoop(p *labelPool) {
 	for {
-		progressed := sh.drainOnce(p)
+		progressed := m.drainOnce(p)
 		p.mu.Lock()
 		if len(p.queue) == 0 || !progressed {
 			// Empty, or stalled on a gap / a dead session: park. The next
@@ -344,15 +343,15 @@ func (sh *shard) drainLoop(p *labelPool) {
 
 // drainAcquire locks the session entry for the drain, retrying the
 // transient capacity and store errors an unpark can hit. It ignores
-// the shard's draining flag: Shutdown flushes the pools before
+// the manager's draining flag: Shutdown flushes the pools before
 // checkpointing, and a ticketed submission must not be dropped because
 // shutdown won the race.
-func (sh *shard) drainAcquire(id string) (*entry, error) {
+func (m *Manager) drainAcquire(id string) (*entry, error) {
 	ctx := context.Background() //etlint:ignore ctxflow the drain goroutine is detached by design: a ticketed submission must outlive its submitter's request context (see DESIGN §11)
 	var err error
 	for attempt := 0; attempt < 400; attempt++ {
 		var e *entry
-		e, err = sh.acquireOpt(ctx, id, true)
+		e, err = m.acquireOpt(ctx, id, true)
 		if err == nil {
 			return e, nil
 		}
@@ -367,8 +366,8 @@ func (sh *shard) drainAcquire(id string) (*entry, error) {
 // drainOnce applies one batch. It reports whether it made progress
 // (applied or resolved at least one item); a false return with a
 // non-empty queue means the drain should park.
-func (sh *shard) drainOnce(p *labelPool) bool {
-	e, err := sh.drainAcquire(p.id)
+func (m *Manager) drainOnce(p *labelPool) bool {
+	e, err := m.drainAcquire(p.id)
 	if err != nil {
 		// The session is unreachable (not found, corrupt snapshot, ...):
 		// fail every queued ticket so clients see why.
@@ -401,7 +400,7 @@ func (sh *shard) drainOnce(p *labelPool) bool {
 				p.resolveLocked(it.ticketID, TicketFailed,
 					fmt.Errorf("%w: round %d was applied with different labels", ErrRoundMismatch, it.round))
 			}
-		case it.round == cur+len(run) && len(run) < sh.opts.DrainBatch:
+		case it.round == cur+len(run) && len(run) < m.opts.DrainBatch:
 			run = append(run, it)
 		default:
 			keep = append(keep, it)
@@ -444,45 +443,27 @@ func (sh *shard) drainOnce(p *labelPool) bool {
 	p.mu.Unlock()
 
 	if applied > 0 {
-		sh.notifyStreams(p.id)
+		m.notifyStreams(p.id)
 		// The whole applied run rides one group commit (one append call,
 		// one fsync shared with whatever other sessions' drains queued
 		// meanwhile). Failure degrades the session and keeps the deltas
 		// for the next flush, exactly like the direct-submit path.
 		//etlint:ignore ctxflow ticketed rounds are persisted by the detached drain; a submitter's context must not abort a group commit other sessions ride on
-		_ = sh.flushWal(context.Background(), e)
+		_ = m.flushWal(context.Background(), e)
 	}
 	return applied > 0 || serr != nil
 }
 
 // flushPools kicks a drain for every pool with queued work. Called by
 // Shutdown before checkpointing (the caller waits on drainWG).
-func (sh *shard) flushPools() {
-	sh.poolMu.Lock()
-	pools := make([]*labelPool, 0, len(sh.pools))
-	for _, p := range sh.pools {
+func (m *Manager) flushPools() {
+	m.poolMu.Lock()
+	pools := make([]*labelPool, 0, len(m.pools))
+	for _, p := range m.pools {
 		pools = append(pools, p)
 	}
-	sh.poolMu.Unlock()
+	m.poolMu.Unlock()
 	for _, p := range pools {
-		sh.kickDrain(p)
+		m.kickDrain(p)
 	}
-}
-
-// EnqueueSubmissions admits a batch of round submissions into the
-// session's labelpool on its home shard; see the shard method above
-// for the admission contract.
-func (m *Manager) EnqueueSubmissions(ctx context.Context, id string, subs []Submission) ([]Ticket, error) {
-	return m.shardFor(id).EnqueueSubmissions(ctx, id, subs)
-}
-
-// Ticket reports the state of one queued submission.
-func (m *Manager) Ticket(ctx context.Context, id, ticketID string) (Ticket, error) {
-	return m.shardFor(id).Ticket(ctx, id, ticketID)
-}
-
-// QueuedSubmissions reports how many submissions are waiting in the
-// session's labelpool (0 if it has none).
-func (m *Manager) QueuedSubmissions(id string) int {
-	return m.shardFor(id).QueuedSubmissions(id)
 }

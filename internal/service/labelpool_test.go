@@ -401,11 +401,11 @@ func TestLabelpoolWalCrashLosesNothing(t *testing.T) {
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		h := m.Health()
-		if h.Shards[0].WalPending == 0 && h.Shards[0].Draining == 0 {
+		if h.WalPending == 0 && h.BusyPools == 0 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("drain never settled: %+v", h.Shards[0])
+			t.Fatalf("drain never settled: %+v", h)
 		}
 		time.Sleep(time.Millisecond)
 	}

@@ -16,6 +16,7 @@ import (
 	"exptrain/internal/fd"
 	"exptrain/internal/game"
 	"exptrain/internal/persist"
+	"exptrain/internal/repair"
 	"exptrain/internal/sampling"
 	"exptrain/internal/stats"
 )
@@ -141,19 +142,10 @@ type RepairView struct {
 
 // Options tunes the manager.
 type Options struct {
-	// Shards is the number of serving shards sessions are partitioned
-	// across by rendezvous hash on their id (default 1). Each shard has
-	// its own lock domain — live map, parking, labelpools, drains,
-	// stream wakeups — so shards never contend with each other; routing
-	// is deterministic in the id, so a fixed shard count is required
-	// across restarts of a store-backed deployment (parked sessions are
-	// found on the shard their id hashes to).
-	Shards int
-	// MaxSessions bounds resident sessions across all shards (default
-	// 128); each shard enforces ceil(MaxSessions/Shards). At the bound,
+	// MaxSessions bounds resident sessions (default 128). At the bound,
 	// creating or unparking first tries to evict the least-recently-used
-	// idle session on the session's shard; if none is evictable the
-	// request fails with ErrTooManySessions.
+	// idle session; if none is evictable the request fails with
+	// ErrTooManySessions.
 	MaxSessions int
 	// IdleTTL parks sessions idle at least this long on each Sweep
 	// (default 15 minutes).
@@ -164,16 +156,14 @@ type Options struct {
 	// session lands a base snapshot when it is created or resumed and
 	// every later submit acks only after its round is appended on top of
 	// it. Otherwise (MemStore) sessions are checkpointed only on park,
-	// explicit snapshot and shutdown. Shards share the store — wrap it in
-	// a persist.MultiStore to replicate across backing stores.
+	// explicit snapshot and shutdown. Wrap it in a persist.MultiStore to
+	// replicate across backing stores.
 	Store persist.Store
 	// Retry bounds retries of store operations (zero value → defaults:
 	// 4 attempts, 5ms base backoff, 250ms cap).
 	Retry RetryPolicy
-	// RetrySeed seeds the backoff jitter streams (default 1). Each
-	// shard derives its own stream from (RetrySeed, shard id), so
-	// schedules are reproducible in fault-injection tests yet never
-	// aligned across shards after a store outage.
+	// RetrySeed seeds the backoff jitter stream (default 1), so retry
+	// schedules are reproducible in fault-injection tests.
 	RetrySeed uint64
 	// MaxQueuedSubmissions bounds each session's labelpool queue
 	// (default 64). Enqueueing beyond it fails with
@@ -187,9 +177,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.Shards <= 0 {
-		o.Shards = 1
-	}
 	if o.MaxSessions <= 0 {
 		o.MaxSessions = 128
 	}
@@ -212,68 +199,98 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Manager is the front tier of the session service: it mints session
-// ids, routes every request to the session's home shard by rendezvous
-// hash (see route.go), and fans shard-wide operations (List, Sweep,
-// Health, Shutdown) out across the shard set. All methods are safe for
-// concurrent use. All per-session state and locking lives in the
-// shards — the only mutable state here is the id sequence and the
-// draining flag.
+// Manager hosts the sessions: it mints their ids, keeps at most
+// MaxSessions of them resident, parks the rest in the store and
+// transparently resumes them on their next request. All methods are
+// safe for concurrent use.
+//
+// Lock order: the manager mutex is only ever held for short
+// map/metadata critical sections and never blocks on an entry lock
+// (TryLock is allowed); entry locks may be held across session work
+// and may take the manager mutex. That asymmetry is what makes
+// per-session locking deadlock-free. poolMu and streamMu sit above mu
+// (DESIGN §6).
 type Manager struct {
-	opts   Options
-	store  persist.Store
-	shards []*shard
+	opts  Options
+	store persist.Store
+	// appender is the store's round-append capability (nil over a store
+	// without one, such as MemStore); when present, submits are made
+	// durable by group-committed WAL appends on top of a base snapshot.
+	appender persist.RoundAppender
+	// now is the clock; a test hook (set via setNow).
+	now func() time.Time
 
 	mu sync.Mutex
-	// seq numbers sessions; guarded by mu. Ids are minted globally so
-	// they stay dense and unique; the hash of the id then decides the
-	// home shard.
+	// seq numbers sessions; guarded by mu.
 	seq uint64
-	// draining rejects new sessions during Shutdown; guarded by mu.
-	// Each shard additionally carries its own flag for its request
-	// paths.
+	// live holds resident sessions; guarded by mu.
+	live map[string]*entry
+	// parked maps evicted sessions to their spec (snapshot in store);
+	// guarded by mu.
+	parked map[string]Spec
+	// draining rejects new work during Shutdown; guarded by mu.
 	draining bool
+	// degraded marks live session ids whose last checkpoint exhausted
+	// retries; guarded by mu. Parking requires a successful checkpoint,
+	// so a parked session is never degraded.
+	degraded map[string]bool
+	// storeFails counts store operations that exhausted the retry
+	// policy; guarded by mu.
+	storeFails uint64
+	// storeErr is the most recent exhausted-retries store error, nil
+	// once an operation succeeds again; guarded by mu.
+	storeErr error
+	// walAppended counts round deltas durably appended through the WAL;
+	// guarded by mu.
+	walAppended uint64
+	// rrng draws retry backoff jitter; guarded by mu.
+	rrng *stats.RNG
+
+	// poolMu guards pools: each session's labelpool, created on first
+	// enqueue and keyed by session id, surviving park/unpark. Never
+	// hold poolMu while taking mu or an entry or pool lock.
+	poolMu sync.Mutex
+	pools  map[string]*labelPool // guarded by poolMu
+	// drainWG tracks in-flight labelpool drain goroutines so shutdown
+	// can flush every queued submission before checkpointing.
+	drainWG sync.WaitGroup
+
+	// streamMu guards streams: per-session wakeup channels of attached
+	// SSE streams. A leaf lock — safe to take under any other.
+	streamMu sync.Mutex
+	streams  map[string]map[chan struct{}]struct{} // guarded by streamMu
 
 	// drainSignal is closed when Shutdown begins, so streams close
 	// promptly instead of waiting out a heartbeat.
 	drainSignal chan struct{}
 }
 
-// NewManager builds a manager with opts.Shards serving shards.
+// NewManager builds a manager.
 func NewManager(opts Options) *Manager {
 	opts = opts.withDefaults()
-	perShard := (opts.MaxSessions + opts.Shards - 1) / opts.Shards
-	m := &Manager{
+	return &Manager{
 		opts:        opts,
 		store:       opts.Store,
-		shards:      make([]*shard, opts.Shards),
+		appender:    persist.AppenderOf(opts.Store),
+		now:         time.Now,
+		live:        make(map[string]*entry),
+		parked:      make(map[string]Spec),
+		degraded:    make(map[string]bool),
+		rrng:        stats.NewRNG(opts.RetrySeed),
+		pools:       make(map[string]*labelPool),
+		streams:     make(map[string]map[chan struct{}]struct{}),
 		drainSignal: make(chan struct{}),
 	}
-	for i := range m.shards {
-		m.shards[i] = newShard(i, opts, perShard)
-	}
-	return m
 }
 
 // Store returns the checkpoint store.
 func (m *Manager) Store() persist.Store { return m.store }
 
-// Shards returns the serving shards in index order.
-func (m *Manager) Shards() []Shard {
-	out := make([]Shard, len(m.shards))
-	for i, sh := range m.shards {
-		out[i] = sh
-	}
-	return out
-}
-
-// setNow installs a clock on every shard — a test hook.
+// setNow installs a clock — a test hook.
 func (m *Manager) setNow(now func() time.Time) {
-	for _, sh := range m.shards {
-		sh.mu.Lock()
-		sh.now = now
-		sh.mu.Unlock()
-	}
+	m.mu.Lock()
+	m.now = now
+	m.mu.Unlock()
 }
 
 // buildSession constructs the game.Session for a spec, optionally
@@ -281,8 +298,7 @@ func (m *Manager) setNow(now func() time.Time) {
 // When wrec is non-nil it is installed alongside the stats observer so
 // every scored round also yields a WAL delta. Everything is
 // deterministic in the spec (injection, split and pool all derive from
-// spec.Seed), so an evicted session unparks onto an identical world —
-// and a sharded deployment replays identically to a single-shard one.
+// spec.Seed), so an evicted session unparks onto an identical world.
 func buildSession(spec Spec, snap *persist.Snapshot, wrec *walRecorder) (*game.Session, *roundStats, error) {
 	rel, ds, err := spec.Source.materialize()
 	if err != nil {
@@ -384,9 +400,8 @@ func (m *Manager) mintID() (string, error) {
 	return fmt.Sprintf("sess-%d", m.seq), nil
 }
 
-// Create builds and registers a new session on its home shard,
-// evicting an idle session there if the shard is full. The returned
-// Info carries the new id.
+// Create builds and registers a new session, evicting an idle session
+// if the manager is full. The returned Info carries the new id.
 func (m *Manager) Create(ctx context.Context, spec Spec) (Info, error) {
 	if err := ctx.Err(); err != nil {
 		return Info{}, err
@@ -398,17 +413,13 @@ func (m *Manager) Create(ctx context.Context, spec Spec) (Info, error) {
 // saved in the store (for example by a prior process before shutdown).
 // The snapshot's history is replayed against a relation rebuilt from
 // spec.Source, which must describe the same data. The new session gets
-// a new id, so it may land on a different shard than the snapshot's
-// original session — shard homes follow ids, not snapshots.
+// a new id.
 func (m *Manager) Resume(ctx context.Context, snapshotID string, spec Spec) (Info, error) {
 	if err := ctx.Err(); err != nil {
 		return Info{}, err
 	}
-	// The snapshot load retries on the shard that owns the SNAPSHOT id,
-	// so its failure accounting lands where the id routes.
-	loader := m.shardFor(snapshotID)
 	var snap *persist.Snapshot
-	err := loader.storeRetry(ctx, "loading snapshot "+snapshotID, func(ctx context.Context) error {
+	err := m.storeRetry(ctx, "loading snapshot "+snapshotID, func(ctx context.Context) error {
 		var gerr error
 		snap, gerr = m.store.Get(ctx, snapshotID)
 		return gerr
@@ -420,15 +431,15 @@ func (m *Manager) Resume(ctx context.Context, snapshotID string, spec Spec) (Inf
 }
 
 // register builds a session (resumed from snap when it is non-nil)
-// under a freshly minted id and installs it on its home shard. Over a
-// store that takes round appends, the first flush then lands the
-// session's base snapshot under its own id — a resumed session's
-// snapshot lives under the old id — so every later round needs only an
-// append. A failed base snapshot degrades the session but does not fail
-// the registration; its rounds wait in memory until a checkpoint lands.
+// under a freshly minted id and installs it. Over a store that takes
+// round appends, the first flush then lands the session's base snapshot
+// under its own id — a resumed session's snapshot lives under the old
+// id — so every later round needs only an append. A failed base
+// snapshot degrades the session but does not fail the registration; its
+// rounds wait in memory until a checkpoint lands.
 func (m *Manager) register(ctx context.Context, spec Spec, snap *persist.Snapshot) (Info, error) {
 	var wrec *walRecorder
-	if persist.AppenderOf(m.store) != nil {
+	if m.appender != nil {
 		wrec = &walRecorder{}
 	}
 	sess, rs, err := buildSession(spec, snap, wrec)
@@ -442,36 +453,54 @@ func (m *Manager) register(ctx context.Context, spec Spec, snap *persist.Snapsho
 	if wrec != nil {
 		wrec.id = id // before any round flows; deltas are immutable after recording
 	}
-	sh := m.shardFor(id)
 	e := &entry{id: id, spec: spec, sess: sess, stats: rs, wal: wrec}
-	if err := sh.install(ctx, e); err != nil {
+	if err := m.install(ctx, e); err != nil {
 		return Info{}, err
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if !e.gone { // a capacity eviction may have parked it already, base and all
-		_ = sh.flushWal(ctx, e)
+		_ = m.flushWal(ctx, e)
 	}
-	return sh.infoOf(e, false), nil
+	return m.infoOf(e, false), nil
 }
 
 // Get returns a session's state. A parked session is reported from its
 // parked metadata without resuming it.
 func (m *Manager) Get(ctx context.Context, id string) (Info, error) {
-	return m.shardFor(id).Get(ctx, id)
+	if err := ctx.Err(); err != nil {
+		return Info{}, err
+	}
+	m.mu.Lock()
+	if spec, ok := m.parked[id]; ok {
+		m.mu.Unlock()
+		return Info{ID: id, Method: spec.Method.Resolve(), K: spec.K, Parked: true}, nil
+	}
+	m.mu.Unlock()
+	e, err := m.acquire(ctx, id)
+	if err != nil {
+		return Info{}, err
+	}
+	defer e.mu.Unlock()
+	return m.infoOf(e, false), nil
 }
 
-// List reports every session across all shards, live and parked,
-// ordered by id.
+// List reports every session, live and parked, ordered by id.
 func (m *Manager) List(ctx context.Context) ([]Info, error) {
-	var out []Info
-	for _, sh := range m.shards {
-		infos, err := sh.List(ctx)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, infos...)
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
+	m.mu.Lock()
+	out := make([]Info, 0, len(m.live)+len(m.parked))
+	for _, e := range m.live {
+		// Metadata only — reading counters without the entry lock would
+		// race with in-flight rounds.
+		out = append(out, Info{ID: e.id, Method: e.spec.Method.Resolve(), K: e.spec.K, Degraded: m.degraded[e.id]})
+	}
+	for id, spec := range m.parked {
+		out = append(out, Info{ID: id, Method: spec.Method.Resolve(), K: spec.K, Parked: true})
+	}
+	m.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out, nil
 }
@@ -492,7 +521,17 @@ func renderPairs(rel *dataset.Relation, pairs []dataset.Pair) []PairView {
 
 // Next presents the session's next round of pairs.
 func (m *Manager) Next(ctx context.Context, id string) ([]PairView, error) {
-	return m.shardFor(id).Next(ctx, id)
+	e, err := m.acquire(ctx, id)
+	if err != nil {
+		return nil, err
+	}
+	defer e.mu.Unlock()
+	pairs, err := e.sess.NextContext(ctx)
+	if err != nil {
+		return nil, err
+	}
+	m.notifyStreams(id)
+	return renderPairs(e.sess.Relation(), pairs), nil
 }
 
 // UncheckedRound disables Submit's round-index idempotency check — the
@@ -553,120 +592,243 @@ func labelsDigest(a, b []belief.Labeling) uint64 {
 // evidence replay of that round, and fails with ErrRoundMismatch
 // otherwise — the contract that makes a retrying client safe.
 func (m *Manager) Submit(ctx context.Context, id string, round int, labeled []belief.Labeling) (Info, error) {
-	return m.shardFor(id).Submit(ctx, id, round, labeled)
+	e, err := m.acquire(ctx, id)
+	if err != nil {
+		return Info{}, err
+	}
+	defer e.mu.Unlock()
+	if round != UncheckedRound {
+		cur := e.sess.Rounds()
+		switch {
+		case round > cur:
+			return Info{}, fmt.Errorf("%w: round %d is ahead of the current round %d", ErrRoundMismatch, round, cur)
+		case round < cur:
+			rec := e.sess.Records()[round]
+			if labelsDigest(labeled, nil) == labelsDigest(rec.Labeled, rec.Revisions) {
+				// Identical replay of an applied round: the first attempt's
+				// response was lost; report success again, change nothing.
+				return m.infoOf(e, false), nil
+			}
+			return Info{}, fmt.Errorf("%w: round %d was already applied with different labels (current round %d)", ErrRoundMismatch, round, cur)
+		}
+	}
+	if err := e.sess.SubmitContext(ctx, labeled); err != nil {
+		return Info{}, err
+	}
+	// The submitted round is made durable before the submit acks: its
+	// delta rides a group commit (or, while the base snapshot is still
+	// owed, a full checkpoint). Failure degrades the session (the round
+	// lives on in memory and in the recorder's backlog) rather than
+	// failing a submit that already applied.
+	_ = m.flushWal(ctx, e)
+	m.notifyStreams(id)
+	// A direct submit can fill the gap a parked labelpool drain stalled
+	// on; give it another chance.
+	if p := m.peekPool(id); p != nil {
+		m.kickDrain(p)
+	}
+	return m.infoOf(e, false), nil
 }
 
 // TopBelief returns the learner's k leading hypotheses with 90%
 // credible intervals.
 func (m *Manager) TopBelief(ctx context.Context, id string, k int) ([]HypothesisView, error) {
-	return m.shardFor(id).TopBelief(ctx, id, k)
+	e, err := m.acquire(ctx, id)
+	if err != nil {
+		return nil, err
+	}
+	defer e.mu.Unlock()
+	if k <= 0 {
+		k = 10
+	}
+	b := e.sess.Belief()
+	names := e.sess.Relation().Schema().Names()
+	var out []HypothesisView
+	for _, i := range b.TopK(k) {
+		lo, hi := b.CredibleInterval(i, 0.9)
+		out = append(out, HypothesisView{
+			FD:         b.Space().FD(i).Render(names),
+			Confidence: b.Confidence(i),
+			CILow:      lo,
+			CIHigh:     hi,
+		})
+	}
+	return out, nil
 }
 
 // Repairs derives minority-to-plurality cell repairs from the FDs the
 // learner currently believes at confidence at least tau (default 0.5).
 func (m *Manager) Repairs(ctx context.Context, id string, tau float64) ([]RepairView, error) {
-	return m.shardFor(id).Repairs(ctx, id, tau)
+	e, err := m.acquire(ctx, id)
+	if err != nil {
+		return nil, err
+	}
+	defer e.mu.Unlock()
+	if tau <= 0 {
+		tau = 0.5
+	}
+	b := e.sess.Belief()
+	var believed []repair.BelievedFD
+	for _, f := range b.BelievedFDs(tau) {
+		i, ok := b.Space().Index(f)
+		if !ok {
+			continue
+		}
+		believed = append(believed, repair.BelievedFD{FD: f, Confidence: b.Confidence(i)})
+	}
+	rel := e.sess.Relation()
+	suggestions, err := repair.Suggest(rel, believed, repair.Config{})
+	if err != nil {
+		return nil, err
+	}
+	names := rel.Schema().Names()
+	out := make([]RepairView, len(suggestions))
+	for i, s := range suggestions {
+		out[i] = RepairView{
+			Row:        s.Row,
+			Attr:       names[s.Attr],
+			Old:        s.Old,
+			New:        s.New,
+			Confidence: s.Confidence,
+			Source:     s.Source.Render(names),
+		}
+	}
+	return out, nil
 }
 
 // Snapshot checkpoints the session into the store under its own id and
 // returns that id. The session stays live.
 func (m *Manager) Snapshot(ctx context.Context, id string) (string, error) {
-	return m.shardFor(id).Snapshot(ctx, id)
+	e, err := m.acquire(ctx, id)
+	if err != nil {
+		return "", err
+	}
+	defer e.mu.Unlock()
+	if err := m.checkpointLocked(ctx, e); err != nil {
+		return "", err
+	}
+	return e.id, nil
 }
 
 // Evict checkpoints the session and parks it, freeing its memory. The
 // next access transparently resumes it from the store.
 func (m *Manager) Evict(ctx context.Context, id string) error {
-	return m.shardFor(id).Evict(ctx, id)
+	e, err := m.acquire(ctx, id)
+	if err != nil {
+		return err
+	}
+	return m.evict(ctx, e) // releases the lock
 }
 
 // Rounds returns the session's per-round measurement series, one entry
 // per submitted round in order. Sessions created with eval include the
 // held-out detection score per round.
 func (m *Manager) Rounds(ctx context.Context, id string) ([]RoundView, error) {
-	return m.shardFor(id).Rounds(ctx, id)
+	e, err := m.acquire(ctx, id)
+	if err != nil {
+		return nil, err
+	}
+	defer e.mu.Unlock()
+	return append([]RoundView(nil), e.stats.rounds...), nil
 }
 
-// Sweep parks every session idle for at least the manager's IdleTTL,
-// fanning one sweeper per shard so shards park through the store
-// concurrently — store latency overlaps instead of serializing, which
-// is where sharded sweep throughput comes from. It returns the parked
-// session ids across all shards, sorted. Call it periodically
-// (cmd/etserve runs it on a ticker) or directly in tests. A failed
-// eviction leaves that session live and degraded but does not stop its
-// shard's sweep; all failures are joined into the returned error.
+// Sweep parks every session idle for at least the manager's IdleTTL and
+// returns the parked ids, sorted. Call it periodically (cmd/etserve
+// runs it on a ticker) or directly in tests. Sessions park one at a
+// time, each locked only when the sweep reaches it, so a request that
+// gets there first bumps the session's lastUsed and the sweep skips it.
+// A failed eviction leaves that session live and degraded but does not
+// stop the sweep — the remaining idle sessions still get their chance
+// to park, and a later sweep retries the degraded ones (their recovery
+// path once the store heals). A cancelled ctx stops the sweep before
+// its next eviction. All failures are joined into the returned error.
 func (m *Manager) Sweep(ctx context.Context) ([]string, error) {
-	type result struct {
-		swept []string
-		err   error
+	m.mu.Lock()
+	cutoff := m.now().Add(-m.opts.IdleTTL)
+	var idle []*entry
+	for _, e := range m.live {
+		if e.lastUsed.Before(cutoff) {
+			idle = append(idle, e)
+		}
 	}
-	results := make([]result, len(m.shards))
-	var wg sync.WaitGroup
-	for i, sh := range m.shards {
-		wg.Add(1)
-		go func(i int, sh *shard) {
-			defer wg.Done()
-			swept, err := sh.Sweep(ctx)
-			results[i] = result{swept, err}
-		}(i, sh)
-	}
-	wg.Wait()
+	m.mu.Unlock()
 	var swept []string
 	var errs []error
-	for _, r := range results {
-		swept = append(swept, r.swept...)
-		if r.err != nil {
-			errs = append(errs, r.err)
+	for _, e := range idle {
+		if err := ctx.Err(); err != nil {
+			errs = append(errs, err)
+			break
 		}
+		if !e.mu.TryLock() {
+			continue // mid-request: not idle after all
+		}
+		m.mu.Lock()
+		still := !e.gone && m.live[e.id] == e && !e.lastUsed.After(cutoff)
+		m.mu.Unlock()
+		if !still {
+			e.mu.Unlock()
+			continue
+		}
+		if err := m.evict(ctx, e); err != nil { // releases the lock
+			errs = append(errs, err)
+			continue
+		}
+		swept = append(swept, e.id)
 	}
 	sort.Strings(swept)
 	return swept, errors.Join(errs...)
 }
 
-// Counts reports how many sessions are live and parked across all
-// shards.
+// Counts reports how many sessions are live and parked.
 func (m *Manager) Counts() (live, parked int) {
-	for _, sh := range m.shards {
-		l, p := sh.Counts()
-		live += l
-		parked += p
-	}
-	return live, parked
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.live), len(m.parked)
 }
 
 // Shutdown drains the manager: new requests fail with ErrShuttingDown,
 // every labelpool is flushed (queued submissions that earned a ticket
 // are applied, not dropped), and every live session is checkpointed
-// into the store. Shards drain concurrently, each blocking on its own
-// in-flight per-session work, so once Shutdown returns no submitted
-// round is lost. One session's checkpoint failure does not abandon the
-// rest — every session gets its full retry budget and all failures are
-// joined into the returned error; sessions whose checkpoint failed
-// stay resident and degraded, so a caller can fix the store and call
-// Shutdown again. Safe to call more than once.
+// into the store, one at a time, each waiting out its own in-flight
+// work, so once Shutdown returns no submitted round is lost. One
+// session's checkpoint failure does not abandon the rest — every
+// session gets its full retry budget and all failures are joined into
+// the returned error; sessions whose checkpoint failed stay resident
+// and degraded, so a caller can fix the store and call Shutdown again.
+// Safe to call more than once.
 func (m *Manager) Shutdown(ctx context.Context) error {
+	// The flag must be observable before the pools flush, or an enqueue
+	// racing shutdown could slip items in after its pool drained (the
+	// enqueue path re-checks it under the pool lock).
 	m.mu.Lock()
 	first := !m.draining
 	m.draining = true
 	m.mu.Unlock()
-	// Every shard must observe its draining flag before its pools flush
-	// (the enqueue path re-checks the flag under the pool lock), so flip
-	// all flags before any shard starts draining.
-	for _, sh := range m.shards {
-		sh.setDraining()
-	}
 	if first {
 		close(m.drainSignal) // wake attached streams so they close promptly
 	}
-	errs := make([]error, len(m.shards))
-	var wg sync.WaitGroup
-	for i, sh := range m.shards {
-		wg.Add(1)
-		go func(i int, sh *shard) {
-			defer wg.Done()
-			errs[i] = sh.shutdown(ctx)
-		}(i, sh)
+	// Flush the labelpools before checkpointing: drains run under
+	// acquireOpt(evenWhileDraining), so every queued round lands in its
+	// session before that session's snapshot is taken.
+	m.flushPools()
+	m.drainWG.Wait()
+
+	m.mu.Lock()
+	entries := make([]*entry, 0, len(m.live))
+	for _, e := range m.live {
+		entries = append(entries, e)
 	}
-	wg.Wait()
+	m.mu.Unlock()
+	var errs []error
+	for _, e := range entries {
+		e.mu.Lock()
+		if e.gone {
+			e.mu.Unlock()
+			continue
+		}
+		if err := m.evict(ctx, e); err != nil { // releases the lock
+			errs = append(errs, err)
+		}
+	}
 	return errors.Join(errs...)
 }

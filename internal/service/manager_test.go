@@ -260,10 +260,9 @@ func TestManagerBackpressureAndLRUCapacityEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh := m2.shardFor(d.ID)
-	sh.mu.Lock()
-	e := sh.live[d.ID]
-	sh.mu.Unlock()
+	m2.mu.Lock()
+	e := m2.live[d.ID]
+	m2.mu.Unlock()
 	e.mu.Lock() // simulate an in-flight request
 	_, err = m2.Create(ctx, datasetSpec(6))
 	e.mu.Unlock()

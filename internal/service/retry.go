@@ -55,18 +55,17 @@ func retryable(err error) bool {
 
 // backoff computes the delay before the next attempt: exponential in
 // the attempt number, capped, with deterministic jitter in
-// [delay/2, delay) drawn from the shard's seeded stream — derived
-// from (RetrySeed, shard id) — so retry schedules are reproducible
-// under test, decorrelated across concurrent sessions, and never
-// aligned across shards after a store outage.
-func (sh *shard) backoff(p RetryPolicy, attempt int) time.Duration {
+// [delay/2, delay) drawn from the manager's RetrySeed-seeded stream, so
+// retry schedules are reproducible under test and decorrelated across
+// concurrent sessions.
+func (m *Manager) backoff(p RetryPolicy, attempt int) time.Duration {
 	delay := p.BaseDelay << (attempt - 1)
 	if delay > p.MaxDelay || delay <= 0 { // <= 0 catches shift overflow
 		delay = p.MaxDelay
 	}
-	sh.mu.Lock()
-	jitter := sh.rrng.Float64()
-	sh.mu.Unlock()
+	m.mu.Lock()
+	jitter := m.rrng.Float64()
+	m.mu.Unlock()
 	return delay/2 + time.Duration(jitter*float64(delay/2))
 }
 
@@ -82,19 +81,19 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// storeRetry runs op under the shard's retry policy. A success (on
-// any attempt) clears the shard's last-store-error; exhausting the
-// policy records the failure and wraps it in ErrStoreUnavailable so the
-// HTTP layer can answer 503 + Retry-After instead of an opaque 500.
+// storeRetry runs op under the manager's retry policy. A success (on
+// any attempt) clears the last-store-error; exhausting the policy
+// records the failure and wraps it in ErrStoreUnavailable so the HTTP
+// layer can answer 503 + Retry-After instead of an opaque 500.
 // Non-retryable errors pass through untouched — ErrNotFound must stay
 // ErrNotFound.
-func (sh *shard) storeRetry(ctx context.Context, what string, op func(context.Context) error) error {
-	p := sh.opts.Retry
+func (m *Manager) storeRetry(ctx context.Context, what string, op func(context.Context) error) error {
+	p := m.opts.Retry
 	var last error
 	for attempt := 1; ; attempt++ {
 		last = op(ctx)
 		if last == nil {
-			sh.noteStoreOK()
+			m.noteStoreOK()
 			return nil
 		}
 		if !retryable(last) {
@@ -103,26 +102,26 @@ func (sh *shard) storeRetry(ctx context.Context, what string, op func(context.Co
 		if attempt >= p.MaxAttempts || ctx.Err() != nil {
 			break
 		}
-		if err := sleepCtx(ctx, sh.backoff(p, attempt)); err != nil {
+		if err := sleepCtx(ctx, m.backoff(p, attempt)); err != nil {
 			break
 		}
 	}
 	err := fmt.Errorf("service: %s failed after %d attempts: %w: %w", what, p.MaxAttempts, ErrStoreUnavailable, last)
-	sh.noteStoreFailure(err)
+	m.noteStoreFailure(err)
 	return err
 }
 
 // noteStoreOK records a healthy store interaction.
-func (sh *shard) noteStoreOK() {
-	sh.mu.Lock()
-	sh.storeErr = nil
-	sh.mu.Unlock()
+func (m *Manager) noteStoreOK() {
+	m.mu.Lock()
+	m.storeErr = nil
+	m.mu.Unlock()
 }
 
 // noteStoreFailure records an exhausted-retries store failure.
-func (sh *shard) noteStoreFailure(err error) {
-	sh.mu.Lock()
-	sh.storeFails++
-	sh.storeErr = err
-	sh.mu.Unlock()
+func (m *Manager) noteStoreFailure(err error) {
+	m.mu.Lock()
+	m.storeFails++
+	m.storeErr = err
+	m.mu.Unlock()
 }

@@ -248,10 +248,9 @@ func TestObserverOrderedUnderConcurrentAccess(t *testing.T) {
 	}
 	wg.Wait()
 
-	sh := m.shardFor(info.ID)
-	sh.mu.Lock()
-	e := sh.live[info.ID]
-	sh.mu.Unlock()
+	m.mu.Lock()
+	e := m.live[info.ID]
+	m.mu.Unlock()
 	e.mu.Lock()
 	events := append([]statEvent(nil), e.stats.events...)
 	rounds := e.sess.Rounds()

@@ -40,10 +40,9 @@ type StreamChunk struct {
 	Remaining int
 }
 
-// StreamChunk implements Shard: the session's stream state from a
-// round cursor.
-func (sh *shard) StreamChunk(ctx context.Context, id string, from int) (StreamChunk, error) {
-	e, err := sh.acquire(ctx, id)
+// StreamChunk reads the session's stream state from a round cursor.
+func (m *Manager) StreamChunk(ctx context.Context, id string, from int) (StreamChunk, error) {
+	e, err := m.acquire(ctx, id)
 	if err != nil {
 		return StreamChunk{}, err
 	}
@@ -68,53 +67,42 @@ func (sh *shard) StreamChunk(ctx context.Context, id string, from int) (StreamCh
 // subscribeStream registers a wakeup channel for the session's
 // activity: notifyStreams pokes it (coalescing, capacity 1) whenever a
 // round is presented or applied. The returned cancel must be called.
-func (sh *shard) subscribeStream(id string) (<-chan struct{}, func()) {
+func (m *Manager) subscribeStream(id string) (<-chan struct{}, func()) {
 	ch := make(chan struct{}, 1)
-	sh.streamMu.Lock()
-	set := sh.streams[id]
+	m.streamMu.Lock()
+	set := m.streams[id]
 	if set == nil {
 		set = make(map[chan struct{}]struct{})
-		sh.streams[id] = set
+		m.streams[id] = set
 	}
 	set[ch] = struct{}{}
-	sh.streamMu.Unlock()
+	m.streamMu.Unlock()
 	return ch, func() {
-		sh.streamMu.Lock()
-		delete(sh.streams[id], ch)
-		if len(sh.streams[id]) == 0 {
-			delete(sh.streams, id)
+		m.streamMu.Lock()
+		delete(m.streams[id], ch)
+		if len(m.streams[id]) == 0 {
+			delete(m.streams, id)
 		}
-		sh.streamMu.Unlock()
+		m.streamMu.Unlock()
 	}
 }
 
 // notifyStreams wakes the session's attached streams. Non-blocking:
 // a stream already poked and not yet drained needs no second poke.
-func (sh *shard) notifyStreams(id string) {
-	sh.streamMu.Lock()
-	for ch := range sh.streams[id] {
+func (m *Manager) notifyStreams(id string) {
+	m.streamMu.Lock()
+	for ch := range m.streams[id] {
 		select {
 		case ch <- struct{}{}:
 		default:
 		}
 	}
-	sh.streamMu.Unlock()
+	m.streamMu.Unlock()
 }
 
 // DrainSignal is closed when Shutdown begins; streams select on it to
-// close promptly. Router-owned: one signal covers every shard.
+// close promptly.
 func (m *Manager) DrainSignal() <-chan struct{} { return m.drainSignal }
-
-// StreamChunk reads the session's stream state from a round cursor.
-func (m *Manager) StreamChunk(ctx context.Context, id string, from int) (StreamChunk, error) {
-	return m.shardFor(id).StreamChunk(ctx, id, from)
-}
-
-// subscribeStream registers a wakeup channel on the session's home
-// shard; see the shard method above.
-func (m *Manager) subscribeStream(id string) (<-chan struct{}, func()) {
-	return m.shardFor(id).subscribeStream(id)
-}
 
 // sseWriter frames Server-Sent Events onto a flushing ResponseWriter.
 type sseWriter struct {

@@ -13,14 +13,14 @@ import (
 // durability: it folds the engine's event stream into persist.RoundDelta
 // records — one per scored round, carrying the round's interaction plus
 // the learner's post-round belief and sampler RNG state — which the
-// shard then group-commits through the store's RoundAppender
+// manager then group-commits through the store's RoundAppender
 // (flushWal). It is installed alongside roundStats via MultiObserver
 // only when the store supports appends.
 //
 // Like roundStats it has no internal locking: the engine serializes
 // events per session and every take/restore/clear happens under the
 // entry lock. The one exception is n, an atomic mirror of the pending
-// count so health reporting can read a shard's un-appended backlog
+// count so health reporting can read the un-appended backlog
 // without touching entry locks.
 type walRecorder struct {
 	game.NopObserver
@@ -127,12 +127,12 @@ func (w *walRecorder) backlog() int {
 // continues from memory — nothing submitted is lost while the process
 // lives, and any later full snapshot covers the backlog. A successful
 // append heals the mark.
-func (sh *shard) flushWal(ctx context.Context, e *entry) error {
+func (m *Manager) flushWal(ctx context.Context, e *entry) error {
 	if e.wal == nil {
 		return nil
 	}
 	if !e.based {
-		return sh.checkpointLocked(ctx, e)
+		return m.checkpointLocked(ctx, e)
 	}
 	deltas := e.wal.take()
 	if len(deltas) == 0 {
@@ -141,16 +141,16 @@ func (sh *shard) flushWal(ctx context.Context, e *entry) error {
 	// Deltas carry their session id from record time and are never
 	// mutated here: a quorum append can return while a straggler replica
 	// still reads them.
-	if err := sh.storeRetry(ctx, "appending rounds for "+e.id, func(ctx context.Context) error {
-		return sh.appender.AppendRounds(ctx, deltas)
+	if err := m.storeRetry(ctx, "appending rounds for "+e.id, func(ctx context.Context) error {
+		return m.appender.AppendRounds(ctx, deltas)
 	}); err != nil {
 		e.wal.restore(deltas)
-		sh.setDegraded(e.id, true)
+		m.setDegraded(e.id, true)
 		return err
 	}
-	sh.mu.Lock()
-	sh.walAppended += uint64(len(deltas))
-	sh.mu.Unlock()
-	sh.setDegraded(e.id, false)
+	m.mu.Lock()
+	m.walAppended += uint64(len(deltas))
+	m.mu.Unlock()
+	m.setDegraded(e.id, false)
 	return nil
 }

@@ -90,15 +90,11 @@ func TestManagerWalSubmitDurability(t *testing.T) {
 	if h.Wal.Appended != rounds {
 		t.Fatalf("wal.Appended = %d, want %d", h.Wal.Appended, rounds)
 	}
-	var appended uint64
-	for _, s := range h.Shards {
-		appended += s.WalAppended
-		if s.WalPending != 0 {
-			t.Fatalf("shard %d has %d pending wal rounds after acked submits", s.Shard, s.WalPending)
-		}
+	if h.WalPending != 0 {
+		t.Fatalf("%d pending wal rounds after acked submits", h.WalPending)
 	}
-	if appended != rounds {
-		t.Fatalf("shard WalAppended sums to %d, want %d", appended, rounds)
+	if h.WalAppended != rounds {
+		t.Fatalf("WalAppended = %d, want %d", h.WalAppended, rounds)
 	}
 	// The inner snapshot is still the genesis: submits never paid a
 	// snapshot rewrite.
@@ -207,8 +203,8 @@ func TestManagerNoAppendBeforeBase(t *testing.T) {
 	if h.Wal == nil || h.Wal.Appended != 0 {
 		t.Fatalf("Health.Wal = %+v, want 0 appended records before the base snapshot", h.Wal)
 	}
-	if got := h.Shards[0].WalPending; got != 2 {
-		t.Fatalf("shard WalPending = %d, want 2 rounds held in memory", got)
+	if got := h.WalPending; got != 2 {
+		t.Fatalf("WalPending = %d, want 2 rounds held in memory", got)
 	}
 	if got, err := m.Get(ctx, info.ID); err != nil || !got.Degraded {
 		t.Fatalf("Get = %+v, %v; want a degraded session", got, err)
