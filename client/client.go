@@ -190,8 +190,9 @@ type Submission struct {
 	Labels []Labeling `json:"labels,omitempty"`
 }
 
-// Ticket is the receipt for one queued submission. State is "queued",
-// "applied" or "failed" (Error says why).
+// Ticket is the receipt for one submission. State is "applied" (the
+// round applied and its append returned), "failed" (Error says why) or
+// "queued" (waiting behind a gap for an earlier round).
 type Ticket struct {
 	ID    string `json:"id"`
 	Round int    `json:"round"`
@@ -333,29 +334,24 @@ func (c *Client) Next(ctx context.Context, id string) ([]Pair, error) {
 	return out.Pairs, err
 }
 
-// UncheckedRound submits without the idempotent round check.
-const UncheckedRound = -1
-
 // Submit sends the pending round's labels. round makes the request
 // idempotent: it must be the session's current round index, and a
 // retried request for an already-applied round succeeds if and only if
-// its labels replay that round identically (pass UncheckedRound to
-// skip the check).
+// its labels replay that round identically.
 func (c *Client) Submit(ctx context.Context, id string, round int, labels []Labeling) (Info, error) {
 	body := struct {
-		Round  *int       `json:"round,omitempty"`
+		Round  int        `json:"round"`
 		Labels []Labeling `json:"labels"`
-	}{Labels: labels}
-	if round != UncheckedRound {
-		body.Round = &round
-	}
+	}{round, labels}
 	var info Info
 	err := c.do(ctx, http.MethodPost, "/v1/sessions/"+id+"/submit", body, &info)
 	return info, err
 }
 
 // Enqueue admits a batch of round submissions into the session's
-// labelpool, returning one ticket per submission.
+// labelpool, returning one ticket per submission. The server applies
+// every round the batch completes before it answers, so only a round
+// waiting behind a gap comes back "queued".
 func (c *Client) Enqueue(ctx context.Context, id string, subs []Submission) ([]Ticket, error) {
 	body := struct {
 		Submissions []Submission `json:"submissions"`
@@ -367,7 +363,7 @@ func (c *Client) Enqueue(ctx context.Context, id string, subs []Submission) ([]T
 	return out.Tickets, err
 }
 
-// Ticket polls one queued submission's state.
+// Ticket polls one submission's state.
 func (c *Client) Ticket(ctx context.Context, id, ticket string) (Ticket, error) {
 	var tk Ticket
 	err := c.do(ctx, http.MethodGet, "/v1/sessions/"+id+"/submissions/"+ticket, nil, &tk)

@@ -98,7 +98,7 @@ func TestClientInteractiveRoundTrip(t *testing.T) {
 }
 
 func TestClientEnqueueAndStream(t *testing.T) {
-	_, c := newStack(t, service.Options{DrainBatch: 2})
+	_, c := newStack(t, service.Options{})
 	ctx := context.Background()
 
 	info, err := c.Create(ctx, client.CreateSession{CSV: testCSV, Method: "Random", K: 3, Seed: 11})
@@ -106,9 +106,10 @@ func TestClientEnqueueAndStream(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Stream concurrently with the enqueue: rounds arrive as the drain
-	// applies them, and "done" closes the stream at pool exhaustion
-	// (seed 11 blocks testCSV into 12 candidate pairs: 4 rounds at K=3).
+	// The enqueue applies the whole window before it answers, and the
+	// stream then replays it: "done" closes the stream at pool
+	// exhaustion (seed 11 blocks testCSV into 12 candidate pairs: 4
+	// rounds at K=3).
 	subs := make([]client.Submission, 4)
 	for r := range subs {
 		subs[r] = client.Submission{Round: r}
@@ -121,18 +122,11 @@ func TestClientEnqueueAndStream(t *testing.T) {
 		t.Fatalf("tickets: %+v", tickets)
 	}
 	for _, tk := range tickets {
-		deadline := time.Now().Add(10 * time.Second)
-		for tk.State == "queued" {
-			if time.Now().After(deadline) {
-				t.Fatalf("ticket %s stuck queued", tk.ID)
-			}
-			time.Sleep(time.Millisecond)
-			if tk, err = c.Ticket(ctx, info.ID, tk.ID); err != nil {
-				t.Fatal(err)
-			}
-		}
 		if tk.State != "applied" {
 			t.Fatalf("ticket %+v, want applied", tk)
+		}
+		if polled, err := c.Ticket(ctx, info.ID, tk.ID); err != nil || polled != tk {
+			t.Fatalf("polled ticket %+v (err %v), want %+v", polled, err, tk)
 		}
 	}
 
@@ -177,7 +171,7 @@ func TestClientBackpressureAndSentinels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Submit(ctx, info.ID, client.UncheckedRound, nil); !errors.Is(err, client.ErrNoRoundPending) {
+	if _, err := c.Submit(ctx, info.ID, 0, nil); !errors.Is(err, client.ErrNoRoundPending) {
 		t.Fatalf("submit before next: %v, want ErrNoRoundPending", err)
 	}
 

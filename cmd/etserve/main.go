@@ -11,15 +11,15 @@
 //	        [-replicas 1] [-replica-dirs a,b,c]
 //	        [-idle-ttl 15m] [-sweep 1m] [-timeout 30s]
 //	        [-retry-attempts 4] [-retry-base 5ms] [-retry-max 250ms]
-//	        [-max-queued 64] [-drain-batch 16] [-heartbeat 15s]
+//	        [-max-queued 64] [-heartbeat 15s]
 //
 // Besides the interactive next/submit loop, clients can POST whole
-// windows of labeled rounds to /v1/sessions/{id}/submissions and watch
-// them apply over the SSE stream at /v1/sessions/{id}/rounds?stream=1
-// (see API.md). -max-queued caps each session's admission queue,
-// -drain-batch bounds how many queued rounds one drain applies under a
-// single session-lock acquisition, and -heartbeat paces the SSE
-// keep-alive comments.
+// windows of labeled rounds to /v1/sessions/{id}/submissions, which
+// applies every round the window completes before it answers, and watch
+// rounds apply over the SSE stream at /v1/sessions/{id}/rounds?stream=1
+// (see API.md). -max-queued caps each session's admission queue (the
+// rounds a window carries plus those waiting behind a gap), and
+// -heartbeat paces the SSE keep-alive comments.
 //
 // Without -store, sessions live in memory for the life of the process.
 // With -store, the directory gets a crash-safe write-ahead log (its
@@ -94,7 +94,6 @@ type config struct {
 	retryBase     time.Duration
 	retryMax      time.Duration
 	maxQueued     int
-	drainBatch    int
 	heartbeat     time.Duration
 }
 
@@ -112,7 +111,6 @@ func main() {
 	flag.DurationVar(&cfg.retryBase, "retry-base", 5*time.Millisecond, "store retry backoff before the second attempt (doubles per attempt)")
 	flag.DurationVar(&cfg.retryMax, "retry-max", 250*time.Millisecond, "store retry backoff cap")
 	flag.IntVar(&cfg.maxQueued, "max-queued", 64, "per-session labelpool admission queue capacity")
-	flag.IntVar(&cfg.drainBatch, "drain-batch", 16, "max queued rounds applied per drain batch (one lock acquisition)")
 	flag.DurationVar(&cfg.heartbeat, "heartbeat", 15*time.Second, "SSE stream keep-alive comment interval")
 	flag.Parse()
 	if err := run(cfg); err != nil {
@@ -325,7 +323,6 @@ func start(cfg config) (*app, error) {
 			MaxDelay:    cfg.retryMax,
 		},
 		MaxQueuedSubmissions: cfg.maxQueued,
-		DrainBatch:           cfg.drainBatch,
 	})
 	srv := &http.Server{
 		Handler: service.NewServer(mgr, service.ServerOptions{
@@ -379,9 +376,9 @@ func (a *app) stopSweeper() {
 	<-a.sweepDone
 }
 
-// shutdown drains the manager first — that flushes every labelpool,
-// checkpoints every live session, and closes attached SSE streams with
-// their `event: drain` goodbye — and only then waits out the HTTP
+// shutdown drains the manager first — that checkpoints every live
+// session and closes attached SSE streams with their `event: drain`
+// goodbye — and only then waits out the HTTP
 // server. The other order deadlocks until the context cap: Server.
 // Shutdown waits for in-flight handlers, but a stream handler only
 // exits on the manager's drain signal. Requests arriving mid-drain get

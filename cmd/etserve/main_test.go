@@ -84,7 +84,7 @@ func TestServeSmoke(t *testing.T) {
 	var after struct {
 		Rounds int `json:"rounds"`
 	}
-	post(fmt.Sprintf("/v1/sessions/%s/submit", info.ID), map[string]any{"labels": labels}, &after)
+	post(fmt.Sprintf("/v1/sessions/%s/submit", info.ID), map[string]any{"round": 0, "labels": labels}, &after)
 	if after.Rounds != 1 {
 		t.Fatalf("rounds = %d after submit", after.Rounds)
 	}
@@ -230,7 +230,7 @@ func TestWalServe(t *testing.T) {
 			}
 		}
 	}
-	playRound := func(id string) int {
+	playRound := func(id string, round int) int {
 		t.Helper()
 		var next struct {
 			Pairs []struct {
@@ -246,7 +246,7 @@ func TestWalServe(t *testing.T) {
 		var after struct {
 			Rounds int `json:"rounds"`
 		}
-		post(fmt.Sprintf("/v1/sessions/%s/submit", id), map[string]any{"labels": labels}, &after)
+		post(fmt.Sprintf("/v1/sessions/%s/submit", id), map[string]any{"round": round, "labels": labels}, &after)
 		return after.Rounds
 	}
 
@@ -256,8 +256,8 @@ func TestWalServe(t *testing.T) {
 	post("/v1/sessions", map[string]any{
 		"dataset": "OMDB", "rows": 60, "method": "StochasticUS", "k": 4, "seed": 9,
 	}, &info)
-	playRound(info.ID)
-	if got := playRound(info.ID); got != 2 {
+	playRound(info.ID, 0)
+	if got := playRound(info.ID, 1); got != 2 {
 		t.Fatalf("rounds = %d after two submits", got)
 	}
 
@@ -317,7 +317,7 @@ func TestWalServe(t *testing.T) {
 	if len(series.Rounds) != 2 {
 		t.Fatalf("recovered %d rounds from the WAL, want 2", len(series.Rounds))
 	}
-	if got := playRound(info.ID); got != 3 {
+	if got := playRound(info.ID, 2); got != 3 {
 		t.Fatalf("rounds = %d after post-recovery submit, want 3", got)
 	}
 }

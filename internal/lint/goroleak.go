@@ -7,10 +7,10 @@ import (
 // goroLeak enforces goroutine lifecycle discipline in non-test
 // internal/ packages: every `go` statement must be joined — the
 // spawned body calls Done() on a sync.WaitGroup that some loaded
-// function Wait()s on (the drain-goroutine and sweep fan-out pattern)
-// — or carry an audited suppression explaining why it may outlive its
-// spawner. An unjoined goroutine survives shutdown, races teardown,
-// and leaks under load.
+// function Wait()s on (the WAL group committer and the MultiStore replica
+// fan-out pattern) — or carry an audited suppression explaining why it
+// may outlive its spawner. An unjoined goroutine survives shutdown,
+// races teardown, and leaks under load.
 type goroLeak struct{}
 
 func (goroLeak) ID() string { return "goroleak" }

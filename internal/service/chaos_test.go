@@ -87,7 +87,7 @@ func TestChaosFlakyStoreWorkload(t *testing.T) {
 						labeled[i] = belief.Labeling{Pair: dataset.NewPair(p.A, p.B)}
 					}
 					err = retry(func() (err error) {
-						_, err = m.Submit(ctx, info.ID, UncheckedRound, labeled)
+						_, err = m.Submit(ctx, info.ID, round, labeled)
 						return err
 					})
 					if errors.Is(err, game.ErrNoRoundPending) {
@@ -255,7 +255,7 @@ func TestChaosReplicaLoss(t *testing.T) {
 							labeled[i] = belief.Labeling{Pair: dataset.NewPair(p.A, p.B)}
 						}
 						err = retry(func() (err error) {
-							_, err = m.Submit(ctx, info.ID, UncheckedRound, labeled)
+							_, err = m.Submit(ctx, info.ID, round, labeled)
 							return err
 						})
 						if errors.Is(err, game.ErrNoRoundPending) {
@@ -337,7 +337,7 @@ func TestChaosReplicaLoss(t *testing.T) {
 			for i, p := range pairs {
 				labeled[i] = belief.Labeling{Pair: dataset.NewPair(p.A, p.B)}
 			}
-			if _, err := ref.Submit(ctx, info.ID, UncheckedRound, labeled); err != nil {
+			if _, err := ref.Submit(ctx, info.ID, round, labeled); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -17,8 +17,8 @@ type Health struct {
 	Degraded int `json:"degraded"`
 	// Draining reports Shutdown in progress.
 	Draining bool `json:"draining"`
-	// BusyPools counts sessions with labelpool work still in flight: a
-	// queued submission or an active drain goroutine.
+	// BusyPools counts sessions with a labelpool round queued behind a
+	// gap: a submission that waits for an earlier round to arrive.
 	BusyPools int `json:"busy_pools"`
 	// StoreFailures counts store operations that exhausted the retry
 	// policy since startup; StoreError is the most recent one, empty
@@ -88,7 +88,7 @@ func (m *Manager) Health() Health {
 	m.poolMu.Unlock()
 	for _, p := range pools {
 		p.mu.Lock()
-		busy := len(p.queue) > 0 || p.draining
+		busy := len(p.queue) > 0
 		p.mu.Unlock()
 		if busy {
 			h.BusyPools++

@@ -17,23 +17,15 @@ import (
 	"exptrain/internal/persist/wal"
 )
 
-// waitTicket polls a ticket until it leaves the queued state.
-func waitTicket(t *testing.T, m *Manager, id, ticketID string) Ticket {
+// readTicket reads a ticket's state. A ticket resolves before the
+// request that resolves it returns, so there is nothing to wait for.
+func readTicket(t *testing.T, m *Manager, id, ticketID string) Ticket {
 	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		tk, err := m.Ticket(context.Background(), id, ticketID)
-		if err != nil {
-			t.Fatalf("Ticket(%s, %s): %v", id, ticketID, err)
-		}
-		if tk.State != TicketQueued {
-			return tk
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("ticket %s still queued after 10s", ticketID)
-		}
-		time.Sleep(time.Millisecond)
+	tk, err := m.Ticket(context.Background(), id, ticketID)
+	if err != nil {
+		t.Fatalf("Ticket(%s, %s): %v", id, ticketID, err)
 	}
+	return tk
 }
 
 // abstainWindow builds label-free submissions for rounds [from, to).
@@ -64,7 +56,7 @@ func TestLabelpoolEnqueueLifecycle(t *testing.T) {
 		if tk.Round != i {
 			t.Fatalf("ticket %d targets round %d", i, tk.Round)
 		}
-		if got := waitTicket(t, m, info.ID, tk.ID); got.State != TicketApplied {
+		if got := readTicket(t, m, info.ID, tk.ID); got.State != TicketApplied {
 			t.Fatalf("ticket %s: state %q error %q, want applied", tk.ID, got.State, got.Error)
 		}
 	}
@@ -85,7 +77,7 @@ func TestLabelpoolEnqueueLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := waitTicket(t, m, info.ID, replay[0].ID); got.State != TicketApplied {
+	if got := readTicket(t, m, info.ID, replay[0].ID); got.State != TicketApplied {
 		t.Fatalf("replay ticket: state %q error %q, want applied", got.State, got.Error)
 	}
 	if got, _ := m.Get(ctx, info.ID); got.Rounds != 4 {
@@ -123,6 +115,7 @@ func TestLabelpoolEnqueueValidation(t *testing.T) {
 			{Pair: dataset.NewPair(0, 1)}, {Pair: dataset.NewPair(0, 1), Abstained: true},
 		}}}, ErrBadRequest},
 		{"over capacity", abstainWindow(0, 4), ErrSubmissionBacklog},
+		{"negative round", []Submission{{Round: 1}, {Round: -1}}, ErrBadRequest},
 	}
 	cases[1].subs = []Submission{{Round: 1}, {Round: 1}}
 	cases[1].want = ErrDuplicateRound
@@ -136,14 +129,14 @@ func TestLabelpoolEnqueueValidation(t *testing.T) {
 	}
 
 	// A stale round that is not an identical replay fails its ticket
-	// with a round-mismatch reason (admission accepts it: only the drain
-	// can compare digests against the record).
+	// with a round-mismatch reason (admission accepts it: the apply
+	// compares digests against the record).
 	playRound(t, m, id) // round 0, fresh non-abstained labels
 	stale, err := m.EnqueueSubmissions(ctx, id, abstainWindow(0, 1))
 	if err != nil {
 		t.Fatalf("stale enqueue: %v", err)
 	}
-	if got := waitTicket(t, m, id, stale[0].ID); got.State != TicketFailed || !strings.Contains(got.Error, "round") {
+	if got := readTicket(t, m, id, stale[0].ID); got.State != TicketFailed || !strings.Contains(got.Error, "round") {
 		t.Fatalf("stale non-replay ticket: %+v, want failed with round mismatch", got)
 	}
 	if _, err := m.EnqueueSubmissions(ctx, "sess-none", abstainWindow(1, 2)); !errors.Is(err, ErrSessionNotFound) {
@@ -194,11 +187,12 @@ func roundsFingerprint(t *testing.T, m *Manager, id string) []string {
 	return out
 }
 
-// TestLabelpoolGoldenDrainParity is the batched-drain acceptance test
-// at the service level: a session driven through the labelpool (whole
-// window enqueued at once, drained in batches) must be bit-identical —
-// round measurements and final belief — to the same session driven
-// through the sequential next/submit protocol.
+// TestLabelpoolGoldenDrainParity is the batched-apply acceptance test
+// at the service level: a session driven through the labelpool (two
+// windows enqueued out of order, the second half waiting behind the
+// gap until the first half arrives) must be bit-identical — round
+// measurements and final belief — to the same session driven through
+// the sequential next/submit protocol.
 func TestLabelpoolGoldenDrainParity(t *testing.T) {
 	const seed, rounds = 41, 8
 	ctx := context.Background()
@@ -226,20 +220,29 @@ func TestLabelpoolGoldenDrainParity(t *testing.T) {
 		perRound = append(perRound, Submission{Round: r, Labels: labeled})
 	}
 
-	// Pool run: identical spec, the whole window in one enqueue, small
-	// DrainBatch so the drain must take several lock acquisitions.
-	poolM := NewManager(Options{DrainBatch: 3})
+	// Pool run: identical spec, the second half of the window first —
+	// it waits behind the gap — then the first half, which applies both.
+	poolM := NewManager(Options{})
 	poolInfo, err := poolM.Create(ctx, datasetSpec(seed))
 	if err != nil {
 		t.Fatal(err)
 	}
-	tickets, err := poolM.EnqueueSubmissions(ctx, poolInfo.ID, perRound)
+	late, err := poolM.EnqueueSubmissions(ctx, poolInfo.ID, perRound[rounds/2:])
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tk := range tickets {
-		if got := waitTicket(t, poolM, poolInfo.ID, tk.ID); got.State != TicketApplied {
-			t.Fatalf("round %d ticket: state %q error %q", tk.Round, got.State, got.Error)
+	for _, tk := range late {
+		if tk.State != TicketQueued {
+			t.Fatalf("round %d ticket behind the gap: state %q error %q, want queued", tk.Round, tk.State, tk.Error)
+		}
+	}
+	early, err := poolM.EnqueueSubmissions(ctx, poolInfo.ID, perRound[:rounds/2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tk := range append(early, late...) {
+		if got := readTicket(t, poolM, poolInfo.ID, tk.ID); got.State != TicketApplied {
+			t.Fatalf("round %d ticket: state %q error %q, want applied", tk.Round, got.State, got.Error)
 		}
 	}
 
@@ -281,7 +284,7 @@ func TestLabelpoolDrainFailureIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tk0 := waitTicket(t, m, id, tickets[0].ID)
+	tk0 := readTicket(t, m, id, tickets[0].ID)
 	if tk0.State == TicketApplied {
 		// The engine accepted it (both pairs happened to be presented);
 		// nothing to isolate — skip rather than encode pool internals.
@@ -304,17 +307,16 @@ func TestLabelpoolDrainFailureIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := waitTicket(t, m, id, fixed[0].ID); got.State != TicketApplied {
+	if got := readTicket(t, m, id, fixed[0].ID); got.State != TicketApplied {
 		t.Fatalf("fixed round 0: %+v", got)
 	}
-	if got := waitTicket(t, m, id, tickets[1].ID); got.State != TicketApplied {
+	if got := readTicket(t, m, id, tickets[1].ID); got.State != TicketApplied {
 		t.Fatalf("queued round 1 after fix: %+v", got)
 	}
 }
 
-// TestLabelpoolShutdownFlush: Shutdown must apply every ticketed
-// submission before checkpointing — the snapshot taken on drain
-// carries the queued rounds.
+// TestLabelpoolShutdownFlush: every round a window applied is in the
+// snapshot Shutdown takes, and a drained manager admits no new window.
 func TestLabelpoolShutdownFlush(t *testing.T) {
 	m := NewManager(Options{})
 	ctx := context.Background()
@@ -353,7 +355,7 @@ func TestLabelpoolShutdownFlush(t *testing.T) {
 	}
 }
 
-// TestLabelpoolWalCrashLosesNothing drives the drain's group commit
+// TestLabelpoolWalCrashLosesNothing drives the labelpool's group commit
 // through a crash: windows enqueued into a manager over a write-ahead
 // log must be durable once their tickets read applied, so closing the
 // log without Shutdown — no parting checkpoints — and reopening it
@@ -370,7 +372,7 @@ func TestLabelpoolWalCrashLosesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := NewManager(Options{Store: ws, DrainBatch: window})
+	m := NewManager(Options{Store: ws})
 	ids := make([]string, sessions)
 	type queued struct{ session, ticket string }
 	var tickets []queued
@@ -391,23 +393,9 @@ func TestLabelpoolWalCrashLosesNothing(t *testing.T) {
 		}
 	}
 	for _, q := range tickets {
-		if got := waitTicket(t, m, q.session, q.ticket); got.State != TicketApplied {
+		if got := readTicket(t, m, q.session, q.ticket); got.State != TicketApplied {
 			t.Fatalf("ticket %s: state %q error %q, want applied", q.ticket, got.State, got.Error)
 		}
-	}
-	// A ticket turns applied before its drain's group commit returns;
-	// the drain is idle, and every round appended, once nothing is
-	// pending or draining.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		h := m.Health()
-		if h.WalPending == 0 && h.BusyPools == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("drain never settled: %+v", h)
-		}
-		time.Sleep(time.Millisecond)
 	}
 
 	// The crash: the log closes under the manager; no Shutdown runs.
@@ -434,6 +422,108 @@ func TestLabelpoolWalCrashLosesNothing(t *testing.T) {
 	}
 }
 
+// gatedAppends is a write-ahead-log store whose round appends wait at a
+// gate until release is closed, so a test can look at the server while
+// an append is in flight. It forwards RoundAppender to itself: the
+// embedded wal.Store's would let persist.AppenderOf see through it.
+type gatedAppends struct {
+	*wal.Store
+	blocked chan struct{} // receives when an append reaches the gate
+	release chan struct{} // closed to let appends through
+}
+
+func (g *gatedAppends) RoundAppender() persist.RoundAppender { return g }
+
+func (g *gatedAppends) AppendRounds(ctx context.Context, deltas []*persist.RoundDelta) error {
+	select {
+	case g.blocked <- struct{}{}:
+	default:
+	}
+	<-g.release
+	return g.Store.AppendRounds(ctx, deltas)
+}
+
+// TestLabelpoolWalCrashAckAfterAppend pins the acknowledgement
+// contract: a ticket never reads applied while its round's append is
+// still blocked, so a crash at that moment — the log closed without
+// Shutdown, then reopened — recovers at least every round a client saw
+// applied. Once the gate opens, the append fails on the closed log and
+// the failure shows as the session's degraded mark.
+func TestLabelpoolWalCrashAckAfterAppend(t *testing.T) {
+	ctx := context.Background()
+	storeDir, walDir := t.TempDir(), t.TempDir()
+	dir, err := persist.NewDirStore(storeDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws, _, err := wal.OpenStore(dir, walDir, wal.StoreConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gs := &gatedAppends{Store: ws, blocked: make(chan struct{}, 1), release: make(chan struct{})}
+	var once sync.Once
+	open := func() { once.Do(func() { close(gs.release) }) }
+	defer open()
+	m := NewManager(Options{Store: gs})
+	info, err := m.Create(ctx, testSpec()) // the base snapshot is a Put: not gated
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	enqueued := make(chan error, 1)
+	go func() {
+		_, err := m.EnqueueSubmissions(ctx, info.ID, abstainWindow(0, 2))
+		enqueued <- err
+	}()
+	select {
+	case <-gs.blocked:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the window's append never reached the store")
+	}
+	// A fresh pool numbers its tickets from t1.
+	acked := 0
+	for _, tid := range []string{"t1", "t2"} {
+		if tk := readTicket(t, m, info.ID, tid); tk.State == TicketApplied {
+			acked++
+			t.Errorf("ticket %s (round %d) reads applied while its append is blocked", tid, tk.Round)
+		}
+	}
+
+	// The crash: the log closes under the manager; no Shutdown runs.
+	if err := ws.Close(); err != nil {
+		t.Fatal(err)
+	}
+	dir2, err := persist.NewDirStore(storeDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws2, _, err := wal.OpenStore(dir2, walDir, wal.StoreConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ws2.Close()
+	snap, err := ws2.Get(ctx, info.ID)
+	if err != nil {
+		t.Fatalf("%s unreadable after the crash: %v", info.ID, err)
+	}
+	if got := len(snap.History); got < acked {
+		t.Fatalf("recovered %d rounds, but %d read applied before the crash", got, acked)
+	}
+
+	open()
+	if err := <-enqueued; err != nil {
+		t.Fatalf("enqueue: %v", err)
+	}
+	for _, tid := range []string{"t1", "t2"} {
+		if tk := readTicket(t, m, info.ID, tid); tk.State != TicketApplied {
+			t.Fatalf("ticket %s after the append returned: state %q error %q, want applied", tid, tk.State, tk.Error)
+		}
+	}
+	if got, err := m.Get(ctx, info.ID); err != nil || !got.Degraded {
+		t.Fatalf("after an append to the closed log: %+v (err %v), want degraded", got, err)
+	}
+}
+
 // TestLabelpoolChaosZeroLoss is the acceptance chaos test for the
 // batched path: 64 sessions submitting through the labelpool while a
 // seeded-flaky store forces park/unpark churn through 16 resident
@@ -451,7 +541,6 @@ func TestLabelpoolChaosZeroLoss(t *testing.T) {
 		Store:       fs,
 		Retry:       fastRetry(),
 		RetrySeed:   chaosSeed,
-		DrainBatch:  window,
 	})
 
 	transient := func(err error) bool {
@@ -492,26 +581,12 @@ func TestLabelpoolChaosZeroLoss(t *testing.T) {
 					errCh <- fmt.Errorf("worker %d window %d enqueue: %w", w, base, err)
 					return
 				}
+				// The window completes the session's run, so the enqueue
+				// answers with every ticket already applied.
 				for _, tk := range tickets {
-					deadline := time.Now().Add(30 * time.Second)
-					for {
-						got, err := m.Ticket(ctx, info.ID, tk.ID)
-						if err != nil {
-							errCh <- fmt.Errorf("worker %d ticket %s: %w", w, tk.ID, err)
-							return
-						}
-						if got.State == TicketApplied {
-							break
-						}
-						if got.State == TicketFailed {
-							errCh <- fmt.Errorf("worker %d round %d failed: %s", w, got.Round, got.Error)
-							return
-						}
-						if time.Now().After(deadline) {
-							errCh <- fmt.Errorf("worker %d round %d stuck queued", w, got.Round)
-							return
-						}
-						time.Sleep(200 * time.Microsecond)
+					if tk.State != TicketApplied {
+						errCh <- fmt.Errorf("worker %d round %d: state %q error %q, want applied", w, tk.Round, tk.State, tk.Error)
+						return
 					}
 				}
 				// A third of the workers force eviction churn between

@@ -166,14 +166,11 @@ type Options struct {
 	// schedules are reproducible in fault-injection tests.
 	RetrySeed uint64
 	// MaxQueuedSubmissions bounds each session's labelpool queue
-	// (default 64). Enqueueing beyond it fails with
-	// ErrSubmissionBacklog (HTTP 429 + Retry-After).
+	// (default 64): the rounds one enqueue may carry plus those waiting
+	// behind a gap, and so the most one request applies besides its own
+	// round. Enqueueing beyond it fails with ErrSubmissionBacklog (HTTP
+	// 429 + Retry-After).
 	MaxQueuedSubmissions int
-	// DrainBatch caps how many queued rounds one drain applies under a
-	// single entry-lock acquisition (default 16) — large enough to
-	// amortize locking and the batch's one round append, small enough
-	// that interactive requests interleave with a deep backlog.
-	DrainBatch int
 }
 
 func (o Options) withDefaults() Options {
@@ -192,9 +189,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxQueuedSubmissions <= 0 {
 		o.MaxQueuedSubmissions = 64
-	}
-	if o.DrainBatch <= 0 {
-		o.DrainBatch = 16
 	}
 	return o
 }
@@ -251,9 +245,6 @@ type Manager struct {
 	// hold poolMu while taking mu or an entry or pool lock.
 	poolMu sync.Mutex
 	pools  map[string]*labelPool // guarded by poolMu
-	// drainWG tracks in-flight labelpool drain goroutines so shutdown
-	// can flush every queued submission before checkpointing.
-	drainWG sync.WaitGroup
 
 	// streamMu guards streams: per-session wakeup channels of attached
 	// SSE streams. A leaf lock — safe to take under any other.
@@ -534,10 +525,6 @@ func (m *Manager) Next(ctx context.Context, id string) ([]PairView, error) {
 	return renderPairs(e.sess.Relation(), pairs), nil
 }
 
-// UncheckedRound disables Submit's round-index idempotency check — the
-// pre-v1 contract for callers that track no round counter.
-const UncheckedRound = -1
-
 // labelsDigest fingerprints the evidence a set of labelings carries:
 // the non-abstained (pair, marked) assertions, order-independent.
 // Abstentions are excluded because they carry no evidence — a replayed
@@ -585,48 +572,51 @@ func labelsDigest(a, b []belief.Labeling) uint64 {
 	return h
 }
 
+// replayErr checks a submission for an already-applied round against
+// what that round recorded: nil for an identical evidence replay — the
+// first attempt's answer was lost, so the replay succeeds without
+// re-applying — and ErrRoundMismatch otherwise. Caller holds e.mu, and
+// round is below the session's current round.
+func replayErr(e *entry, round int, labeled []belief.Labeling) error {
+	rec := e.sess.Records()[round]
+	if labelsDigest(labeled, nil) == labelsDigest(rec.Labeled, rec.Revisions) {
+		return nil
+	}
+	return fmt.Errorf("%w: round %d was already applied with different labels (current round %d)",
+		ErrRoundMismatch, round, e.sess.Rounds())
+}
+
 // Submit consumes the pending round's annotations. round makes the
-// call idempotent (pass UncheckedRound to opt out): it must equal the
-// session's current round index; a request naming an already-applied
-// round succeeds without re-applying when its labels are an identical
-// evidence replay of that round, and fails with ErrRoundMismatch
-// otherwise — the contract that makes a retrying client safe.
+// call idempotent: it must equal the session's current round index; a
+// request naming an already-applied round succeeds without re-applying
+// when its labels are an identical evidence replay of that round, and
+// fails with ErrRoundMismatch otherwise — the contract that makes a
+// retrying client safe. A negative round fails with ErrBadRequest.
+// Submit answers only after applyQueued's append of the round
+// returned, and a round that completes a queued labelpool run applies
+// that run too.
 func (m *Manager) Submit(ctx context.Context, id string, round int, labeled []belief.Labeling) (Info, error) {
+	if err := checkRound(round); err != nil {
+		return Info{}, err
+	}
 	e, err := m.acquire(ctx, id)
 	if err != nil {
 		return Info{}, err
 	}
 	defer e.mu.Unlock()
-	if round != UncheckedRound {
-		cur := e.sess.Rounds()
-		switch {
-		case round > cur:
-			return Info{}, fmt.Errorf("%w: round %d is ahead of the current round %d", ErrRoundMismatch, round, cur)
-		case round < cur:
-			rec := e.sess.Records()[round]
-			if labelsDigest(labeled, nil) == labelsDigest(rec.Labeled, rec.Revisions) {
-				// Identical replay of an applied round: the first attempt's
-				// response was lost; report success again, change nothing.
-				return m.infoOf(e, false), nil
-			}
-			return Info{}, fmt.Errorf("%w: round %d was already applied with different labels (current round %d)", ErrRoundMismatch, round, cur)
+	switch cur := e.sess.Rounds(); {
+	case round > cur:
+		return Info{}, fmt.Errorf("%w: round %d is ahead of the current round %d", ErrRoundMismatch, round, cur)
+	case round < cur:
+		if err := replayErr(e, round, labeled); err != nil {
+			return Info{}, err
+		}
+	default:
+		if err := e.sess.SubmitContext(ctx, labeled); err != nil {
+			return Info{}, err
 		}
 	}
-	if err := e.sess.SubmitContext(ctx, labeled); err != nil {
-		return Info{}, err
-	}
-	// The submitted round is made durable before the submit acks: its
-	// delta rides a group commit (or, while the base snapshot is still
-	// owed, a full checkpoint). Failure degrades the session (the round
-	// lives on in memory and in the recorder's backlog) rather than
-	// failing a submit that already applied.
-	_ = m.flushWal(ctx, e)
-	m.notifyStreams(id)
-	// A direct submit can fill the gap a parked labelpool drain stalled
-	// on; give it another chance.
-	if p := m.peekPool(id); p != nil {
-		m.kickDrain(p)
-	}
+	m.applyQueued(ctx, e)
 	return m.infoOf(e, false), nil
 }
 
@@ -787,38 +777,26 @@ func (m *Manager) Counts() (live, parked int) {
 }
 
 // Shutdown drains the manager: new requests fail with ErrShuttingDown,
-// every labelpool is flushed (queued submissions that earned a ticket
-// are applied, not dropped), and every live session is checkpointed
-// into the store, one at a time, each waiting out its own in-flight
-// work, so once Shutdown returns no submitted round is lost. One
+// and every live session is checkpointed into the store, one at a time,
+// each waiting out its own in-flight request (an enqueue included), so
+// once Shutdown returns no applied round is lost. One
 // session's checkpoint failure does not abandon the rest — every
 // session gets its full retry budget and all failures are joined into
 // the returned error; sessions whose checkpoint failed stay resident
 // and degraded, so a caller can fix the store and call Shutdown again.
 // Safe to call more than once.
 func (m *Manager) Shutdown(ctx context.Context) error {
-	// The flag must be observable before the pools flush, or an enqueue
-	// racing shutdown could slip items in after its pool drained (the
-	// enqueue path re-checks it under the pool lock).
 	m.mu.Lock()
 	first := !m.draining
 	m.draining = true
-	m.mu.Unlock()
-	if first {
-		close(m.drainSignal) // wake attached streams so they close promptly
-	}
-	// Flush the labelpools before checkpointing: drains run under
-	// acquireOpt(evenWhileDraining), so every queued round lands in its
-	// session before that session's snapshot is taken.
-	m.flushPools()
-	m.drainWG.Wait()
-
-	m.mu.Lock()
 	entries := make([]*entry, 0, len(m.live))
 	for _, e := range m.live {
 		entries = append(entries, e)
 	}
 	m.mu.Unlock()
+	if first {
+		close(m.drainSignal) // wake attached streams so they close promptly
+	}
 	var errs []error
 	for _, e := range entries {
 		e.mu.Lock()

@@ -65,7 +65,11 @@ func playRound(t *testing.T, m *Manager, id string) []PairView {
 		}
 		labeled[i] = l
 	}
-	if _, err := m.Submit(ctx, id, UncheckedRound, labeled); err != nil {
+	info, err := m.Get(ctx, id) // live after Next: Rounds is the round being played
+	if err != nil {
+		t.Fatalf("Get(%s): %v", id, err)
+	}
+	if _, err := m.Submit(ctx, id, info.Rounds, labeled); err != nil {
 		t.Fatalf("Submit(%s): %v", id, err)
 	}
 	return pairs
@@ -122,8 +126,11 @@ func TestManagerProtocolSentinelsOverManager(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Submit(ctx, info.ID, UncheckedRound, nil); !errors.Is(err, game.ErrNoRoundPending) {
+	if _, err := m.Submit(ctx, info.ID, 0, nil); !errors.Is(err, game.ErrNoRoundPending) {
 		t.Fatalf("Submit first: err = %v, want ErrNoRoundPending", err)
+	}
+	if _, err := m.Submit(ctx, info.ID, -1, nil); !errors.Is(err, ErrBadRequest) {
+		t.Fatalf("Submit round -1: err = %v, want ErrBadRequest", err)
 	}
 	if _, err := m.Next(ctx, info.ID); err != nil {
 		t.Fatal(err)
@@ -380,7 +387,7 @@ func TestManagerConcurrentSessions(t *testing.T) {
 						labeled[i] = belief.Labeling{Pair: dataset.NewPair(p.A, p.B)}
 					}
 					err = retry(func() (err error) {
-						_, err = m.Submit(ctx, info.ID, UncheckedRound, labeled)
+						_, err = m.Submit(ctx, info.ID, round, labeled)
 						return err
 					})
 					if errors.Is(err, game.ErrNoRoundPending) {

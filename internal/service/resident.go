@@ -164,20 +164,12 @@ func (m *Manager) setDegraded(id string, sick bool) {
 // evicted session. The caller must unlock it. Lookup loops because an
 // entry can be evicted between the map read and winning its lock.
 func (m *Manager) acquire(ctx context.Context, id string) (*entry, error) {
-	return m.acquireOpt(ctx, id, false)
-}
-
-// acquireOpt is acquire with one extra caller: the labelpool drain,
-// which must keep applying queued submissions while the manager drains
-// (shutdown flushes the pools before checkpointing, so a submission
-// accepted with a ticket is never silently dropped).
-func (m *Manager) acquireOpt(ctx context.Context, id string, evenWhileDraining bool) (*entry, error) {
 	for {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		m.mu.Lock()
-		if m.draining && !evenWhileDraining {
+		if m.draining {
 			m.mu.Unlock()
 			return nil, ErrShuttingDown
 		}

@@ -142,7 +142,7 @@ func TestManagerRevisionThroughService(t *testing.T) {
 	for _, p := range pairs {
 		labeled = append(labeled, belief.Labeling{Pair: dataset.NewPair(p.A, p.B)})
 	}
-	if _, err := m.Submit(ctx, info.ID, UncheckedRound, labeled); err != nil {
+	if _, err := m.Submit(ctx, info.ID, 1, labeled); err != nil {
 		t.Fatalf("submit with revision: %v", err)
 	}
 	views, err := m.Rounds(ctx, info.ID)
@@ -208,6 +208,19 @@ func TestObserverOrderedUnderConcurrentAccess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// round reads the round being played. Another goroutine may submit
+	// it first, so a submit naming it can also meet round_mismatch (its
+	// labels differ from what the round recorded) or no_round_pending.
+	round := func() int {
+		got, err := m.Get(ctx, info.ID)
+		if err != nil {
+			t.Errorf("get: %v", err)
+		}
+		return got.Rounds
+	}
+	stolen := func(err error) bool {
+		return errors.Is(err, game.ErrNoRoundPending) || errors.Is(err, ErrRoundMismatch)
+	}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -223,8 +236,7 @@ func TestObserverOrderedUnderConcurrentAccess(t *testing.T) {
 					// with a full abstain. (Abstentions enter the label
 					// history, so a late Submit for those pairs would be a
 					// valid revision — here it just gets ErrNoRoundPending.)
-					if _, err := m.Submit(ctx, info.ID, UncheckedRound, nil); err != nil &&
-						!errors.Is(err, game.ErrNoRoundPending) {
+					if _, err := m.Submit(ctx, info.ID, round(), nil); err != nil && !stolen(err) {
 						t.Errorf("steal submit: %v", err)
 						return
 					}
@@ -238,8 +250,7 @@ func TestObserverOrderedUnderConcurrentAccess(t *testing.T) {
 				for j, p := range pairs {
 					labeled[j] = belief.Labeling{Pair: dataset.NewPair(p.A, p.B)}
 				}
-				if _, err := m.Submit(ctx, info.ID, UncheckedRound, labeled); err != nil &&
-					!errors.Is(err, game.ErrNoRoundPending) {
+				if _, err := m.Submit(ctx, info.ID, round(), labeled); err != nil && !stolen(err) {
 					t.Errorf("submit: %v", err)
 					return
 				}

@@ -50,8 +50,9 @@ func (o ServerOptions) withDefaults() ServerOptions {
 //	GET    /v1/sessions/{id}         inspect
 //	POST   /v1/sessions/{id}/next    present the next round
 //	POST   /v1/sessions/{id}/submit  submit the round's labelings
-//	                                 (idempotent with "round")
+//	                                 (idempotent: "round" is required)
 //	POST   /v1/sessions/{id}/submissions        enqueue into the labelpool
+//	                                 and apply what it completes
 //	GET    /v1/sessions/{id}/submissions/{ticket} ticket status
 //	GET    /v1/sessions/{id}/rounds  per-round MAE/payoff (and F1 with
 //	                                 eval); ?stream=1 upgrades to SSE
@@ -156,15 +157,15 @@ func (req CreateRequest) spec() Spec {
 // the attribute positions marked erroneous, or an abstention.
 type LabelingWire = persist.LabelingJSON
 
-// SubmitRequest is the POST /v1/sessions/{id}/submit body. Round, when
-// present, makes the request idempotent: it must name the session's
+// SubmitRequest is the POST /v1/sessions/{id}/submit body. Round is
+// required and makes the request idempotent: it must name the session's
 // current round index (Info.Rounds); a request for an already-applied
 // round succeeds without re-applying if its labels are an identical
 // replay of what that round recorded, and fails with kind
 // "round_mismatch" otherwise — so a client that retries after a lost
 // response is always safe.
 type SubmitRequest struct {
-	Round  *int           `json:"round,omitempty"`
+	Round  *int           `json:"round"`
 	Labels []LabelingWire `json:"labels"`
 }
 
@@ -313,15 +314,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	round := UncheckedRound
-	if req.Round != nil {
-		if *req.Round < 0 {
-			writeError(w, badRequest(fmt.Errorf("round %d is negative", *req.Round)))
-			return
-		}
-		round = *req.Round
+	if req.Round == nil {
+		writeError(w, badRequest(fmt.Errorf("round is required")))
+		return
 	}
-	info, err := s.mgr.Submit(r.Context(), r.PathValue("id"), round, labeled)
+	info, err := s.mgr.Submit(r.Context(), r.PathValue("id"), *req.Round, labeled)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -335,16 +332,8 @@ func (s *Server) handleEnqueue(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	if len(req.Submissions) == 0 {
-		writeError(w, badRequest(fmt.Errorf("submissions must not be empty")))
-		return
-	}
 	subs := make([]Submission, 0, len(req.Submissions))
 	for _, sw := range req.Submissions {
-		if sw.Round < 0 {
-			writeError(w, badRequest(fmt.Errorf("round %d is negative", sw.Round)))
-			return
-		}
 		labeled, err := decodeLabels(sw.Labels)
 		if err != nil {
 			writeError(w, err)

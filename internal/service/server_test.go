@@ -86,7 +86,8 @@ func (c *client) playHTTPRound(id string) Info {
 		labels[i] = LabelingWire{Pair: [2]int{p.A, p.B}}
 	}
 	var info Info
-	c.expect(http.StatusOK, "POST", "/v1/sessions/"+id+"/submit", SubmitRequest{Labels: labels}, &info)
+	c.expect(http.StatusOK, "GET", "/v1/sessions/"+id, nil, &info) // live after next: Rounds is the round being played
+	c.expect(http.StatusOK, "POST", "/v1/sessions/"+id+"/submit", SubmitRequest{Round: &info.Rounds, Labels: labels}, &info)
 	return info
 }
 
@@ -176,9 +177,22 @@ func TestServerStatusMapping(t *testing.T) {
 	id := info.ID
 
 	// Submit before next → 409 no_round_pending.
+	round := 0
 	if raw := c.expect(http.StatusConflict, "POST", "/v1/sessions/"+id+"/submit",
-		SubmitRequest{}, nil); kind(raw) != "no_round_pending" {
+		SubmitRequest{Round: &round}, nil); kind(raw) != "no_round_pending" {
 		t.Fatalf("kind = %s", kind(raw))
+	}
+	// A submit without a round, or with a negative one → 400 bad_request.
+	for _, body := range []string{`{"labels":[]}`, `{"round":-1,"labels":[]}`} {
+		resp, err := http.Post(c.base+"/v1/sessions/"+id+"/submit", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || kind(raw) != "bad_request" {
+			t.Fatalf("submit %s: status %d body %s, want 400 bad_request", body, resp.StatusCode, raw)
+		}
 	}
 	// Double next → 409 round_pending.
 	var pending nextResponse
@@ -202,8 +216,8 @@ func TestServerStatusMapping(t *testing.T) {
 	for i, p := range pending.Pairs {
 		labels[i] = LabelingWire{Pair: [2]int{p.A, p.B}}
 	}
-	c.expect(http.StatusOK, "POST", "/v1/sessions/"+id+"/submit", SubmitRequest{Labels: labels}, nil)
-	for round := 0; ; round++ {
+	c.expect(http.StatusOK, "POST", "/v1/sessions/"+id+"/submit", SubmitRequest{Round: &round, Labels: labels}, nil)
+	for round = 1; ; round++ {
 		if round > 30 {
 			t.Fatal("pool never exhausted")
 		}
@@ -223,7 +237,7 @@ func TestServerStatusMapping(t *testing.T) {
 		for i, p := range n.Pairs {
 			labels[i] = LabelingWire{Pair: [2]int{p.A, p.B}}
 		}
-		c.expect(http.StatusOK, "POST", "/v1/sessions/"+id+"/submit", SubmitRequest{Labels: labels}, nil)
+		c.expect(http.StatusOK, "POST", "/v1/sessions/"+id+"/submit", SubmitRequest{Round: &round, Labels: labels}, nil)
 	}
 }
 
@@ -261,7 +275,8 @@ func TestServerConcurrentSessions(t *testing.T) {
 			for j, p := range next.Pairs {
 				labels[j] = LabelingWire{Pair: [2]int{p.A, p.B}}
 			}
-			if status, raw := c.do("POST", "/v1/sessions/"+id+"/submit", SubmitRequest{Labels: labels}, &info); status != http.StatusOK {
+			round := 0
+			if status, raw := c.do("POST", "/v1/sessions/"+id+"/submit", SubmitRequest{Round: &round, Labels: labels}, &info); status != http.StatusOK {
 				fail("submit", string(raw))
 				return
 			}

@@ -84,13 +84,13 @@ func dialStream(t *testing.T, ts *httptest.Server, id string, lastEventID int) (
 	return resp, bufio.NewReader(resp.Body)
 }
 
-// TestStreamLiveDelivery races three concurrent enqueue windows and a
-// small DrainBatch against one attached stream: every round must
-// arrive as an `event: round` with its index as the SSE id, in order,
-// exactly once, interleaved with `event: pairs` announcements, and the
-// session's completion must close the stream with `event: done`.
+// TestStreamLiveDelivery races two concurrent enqueue windows against
+// one attached stream: every round must arrive as an `event: round`
+// with its index as the SSE id, in order, exactly once, interleaved
+// with `event: pairs` announcements, and the session's completion must
+// close the stream with `event: done`.
 func TestStreamLiveDelivery(t *testing.T) {
-	m := NewManager(Options{DrainBatch: 2})
+	m := NewManager(Options{})
 	ts := httptest.NewServer(NewServer(m, ServerOptions{StreamHeartbeat: 25 * time.Millisecond}))
 	t.Cleanup(ts.Close)
 	ctx := context.Background()
@@ -188,10 +188,10 @@ func TestStreamLiveDelivery(t *testing.T) {
 // client that disconnects mid-stream and reconnects with Last-Event-ID
 // receives every round exactly once across the two connections — with
 // the session parked by a sweep in between (the cursor lives in the
-// client, not the entry) and concurrent batched drains feeding the
-// tail of the window during the second connection.
+// client, not the entry) and a concurrent enqueue applying the tail of
+// the window during the second connection.
 func TestStreamResumeExactlyOnce(t *testing.T) {
-	m := NewManager(Options{DrainBatch: 3, IdleTTL: time.Minute})
+	m := NewManager(Options{IdleTTL: time.Minute})
 	ts := httptest.NewServer(NewServer(m, ServerOptions{}))
 	t.Cleanup(ts.Close)
 	ctx := context.Background()
@@ -206,7 +206,7 @@ func TestStreamResumeExactlyOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tk := range tickets {
-		if got := waitTicket(t, m, id, tk.ID); got.State != TicketApplied {
+		if got := readTicket(t, m, id, tk.ID); got.State != TicketApplied {
 			t.Fatalf("round %d: %+v", tk.Round, got)
 		}
 	}

@@ -51,7 +51,11 @@ func walPlayRound(ctx context.Context, m *Manager, id string) error {
 	for i, p := range pairs {
 		labeled[i] = belief.Labeling{Pair: dataset.NewPair(p.A, p.B)}
 	}
-	_, err = m.Submit(ctx, id, UncheckedRound, labeled)
+	info, err := m.Get(ctx, id) // live after Next: Rounds is the round being played
+	if err != nil {
+		return err
+	}
+	_, err = m.Submit(ctx, id, info.Rounds, labeled)
 	return err
 }
 
