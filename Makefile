@@ -17,14 +17,20 @@ FUZZERS := ./internal/sampling:FuzzParseMethod \
 
 # Package directories whose source size `make loc` reports.
 LOCDIRS := internal/service internal/persist internal/persist/wal \
-           internal/persist/faulty internal/lint cmd/etserve
+           internal/persist/faulty internal/lint cmd/etserve \
+           internal/fd internal/game internal/stats internal/sampling \
+           internal/repair
 
 .PHONY: all build vet lint lintbench test race check verify bench benchbaseline benchcheck fuzz chaos loadsmoke walbench loc clean
 
 all: build
 
+# cmd/etperf is a nested module that `go build ./...` skips; building it
+# too catches a change that breaks an API the benchmark calls. Its
+# binary is discarded: the benchmark directory holds sources only.
 build:
 	$(GO) build ./...
+	$(GO) -C cmd/etperf build -o /dev/null ./...
 
 vet:
 	$(GO) vet ./...
@@ -34,8 +40,10 @@ vet:
 # floatcmp, scratchalias — plus the interprocedural, call-graph-driven
 # set: lockorder (DESIGN §6 lock order), goroleak (unjoined
 # goroutines), chanlock (blocking channel ops under a mutex), ctxflow
-# (manufactured contexts outside cmd/) and errkind (error-envelope
-# registry coverage).
+# (manufactured contexts outside cmd/), errkind (error-envelope
+# registry coverage) and unreachable (non-test functions no main,
+# init, public API, package-level declaration or interface method
+# reaches).
 # etlint loads the module once — each package type-checked exactly
 # once — and exits non-zero on any finding, unjustified suppression,
 # or stale suppression; `go run ./cmd/etlint -audit` lists every
@@ -199,11 +207,15 @@ benchcheck:
 		| $(GO) run ./cmd/benchjson -check BENCH_Lint.json
 
 # Source-line counts tracked next to ns/op: the non-test Go lines of
-# each LOCDIRS directory (subpackages counted on their own rows).
+# each LOCDIRS directory (subpackages counted on their own rows), then
+# the module total — every non-test Go line outside testdata and
+# cmd/etperf/, the benchmark's own module.
 loc:
 	@for d in $(LOCDIRS); do \
 		printf '%-24s %5d\n' $$d $$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \
 	done
+	@printf '%-24s %5d\n' total $$(find . -name '*.go' ! -name '*_test.go' ! -path './.*' \
+		! -path './cmd/etperf/*' ! -path '*/testdata/*' -exec cat {} + | wc -l)
 
 clean:
 	rm -f BENCH_*.json

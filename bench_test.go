@@ -12,6 +12,7 @@
 package exptrain
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -236,7 +237,7 @@ func runStationaryGame(b *testing.B, method string) float64 {
 	}
 	learner := agents.NewLearner(belief.UniformPrior(space, 0.5, 0.12), sampler, rng.Split())
 	pool := sampling.NewPool(rel, space, sampling.PoolConfig{Seed: 4})
-	res, err := game.Run(rel, trainer, learner, pool, game.Config{})
+	res, err := game.RunContext(context.Background(), rel, trainer, learner, pool, game.Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -244,8 +245,9 @@ func runStationaryGame(b *testing.B, method string) float64 {
 }
 
 // BenchmarkSessionRound measures one step-wise session round — present,
-// label, incorporate, measure — through the same round engine game.Run
-// uses, at the paper's shape (OMDB, StochasticUS, 38-FD space).
+// label, incorporate, measure — through the same round engine
+// game.RunContext uses, at the paper's shape (OMDB, StochasticUS, 38-FD
+// space).
 func BenchmarkSessionRound(b *testing.B) {
 	ds := datagen.OMDB(240, 1)
 	benchSessionRound(b, ds, ds.Space(3, 38))
@@ -386,7 +388,7 @@ func BenchmarkFullGame(b *testing.B) {
 			belief.DataEstimatePrior(space, injected.Rel, 0.12),
 			sampling.StochasticUS{}, rng.Split())
 		pool := sampling.NewPool(injected.Rel, space, sampling.PoolConfig{Seed: uint64(i)})
-		if _, err := game.Run(injected.Rel, trainer, learner, pool, game.Config{}); err != nil {
+		if _, err := game.RunContext(context.Background(), injected.Rel, trainer, learner, pool, game.Config{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -462,7 +464,7 @@ func BenchmarkGameScaling(b *testing.B) {
 					belief.DataEstimatePrior(space, injected.Rel, 0.12),
 					sampling.StochasticUS{}, rng.Split())
 				pool := sampling.NewPool(injected.Rel, space, sampling.PoolConfig{Seed: uint64(i)})
-				if _, err := game.Run(injected.Rel, trainer, learner, pool, game.Config{}); err != nil {
+				if _, err := game.RunContext(context.Background(), injected.Rel, trainer, learner, pool, game.Config{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -503,32 +505,6 @@ func BenchmarkRevision(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			rel.SetValue(i%rows, 2, fmt.Sprintf("Genre-%d", i%6))
 			sweep(fd.NewPLICache(rel))
-		}
-	})
-}
-
-// BenchmarkIncrementalTracking compares incremental FD-statistics
-// maintenance against full recomputation on a 38-FD space.
-func BenchmarkIncrementalTracking(b *testing.B) {
-	ds := datagen.OMDB(2000, 1)
-	space := ds.Space(3, 38)
-	b.Run("incremental", func(b *testing.B) {
-		rel := ds.Rel.Clone()
-		mt := fd.NewMultiTracker(space.FDs(), rel)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			mt.Set(i%rel.NumRows(), 2, fmt.Sprintf("Genre-%d", i%6))
-		}
-	})
-	b.Run("recompute", func(b *testing.B) {
-		rel := ds.Rel.Clone()
-		fds := space.FDs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			rel.SetValue(i%rel.NumRows(), 2, fmt.Sprintf("Genre-%d", i%6))
-			for _, f := range fds {
-				fd.ComputeStats(f, rel)
-			}
 		}
 	})
 }

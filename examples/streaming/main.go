@@ -2,9 +2,10 @@
 //
 // The paper's introduction notes that annotators must keep re-learning
 // when data evolves rapidly. This example shows the substrate for that
-// setting: an incremental tracker maintains every hypothesis' violation
-// statistics under single-cell updates in microseconds, where a naive
-// recomputation would rescan the relation each time.
+// setting: a PLI cache (fd.PLICache) keeps every hypothesis' violation
+// statistics current by replaying the relation's cell-delta journal, so
+// a single-cell update costs microseconds where a naive recomputation
+// would rescan the relation each time.
 //
 // The program simulates a feed of cell updates against a Tax-like
 // relation — most updates benign, some corrupting — and alerts whenever
@@ -20,6 +21,7 @@ import (
 	"log"
 
 	"exptrain"
+	"exptrain/internal/fd"
 	"exptrain/internal/stats"
 )
 
@@ -31,11 +33,11 @@ func main() {
 	rel := ds.Rel
 	names := rel.Schema().Names()
 	tracked := ds.ExactFDs
-	monitor := exptrain.NewFDMultiTracker(tracked, rel)
+	monitor := fd.NewPLICache(rel)
 
 	fmt.Println("monitoring dependencies:")
-	for i, f := range tracked {
-		st := monitor.Stats(i)
+	for _, f := range tracked {
+		st := monitor.Stats(f)
 		fmt.Printf("  %-28s violation rate %.4f (%d agreeing pairs)\n",
 			f.Render(names), rate(st), st.Agreeing)
 	}
@@ -52,15 +54,15 @@ func main() {
 		if rng.Float64() < 0.05 {
 			// Corruption: break zip→city by writing a random other city.
 			city := rel.Schema().MustIndex("city")
-			monitor.Set(row, city, fmt.Sprintf("CITY-%d", rng.Intn(50)))
+			rel.SetValue(row, city, fmt.Sprintf("CITY-%d", rng.Intn(50)))
 			corruptions++
 		} else {
 			// Benign churn on an independent attribute.
 			salary := rel.Schema().MustIndex("salary")
-			monitor.Set(row, salary, fmt.Sprint(20000+5000*rng.Intn(17)))
+			rel.SetValue(row, salary, fmt.Sprint(20000+5000*rng.Intn(17)))
 		}
 		for i, f := range tracked {
-			r := rate(monitor.Stats(i))
+			r := rate(monitor.Stats(f))
 			if r > threshold && !alerted[i] {
 				alerted[i] = true
 				fmt.Printf("step %4d: ALERT %-28s violation rate %.4f crossed %.2f (after %d corruptions)\n",
@@ -70,8 +72,8 @@ func main() {
 	}
 
 	fmt.Printf("\nafter 2000 updates (%d corruptions):\n", corruptions)
-	for i, f := range tracked {
-		st := monitor.Stats(i)
+	for _, f := range tracked {
+		st := monitor.Stats(f)
 		fmt.Printf("  %-28s violation rate %.4f\n", f.Render(names), rate(st))
 	}
 	fmt.Println("\nzip->city degraded; the other dependencies stayed clean —")

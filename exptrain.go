@@ -132,11 +132,6 @@ type (
 	BelievedFD = repair.BelievedFD
 	// RepairConfig tunes repair-suggestion generation.
 	RepairConfig = repair.Config
-	// FDTracker maintains one FD's statistics incrementally under cell
-	// updates (streaming/evolving data).
-	FDTracker = fd.Tracker
-	// FDMultiTracker maintains a whole hypothesis space incrementally.
-	FDMultiTracker = fd.MultiTracker
 )
 
 // Prior kinds of §C.1.
@@ -285,15 +280,6 @@ func SuggestRepairs(rel *Relation, believed []BelievedFD, cfg RepairConfig) ([]R
 // ApplyRepairs returns a repaired copy of the relation.
 func ApplyRepairs(rel *Relation, suggestions []RepairSuggestion) (*Relation, error) {
 	return repair.Apply(rel, suggestions)
-}
-
-// NewFDTracker builds an incremental statistics tracker for one FD.
-func NewFDTracker(f FD, rel *Relation) *FDTracker { return fd.NewTracker(f, rel) }
-
-// NewFDMultiTracker builds incremental trackers for a set of FDs with a
-// single write path.
-func NewFDMultiTracker(fds []FD, rel *Relation) *FDMultiTracker {
-	return fd.NewMultiTracker(fds, rel)
 }
 
 // SessionConfig assembles one exploratory-training session over a

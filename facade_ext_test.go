@@ -50,27 +50,6 @@ func TestFacadeRepairPipeline(t *testing.T) {
 	}
 }
 
-func TestFacadeTrackers(t *testing.T) {
-	ds, err := GenerateDataset("OMDB", 120, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := ds.ExactFDs[0]
-	tr := NewFDTracker(f, ds.Rel)
-	if tr.Stats().Violating != 0 {
-		t.Fatal("clean data should have no violations")
-	}
-	tr.Set(0, f.RHS, "corrupted")
-	if tr.Stats().Violating == 0 {
-		t.Fatal("tracker missed the corruption")
-	}
-
-	mt := NewFDMultiTracker(ds.ExactFDs, ds.Rel)
-	if mt.Len() != len(ds.ExactFDs) {
-		t.Fatalf("Len = %d", mt.Len())
-	}
-}
-
 func TestFacadeTrainingSession(t *testing.T) {
 	ds, err := GenerateDataset("OMDB", 150, 4)
 	if err != nil {

@@ -149,6 +149,8 @@ type StationaryTrainer struct {
 }
 
 // NewStationaryTrainer wraps a fixed belief.
+//
+//etlint:ignore unreachable ablation trainer shared by the tests and benchmarks of agents, game and the exptrain root
 func NewStationaryTrainer(b *belief.Belief) *StationaryTrainer {
 	return &StationaryTrainer{belief: b}
 }
@@ -213,9 +215,6 @@ func NewHypothesisTestingTrainer(prior *belief.Belief, cfg HTConfig) (*Hypothesi
 
 // Name implements Trainer.
 func (t *HypothesisTestingTrainer) Name() string { return "HypothesisTesting" }
-
-// Current returns the index of the held hypothesis.
-func (t *HypothesisTestingTrainer) Current() int { return t.current }
 
 // empiricalConfidence measures how well hypothesis i explains the
 // window: the compliance rate among window pairs carrying evidence for

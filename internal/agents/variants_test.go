@@ -332,3 +332,6 @@ func TestFPTrainerForgetRateBounds(t *testing.T) {
 		}
 	}
 }
+
+// Current returns the index of the held hypothesis.
+func (t *HypothesisTestingTrainer) Current() int { return t.current }

@@ -125,9 +125,9 @@ func (b *Belief) MAE(o *Belief) float64 {
 	if b.space != o.space && b.Size() != o.Size() {
 		panic("belief: MAE across different hypothesis spaces")
 	}
-	// Direct loop replicating stats.MeanAbsDiff's exact operation order
-	// over the confidence vectors without materializing them — MAE runs
-	// once per round and must not allocate.
+	// A direct loop over the confidence means instead of materialized
+	// Confidences() vectors: MAE runs once per round and must not
+	// allocate.
 	var s float64
 	for i := range b.dists {
 		s += math.Abs(b.dists[i].Mean() - o.dists[i].Mean())

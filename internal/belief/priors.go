@@ -81,7 +81,7 @@ func DataEstimatePrior(space *fd.Space, rel *dataset.Relation, sigma float64) *B
 	// common LHS (every RHS choice over one attribute set), so the
 	// estimate partitions once per distinct LHS instead of once per FD.
 	// The per-FD Stats are computed from the same stripped partitions
-	// fd.Confidence derives, so the float results are identical.
+	// fd.ComputeStats derives, so the float results are identical.
 	cache := fd.NewPLICache(rel)
 	for i := 0; i < space.Size(); i++ {
 		b.SetDist(i, priorAt(cache.Stats(space.FD(i)).Confidence(), sigma))

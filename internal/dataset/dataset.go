@@ -240,8 +240,8 @@ func (r *Relation) Value(i, j int) string { return r.rows[i][j] }
 // SetValue overwrites one cell; used by the error generator and the
 // revision path. It is the only sanctioned cell-mutation path: it keeps
 // the dictionary codes in sync, bumps the relation version, and records
-// a CellDelta so downstream caches (fd.PLICache, fd.Tracker, the belief
-// violation memo) can catch up incrementally instead of rebuilding.
+// a CellDelta so fd.PLICache can catch up incrementally instead of
+// rebuilding.
 func (r *Relation) SetValue(i, j int, v string) {
 	c := r.cols[j]
 	old := c.codes[i]
@@ -464,8 +464,10 @@ func PairsAmong(rows []int) []Pair {
 }
 
 // AllPairs enumerates every unordered pair over n rows, in lexicographic
-// order. Quadratic; intended for the small relations in tests and for
-// exact g₁ computation on modest data.
+// order. Quadratic: a brute-force oracle for tests over small
+// relations.
+//
+//etlint:ignore unreachable brute-force pair oracle shared by the tests of dataset, agents, belief, fd, game and sampling
 func AllPairs(n int) []Pair {
 	if n < 2 {
 		return nil

@@ -32,21 +32,6 @@ func Implies(fds []FD, f FD) bool {
 	return Closure(f.LHS, fds).Has(f.RHS)
 }
 
-// Equivalent reports whether two FD sets imply each other.
-func Equivalent(a, b []FD) bool {
-	for _, f := range b {
-		if !Implies(a, f) {
-			return false
-		}
-	}
-	for _, f := range a {
-		if !Implies(b, f) {
-			return false
-		}
-	}
-	return true
-}
-
 // MinimalCover returns a minimal cover of the FD set: every FD has a
 // left-reduced LHS (no extraneous attributes) and no FD is implied by
 // the others. The result is equivalent to the input and canonically

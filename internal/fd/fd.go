@@ -31,6 +31,8 @@ func New(lhs AttrSet, rhs int) (FD, error) {
 }
 
 // MustNew is New that panics on error.
+//
+//etlint:ignore unreachable test fixture helper shared by the tests of fd, agents, belief, errgen, game, repair, sampling, cmd/etrepair and the exptrain root
 func MustNew(lhs AttrSet, rhs int) FD {
 	f, err := New(lhs, rhs)
 	if err != nil {

@@ -97,44 +97,9 @@ func ComputeStats(f FD, rel *dataset.Relation) Stats {
 	return PartitionOn(rel, f.LHS).StatsFor(rel, f.RHS)
 }
 
-// ComputeStatsNaive is the original string-keyed implementation,
-// retained as the reference the dictionary/PLI fast paths are
-// property-tested against.
-func ComputeStatsNaive(f FD, rel *dataset.Relation) Stats {
-	lhs := f.LHS.Attrs()
-	n := rel.NumRows()
-	groups := make(map[string]map[string]int)
-	sizes := make(map[string]int)
-	for i := 0; i < n; i++ {
-		key := rel.ProjectKey(i, lhs)
-		rhsVal := rel.Value(i, f.RHS)
-		cls := groups[key]
-		if cls == nil {
-			cls = make(map[string]int)
-			groups[key] = cls
-		}
-		cls[rhsVal]++
-		sizes[key]++
-	}
-	st := Stats{Rows: n}
-	for key, g := range sizes {
-		st.Agreeing += g * (g - 1) / 2
-		for _, c := range groups[key] {
-			st.Compliant += c * (c - 1) / 2
-		}
-	}
-	st.Violating = st.Agreeing - st.Compliant
-	return st
-}
-
 // G1 computes the scaled g₁ measure of f over rel.
 func G1(f FD, rel *dataset.Relation) float64 {
 	return ComputeStats(f, rel).G1()
-}
-
-// Confidence computes the pair-conditional compliance rate of f over rel.
-func Confidence(f FD, rel *dataset.Relation) float64 {
-	return ComputeStats(f, rel).Confidence()
 }
 
 // ViolatingPairs returns every unordered pair of rel that violates f, in
@@ -156,73 +121,7 @@ func ViolatingPairs(f FD, rel *dataset.Relation) []dataset.Pair {
 	return out
 }
 
-// AgreeingPairs returns every unordered pair that agrees on f's LHS
-// (compliant and violating alike), in deterministic order. These are the
-// pairs that carry evidence about f. Callers enumerating many FDs over
-// one relation should use PLICache.AgreeingPairs, which shares the LHS
-// partitions.
-func AgreeingPairs(f FD, rel *dataset.Relation) []dataset.Pair {
-	return agreeingFromPartition(PartitionOn(rel, f.LHS))
-}
-
-// AgreeingPairsNaive is the original string-keyed implementation,
-// retained as the reference the dictionary/PLI fast paths are
-// property-tested against (including the exact enumeration order, which
-// the sampling pool's determinism rides on).
-func AgreeingPairsNaive(f FD, rel *dataset.Relation) []dataset.Pair {
-	lhs := f.LHS.Attrs()
-	n := rel.NumRows()
-	groups := make(map[string][]int)
-	order := make([]string, 0)
-	for i := 0; i < n; i++ {
-		key := rel.ProjectKey(i, lhs)
-		if _, ok := groups[key]; !ok {
-			order = append(order, key)
-		}
-		groups[key] = append(groups[key], i)
-	}
-	var out []dataset.Pair
-	for _, key := range order {
-		rows := groups[key]
-		for a := 0; a < len(rows); a++ {
-			for b := a + 1; b < len(rows); b++ {
-				out = append(out, dataset.NewPair(rows[a], rows[b]))
-			}
-		}
-	}
-	return out
-}
-
 // Cell identifies one cell of a relation by row and attribute position.
 type Cell struct {
 	Row, Attr int
-}
-
-// ViolatingCells returns C_v for f over rel: the set of cells (LHS and
-// RHS attributes of both tuples) involved in at least one violation of f
-// (§A.1, "Detecting Errors"). The result is returned as a map for O(1)
-// membership tests.
-func ViolatingCells(f FD, rel *dataset.Relation) map[Cell]struct{} {
-	cells := make(map[Cell]struct{})
-	attrs := append(f.LHS.Attrs(), f.RHS)
-	for _, p := range ViolatingPairs(f, rel) {
-		for _, a := range attrs {
-			cells[Cell{Row: p.A, Attr: a}] = struct{}{}
-			cells[Cell{Row: p.B, Attr: a}] = struct{}{}
-		}
-	}
-	return cells
-}
-
-// ViolatingRows returns the set of row indices involved in at least one
-// violation of any of the given FDs.
-func ViolatingRows(fds []FD, rel *dataset.Relation) map[int]struct{} {
-	rows := make(map[int]struct{})
-	for _, f := range fds {
-		for _, p := range ViolatingPairs(f, rel) {
-			rows[p.A] = struct{}{}
-			rows[p.B] = struct{}{}
-		}
-	}
-	return rows
 }

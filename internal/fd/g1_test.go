@@ -91,12 +91,12 @@ func TestConfidence(t *testing.T) {
 	rel := table1()
 	f := MustParse("Team->City", rel.Schema())
 	// 1 compliant of 2 agreeing pairs.
-	if got := Confidence(f, rel); math.Abs(got-0.5) > 1e-12 {
+	if got := ComputeStats(f, rel).Confidence(); math.Abs(got-0.5) > 1e-12 {
 		t.Fatalf("Confidence = %v, want 0.5", got)
 	}
 	// Player is a key: no agreeing pairs → vacuous confidence 1.
 	key := MustParse("Player->Team", rel.Schema())
-	if got := Confidence(key, rel); got != 1 {
+	if got := ComputeStats(key, rel).Confidence(); got != 1 {
 		t.Fatalf("key FD confidence = %v, want 1", got)
 	}
 }
@@ -140,41 +140,6 @@ func TestStatsAgainstBruteForce(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestViolatingCells(t *testing.T) {
-	rel := table1()
-	f := MustParse("Team->City", rel.Schema())
-	cells := ViolatingCells(f, rel)
-	team := rel.Schema().MustIndex("Team")
-	city := rel.Schema().MustIndex("City")
-	// Only the (t1,t2) violation; its Team and City cells are in C_v.
-	want := map[Cell]struct{}{
-		{0, team}: {}, {0, city}: {},
-		{1, team}: {}, {1, city}: {},
-	}
-	if len(cells) != len(want) {
-		t.Fatalf("C_v has %d cells, want %d: %v", len(cells), len(want), cells)
-	}
-	for c := range want {
-		if _, ok := cells[c]; !ok {
-			t.Errorf("missing cell %v", c)
-		}
-	}
-}
-
-func TestViolatingRows(t *testing.T) {
-	rel := table1()
-	f := MustParse("Team->City", rel.Schema())
-	rows := ViolatingRows([]FD{f}, rel)
-	if len(rows) != 2 {
-		t.Fatalf("violating rows = %v, want {0,1}", rows)
-	}
-	for _, r := range []int{0, 1} {
-		if _, ok := rows[r]; !ok {
-			t.Errorf("row %d missing", r)
-		}
 	}
 }
 

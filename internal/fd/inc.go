@@ -153,8 +153,9 @@ func (q *incPLI) statsFor(rel *dataset.Relation, a int, sc *pliScratch) Stats {
 
 // strippedView derives (and memoizes) the stripped Partition: the ≥2
 // groups ordered by smallest member, exactly the order the rebuild
-// path produces, so every downstream consumer (Stats, MinorityRows,
-// AgreeingPairs) is bit-identical to a from-scratch partition. Classes
+// path produces, so every downstream consumer (Stats, DetectErrors, the
+// pool's agreeing-pair decoding) is bit-identical to a from-scratch
+// partition. Classes
 // alias the live member slices; the view is valid until the next
 // relation mutation.
 func (q *incPLI) strippedView() *Partition {

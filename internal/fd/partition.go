@@ -117,26 +117,6 @@ func partitionSingle(rel *dataset.Relation, a int, sc *pliScratch) *Partition {
 	return p
 }
 
-// PartitionOnNaive is the original string-keyed implementation, retained
-// as the reference the dictionary/PLI fast paths are property-tested
-// against.
-func PartitionOnNaive(rel *dataset.Relation, x AttrSet) *Partition {
-	attrs := x.Attrs()
-	groups := make(map[string][]int32)
-	for i := 0; i < rel.NumRows(); i++ {
-		key := rel.ProjectKey(i, attrs)
-		groups[key] = append(groups[key], int32(i))
-	}
-	p := &Partition{Rows: rel.NumRows()}
-	for _, rows := range groups {
-		if len(rows) >= 2 {
-			p.Classes = append(p.Classes, rows)
-		}
-	}
-	sort.Slice(p.Classes, func(i, j int) bool { return p.Classes[i][0] < p.Classes[j][0] })
-	return p
-}
-
 // AgreeingPairCount returns Σ C(|class|, 2), the number of unordered
 // pairs agreeing on the partition's attribute set.
 func (p *Partition) AgreeingPairCount() int {
@@ -147,16 +127,10 @@ func (p *Partition) AgreeingPairCount() int {
 	return total
 }
 
-// Refine intersects the partition with the single attribute a, returning
-// the stripped partition on X ∪ {a}. This is the product-partition step
-// TANE uses to walk the lattice level by level without re-grouping from
-// scratch.
-func (p *Partition) Refine(rel *dataset.Relation, a int) *Partition {
-	var sc pliScratch
-	return p.refine(rel, a, &sc)
-}
-
-// refine is Refine with caller-owned scratch. Sub-grouping runs on a's
+// refine intersects the partition with the single attribute a,
+// returning the stripped partition on X ∪ {a}: the product-partition
+// step TANE uses to walk the lattice level by level without re-grouping
+// from scratch. sc is caller-owned scratch. Sub-grouping runs on a's
 // code column with per-code counters reset via the touched list. Two
 // passes: the first sizes every surviving sub-class so the output's
 // members lay out in a single backing array, the second fills them in

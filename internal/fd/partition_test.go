@@ -33,7 +33,7 @@ func TestPartitionRefineMatchesDirect(t *testing.T) {
 			})
 		}
 		direct := PartitionOn(rel, NewAttrSet(0, 1))
-		refined := PartitionOn(rel, NewAttrSet(0)).Refine(rel, 1)
+		refined := PartitionOn(rel, NewAttrSet(0)).refine(rel, 1, &pliScratch{})
 		if len(direct.Classes) != len(refined.Classes) {
 			return false
 		}

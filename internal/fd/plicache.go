@@ -333,13 +333,6 @@ func (c *PLICache) Stats(f FD) Stats {
 	return st
 }
 
-// MinorityRows is fd.MinorityRows backed by the cached LHS partition.
-func (c *PLICache) MinorityRows(f FD) map[int]struct{} {
-	flagged := make(map[int]struct{})
-	c.minorityInto(f, flagged)
-	return flagged
-}
-
 // minorityInto unions f's minority rows into flagged.
 func (c *PLICache) minorityInto(f FD, flagged map[int]struct{}) {
 	c.mu.Lock()
@@ -355,31 +348,6 @@ func (c *PLICache) DetectErrors(fds []FD) map[int]struct{} {
 	out := make(map[int]struct{})
 	for _, f := range fds {
 		c.minorityInto(f, out)
-	}
-	return out
-}
-
-// AgreeingPairs returns every unordered pair agreeing on f's LHS, in
-// the same deterministic order as fd.AgreeingPairs, enumerated from the
-// cached partition. The result is freshly allocated (callers retain
-// it); pool construction avoids materializing it at all on large
-// relations by decoding sampled indices straight off the partition.
-func (c *PLICache) AgreeingPairs(f FD) []dataset.Pair {
-	return agreeingFromPartition(c.Partition(f.LHS))
-}
-
-// agreeingFromPartition expands a stripped LHS partition into its
-// agreeing pairs. Classes are ordered by smallest member and members
-// ascend, which reproduces exactly the first-seen group order of the
-// naive row scan.
-func agreeingFromPartition(p *Partition) []dataset.Pair {
-	out := make([]dataset.Pair, 0, p.AgreeingPairCount())
-	for _, rows := range p.Classes {
-		for a := 0; a < len(rows); a++ {
-			for b := a + 1; b < len(rows); b++ {
-				out = append(out, dataset.Pair{A: int(rows[a]), B: int(rows[b])})
-			}
-		}
 	}
 	return out
 }

@@ -96,3 +96,55 @@ func TestExploitabilityEmptyAndBounds(t *testing.T) {
 		t.Fatalf("exploitability out of [0,1]: %v", g)
 	}
 }
+
+// IsBestResponse reports whether the labelings are a best response to
+// the belief: every pair carries exactly the marks MarkPairs would
+// produce. Proposition 1's convergence argument assumes the trainer
+// best-responds; this check lets tests and diagnostics verify it on
+// recorded trajectories. Abstained labelings are never best responses
+// (abstention forgoes payoff) and return false.
+func IsBestResponse(b *belief.Belief, rel *dataset.Relation, labeled []belief.Labeling) bool {
+	pairs := make([]dataset.Pair, len(labeled))
+	for i, lp := range labeled {
+		if lp.Abstained {
+			return false
+		}
+		pairs[i] = lp.Pair
+	}
+	want := b.MarkPairs(rel, pairs, 0.5)
+	for i := range labeled {
+		if labeled[i].Marked != want[i].Marked {
+			return false
+		}
+	}
+	return true
+}
+
+// Exploitability measures how far the trainer's realized labeling falls
+// short of its best response, as a payoff gap per labeling:
+//
+//	(u_T(best response) − u_T(actual)) / |labelings|
+//
+// Zero means the labeling was exactly optimal given the belief; label
+// noise, abstention, or a lagging response model show up as positive
+// gaps. The value is in [0, 1].
+func Exploitability(b *belief.Belief, rel *dataset.Relation, labeled []belief.Labeling) float64 {
+	if len(labeled) == 0 {
+		return 0
+	}
+	var actual, best float64
+	for _, lp := range labeled {
+		pd := b.PDirty(rel, lp.Pair)
+		actual += b.LabelPayoff(rel, lp.Pair, lp.Label())
+		if pd >= 0.5 {
+			best += pd
+		} else {
+			best += 1 - pd
+		}
+	}
+	gap := (best - actual) / float64(len(labeled))
+	if gap < 0 {
+		return 0
+	}
+	return gap
+}

@@ -57,7 +57,7 @@ func newRoundEngine(cfg engineConfig) *roundEngine {
 		believedTau:     cfg.believedTau,
 		maxBelievedStd:  cfg.maxBelievedStd,
 		obs:             obs,
-		freqs:           NewFrequencies(),
+		freqs:           &Frequencies{},
 	}
 }
 
@@ -104,7 +104,7 @@ func (e *roundEngine) step(presented []dataset.Pair, labeled, revisions []belief
 	if e.eval != nil {
 		rec.Detection = e.eval.Score(e.believedModel())
 	}
-	e.freqs.Record(presented, labeled)
+	e.freqs.Record(labeled)
 	e.records = append(e.records, rec)
 	e.obs.RoundScored(t, rec)
 	return rec
@@ -118,7 +118,7 @@ func (e *roundEngine) step(presented []dataset.Pair, labeled, revisions []belief
 // rounds' evidence.
 func (e *roundEngine) restore(records []IterationRecord) {
 	for _, rec := range records {
-		e.freqs.Record(rec.Presented, rec.Labeled)
+		e.freqs.Record(rec.Labeled)
 		e.learner.RestoreHistory(rec.Labeled)
 		e.learner.RestoreHistory(rec.Revisions)
 	}

@@ -110,7 +110,7 @@ type IterationRecord struct {
 // Result is the full trajectory of one game.
 type Result struct {
 	Iterations []IterationRecord
-	// Frequencies tracks the empirical action distributions Φ_t.
+	// Frequencies tracks the trainer's empirical label distribution Φ_t.
 	Frequencies *Frequencies
 }
 
@@ -140,20 +140,16 @@ func (r *Result) FinalMAE() float64 {
 	return r.Iterations[len(r.Iterations)-1].MAE
 }
 
-// Run plays the exploratory-training game: each interaction t the
-// learner presents K fresh pairs from the pool (response model R^L),
-// the trainer observes them and updates its belief (prediction model
-// P^T), labels them in best response (R^T), and the learner updates its
-// belief from the labelings (P^L). The loop is exactly §C.1's
-// "Interactions" protocol.
-func Run(rel *dataset.Relation, trainer agents.Trainer, learner *agents.Learner, pool *sampling.Pool, cfg Config) (*Result, error) {
-	return RunContext(context.Background(), rel, trainer, learner, pool, cfg)
-}
-
-// RunContext is Run with cancellation checked between interactions: a
-// done context returns ctx.Err() and discards the partial trajectory.
+// RunContext plays the exploratory-training game: each interaction t
+// the learner presents K fresh pairs from the pool (response model
+// R^L), the trainer observes them and updates its belief (prediction
+// model P^T), labels them in best response (R^T), and the learner
+// updates its belief from the labelings (P^L). The loop is exactly
+// §C.1's "Interactions" protocol. Cancellation is checked between
+// interactions: a done context returns ctx.Err() and discards the
+// partial trajectory.
 //
-// Run is a driver over the step-wise Session: it builds a session
+// RunContext is a driver over the step-wise Session: it builds a session
 // around the caller's learner and pool, then plugs the simulated
 // trainer into the alternating Next/submit protocol, so the per-round
 // mechanics (incorporation, revision reversal, measurement, observer

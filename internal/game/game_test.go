@@ -1,7 +1,9 @@
 package game
 
 import (
+	"context"
 	"math"
+	"slices"
 	"testing"
 
 	"exptrain/internal/agents"
@@ -35,6 +37,16 @@ func buildWorld(t *testing.T, seed uint64) (*dataset.Relation, *fd.Space, *sampl
 	pool := sampling.NewPool(res.Rel, space, sampling.PoolConfig{Seed: seed})
 	return res.Rel, space, pool, res
 }
+
+// Run is RunContext without cancellation, the tests' shorthand.
+func Run(rel *dataset.Relation, trainer agents.Trainer, learner *agents.Learner, pool *sampling.Pool, cfg Config) (*Result, error) {
+	return RunContext(context.Background(), rel, trainer, learner, pool, cfg)
+}
+
+// Total returns the number of recorded labelings. Every round records
+// exactly one labeling per presented pair, so it also counts the
+// presented examples.
+func (f *Frequencies) Total() int { return f.labelCounts[0] + f.labelCounts[1] }
 
 func TestRunBasicProtocol(t *testing.T) {
 	rel, space, pool, _ := buildWorld(t, 1)
@@ -201,34 +213,42 @@ func TestRunDeterministicForSeed(t *testing.T) {
 
 // TestConvergenceProposition1 exercises the empirical content of
 // Proposition 1: with (FP, Best) trainer and (FP, StochasticBR) learner,
-// the empirical behaviour stabilizes — both agents' beliefs stop moving.
+// the empirical behaviour stabilizes — over the last five interactions
+// neither agent's belief moves (MAE between consecutive confidence
+// vectors) by more than 0.02.
 func TestConvergenceProposition1(t *testing.T) {
 	rel, space, pool, _ := buildWorld(t, 13)
 	rng := stats.NewRNG(14)
 	trainer := agents.NewFPTrainer(belief.RandomPrior(space, rng.Split(), 0.1), nil)
 	learner := agents.NewLearner(belief.DataEstimatePrior(space, rel, 0.1), sampling.StochasticBR{}, rng.Split())
 
-	var trMove, leMove MovementTracker
-	cfg := Config{K: 10, Iterations: 60}
-	// Run manually to track movement per iteration.
-	trMove.Observe(trainer.Belief().Confidences())
-	leMove.Observe(learner.Belief().Confidences())
-	for i := 0; i < cfg.Iterations; i++ {
-		if pool.RemainingCount() == 0 {
-			break
-		}
-		presented := learner.Present(pool.Candidates(), cfg.K)
+	const k, iterations, window, tol = 10, 60, 5, 0.02
+	var trMove, leMove []float64
+	trPrev, lePrev := trainer.Belief().Confidences(), learner.Belief().Confidences()
+	for i := 0; i < iterations && pool.RemainingCount() > 0; i++ {
+		presented := learner.Present(pool.Candidates(), k)
 		pool.MarkShown(presented)
 		trainer.Observe(rel, presented)
 		labeled := trainer.Label(rel, presented)
 		learner.Incorporate(rel, labeled)
-		trMove.Observe(trainer.Belief().Confidences())
-		leMove.Observe(learner.Belief().Confidences())
+		trCur, leCur := trainer.Belief().Confidences(), learner.Belief().Confidences()
+		trMove = append(trMove, movement(trPrev, trCur))
+		leMove = append(leMove, movement(lePrev, leCur))
+		trPrev, lePrev = trCur, leCur
 	}
-	if !Converged(trMove.Series(), leMove.Series(), ConvergenceConfig{Tol: 0.02, Window: 5}) {
+	if len(trMove) < window || slices.Max(trMove[len(trMove)-window:]) > tol || slices.Max(leMove[len(leMove)-window:]) > tol {
 		t.Fatalf("game did not converge; trainer tail %v learner tail %v",
-			tail(trMove.Series(), 5), tail(leMove.Series(), 5))
+			tail(trMove, window), tail(leMove, window))
 	}
+}
+
+// movement is the MAE between an agent's consecutive confidence vectors.
+func movement(prev, cur []float64) float64 {
+	var s float64
+	for i := range cur {
+		s += math.Abs(cur[i] - prev[i])
+	}
+	return s / float64(len(cur))
 }
 
 func tail(xs []float64, n int) []float64 {
@@ -238,41 +258,20 @@ func tail(xs []float64, n int) []float64 {
 	return xs[len(xs)-n:]
 }
 
-func TestConvergedEdgeCases(t *testing.T) {
-	flat := []float64{0.001, 0.001, 0.001, 0.001, 0.001}
-	if !Converged(flat, flat, ConvergenceConfig{Tol: 0.01, Window: 5}) {
-		t.Fatal("flat series should converge")
-	}
-	if Converged(flat[:3], flat, ConvergenceConfig{Tol: 0.01, Window: 5}) {
-		t.Fatal("short series should not converge")
-	}
-	spiky := []float64{0.001, 0.001, 0.001, 0.5, 0.001}
-	if Converged(spiky, flat, ConvergenceConfig{Tol: 0.01, Window: 5}) {
-		t.Fatal("spiky series should not converge")
-	}
-	// Defaults fill in.
-	if !Converged(flat, flat, ConvergenceConfig{}) {
-		t.Fatal("defaults should accept flat series")
-	}
-}
-
 func TestFrequencies(t *testing.T) {
-	f := NewFrequencies()
+	f := &Frequencies{}
 	p1 := dataset.NewPair(0, 1)
 	p2 := dataset.NewPair(1, 2)
 	mark := fd.NewAttrSet(1)
-	f.Record([]dataset.Pair{p1, p2},
-		[]belief.Labeling{{Pair: p1, Marked: mark}, {Pair: p2}})
-	f.Record([]dataset.Pair{p1},
-		[]belief.Labeling{{Pair: p1, Marked: mark}})
-	if got := f.PairFrequency(p1); math.Abs(got-2.0/3.0) > 1e-12 {
-		t.Errorf("PairFrequency(p1) = %v", got)
-	}
+	f.Record([]belief.Labeling{{Pair: p1, Marked: mark}, {Pair: p2}})
+	f.Record([]belief.Labeling{{Pair: p1, Marked: mark}})
 	if got := f.DirtyRate(); math.Abs(got-2.0/3.0) > 1e-12 {
 		t.Errorf("DirtyRate = %v", got)
 	}
-	empty := NewFrequencies()
-	if empty.PairFrequency(p1) != 0 || empty.DirtyRate() != 0 {
+	if f.Total() != 3 {
+		t.Errorf("Total = %d, want 3", f.Total())
+	}
+	if (&Frequencies{}).DirtyRate() != 0 {
 		t.Error("empty frequencies should be zero")
 	}
 }
@@ -287,38 +286,5 @@ func TestPayoffs(t *testing.T) {
 	uT := TrainerPayoff(b, rel, labeled)
 	if uT != b.LabelPayoff(rel, p, belief.Clean) {
 		t.Fatalf("TrainerPayoff = %v", uT)
-	}
-	// u_a with nil policy weights defaults to weight 1.
-	ua := LearnerActionPayoff(b, rel, labeled, nil)
-	if ua != uT {
-		t.Fatalf("LearnerActionPayoff = %v, want %v", ua, uT)
-	}
-	// Entropy bonus strictly increases payoff for a stochastic policy.
-	policy := []float64{1}
-	uL := LearnerPayoff(b, rel, labeled, policy, 0.5)
-	if uL != LearnerActionPayoff(b, rel, labeled, policy) {
-		t.Fatalf("deterministic policy has zero entropy; uL = %v", uL)
-	}
-	policy2 := []float64{0.5, 0.5}
-	labeled2 := []belief.Labeling{
-		{Pair: p},
-		{Pair: dataset.NewPair(2, 3)},
-	}
-	uL2 := LearnerPayoff(b, rel, labeled2, policy2, 0.5)
-	if uL2 <= LearnerActionPayoff(b, rel, labeled2, policy2) {
-		t.Fatal("entropy bonus missing for mixed policy")
-	}
-}
-
-func TestMovementTracker(t *testing.T) {
-	var m MovementTracker
-	m.Observe([]float64{0.5, 0.5})
-	if len(m.Series()) != 0 {
-		t.Fatal("first observation should not emit movement")
-	}
-	m.Observe([]float64{0.6, 0.4})
-	s := m.Series()
-	if len(s) != 1 || math.Abs(s[0]-0.1) > 1e-12 {
-		t.Fatalf("movement = %v, want [0.1]", s)
 	}
 }

@@ -1,13 +1,12 @@
 // Package game implements the exploratory-training game of Section 2:
-// the interaction loop between trainer and learner, the payoff
-// functions u_T, u_a and u_L, the interaction history, empirical action
-// frequencies, and convergence detection (Definition 2 / Proposition 1).
+// the interaction loop between trainer and learner, the trainer payoff
+// u_T, the interaction history and the trainer's empirical label
+// frequencies (Definition 2).
 package game
 
 import (
 	"exptrain/internal/belief"
 	"exptrain/internal/dataset"
-	"exptrain/internal/stats"
 )
 
 // TrainerPayoff is u_T(θ, π): the sum over the interaction's labelings
@@ -20,28 +19,4 @@ func TrainerPayoff(b *belief.Belief, rel *dataset.Relation, labeled []belief.Lab
 		u += b.LabelPayoff(rel, lp.Pair, lp.Label())
 	}
 	return u
-}
-
-// LearnerActionPayoff is u_a(θ, π): the expected probability, under the
-// policy distribution over presented examples, that the learner's belief
-// predicts the trainer's labels (Section 2). policy[i] is the
-// probability the learner's policy assigned to presenting labeled[i].
-func LearnerActionPayoff(b *belief.Belief, rel *dataset.Relation, labeled []belief.Labeling, policy []float64) float64 {
-	var u float64
-	for i, lp := range labeled {
-		w := 1.0
-		if policy != nil {
-			w = policy[i]
-		}
-		u += w * b.LabelPayoff(rel, lp.Pair, lp.Label())
-	}
-	return u
-}
-
-// LearnerPayoff is u_L(θ, π) = u_a(θ, π) + γ·H(π): the entropy-
-// regularized learner payoff of Section 2 (the paper writes the entropy
-// bonus as −γ Σ π ln π, i.e. +γ·H). The entropy term rewards policies
-// that present a diverse, representative sample.
-func LearnerPayoff(b *belief.Belief, rel *dataset.Relation, labeled []belief.Labeling, policy []float64, gamma float64) float64 {
-	return LearnerActionPayoff(b, rel, labeled, policy) + gamma*stats.Entropy(policy)
 }

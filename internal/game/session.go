@@ -338,8 +338,8 @@ func (s *Session) Records() []IterationRecord {
 	return append([]IterationRecord(nil), s.eng.records...)
 }
 
-// Frequencies exposes the empirical action distributions Φ_t over the
-// session's submitted rounds.
+// Frequencies exposes the trainer's empirical label distribution Φ_t
+// over the session's submitted rounds.
 func (s *Session) Frequencies() *Frequencies { return s.eng.freqs }
 
 // Snapshot checkpoints the session: learner belief plus the full

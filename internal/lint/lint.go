@@ -139,8 +139,8 @@ func (p *Package) finding(rule string, n ast.Node, format string, args ...any) F
 
 // ModuleRule is a rule that needs the interprocedural Module view —
 // call graph and per-function summaries — instead of one package at a
-// time. Its Check method returns nil; Run calls CheckModule once over
-// the whole loaded set.
+// time. Its Check method returns nil; RunAudit calls CheckModule once
+// over the whole loaded set.
 type ModuleRule interface {
 	Rule
 	CheckModule(m *Module) []Finding
@@ -162,6 +162,7 @@ func AllRules() []Rule {
 		chanLock{},
 		ctxFlow{},
 		errKind{},
+		unreachable{},
 	}
 }
 
@@ -182,14 +183,6 @@ func RulesByID(ids []string) ([]Rule, error) {
 	return out, nil
 }
 
-// Run applies the rules to every package, drops suppressed findings,
-// adds findings for malformed and stale suppressions, and returns
-// everything sorted by position.
-func Run(pkgs []*Package, rules []Rule) []Finding {
-	fs, _ := RunAudit(pkgs, rules)
-	return fs
-}
-
 // AuditRecord is one etlint:ignore directive as `etlint -audit`
 // reports it: where it sits, what it suppresses, the written reason,
 // and whether it actually covered a finding in this run.
@@ -201,12 +194,14 @@ type AuditRecord struct {
 	Used   bool   `json:"used"`
 }
 
-// RunAudit is Run plus the suppression audit trail. Per-package rules
-// fan out across GOMAXPROCS workers (rules are stateless and the
-// type-checked packages are read-only here); the interprocedural rules
-// run once over a Module built from the full set. A well-formed
-// directive whose rule ran but covered nothing is reported as stale —
-// dead suppressions hide future regressions.
+// RunAudit applies the rules to every package, drops suppressed
+// findings, adds findings for malformed and stale suppressions, and
+// returns everything sorted by position, plus the suppression audit
+// trail. Per-package rules fan out across GOMAXPROCS workers (rules are
+// stateless and the type-checked packages are read-only here); the
+// interprocedural rules run once over a Module built from the full
+// set. A well-formed directive whose rule ran but covered nothing is
+// reported as stale — dead suppressions hide future regressions.
 func RunAudit(pkgs []*Package, rules []Rule) ([]Finding, []AuditRecord) {
 	sup := &suppressions{}
 	var out []Finding

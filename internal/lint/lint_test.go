@@ -76,6 +76,14 @@ func TestRuleFixtures(t *testing.T) {
 	}
 }
 
+// Run applies the rules to every package, drops suppressed findings,
+// adds findings for malformed and stale suppressions, and returns
+// everything sorted by position.
+func Run(pkgs []*Package, rules []Rule) []Finding {
+	fs, _ := RunAudit(pkgs, rules)
+	return fs
+}
+
 // wantMarkers scans fixture files for `// want <rule>...` trailing
 // comments and returns the expected multiset keyed "file:line rule".
 func wantMarkers(dir string) (map[string]int, error) {

@@ -172,3 +172,11 @@ func TestVerifyAndScanQuarantine(t *testing.T) {
 		t.Fatalf("Verify after re-Put: %v", err)
 	}
 }
+
+// Verify reads and checksums the snapshot under id without keeping it:
+// nil when intact, ErrNotFound when absent, ErrCorrupt when the bytes
+// fail their checksum or do not parse.
+func (s *DirStore) Verify(ctx context.Context, id string) error {
+	_, err := s.Get(ctx, id)
+	return err
+}

@@ -387,3 +387,6 @@ func TestMultiStoreScanReconciles(t *testing.T) {
 		}
 	}
 }
+
+// Dir returns the backing directory.
+func (s *DirStore) Dir() string { return s.dir }

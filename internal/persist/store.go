@@ -209,9 +209,6 @@ func NewDirStore(dir string) (*DirStore, error) {
 	return &DirStore{dir: dir}, nil
 }
 
-// Dir returns the backing directory.
-func (s *DirStore) Dir() string { return s.dir }
-
 func (s *DirStore) path(id string) string {
 	return filepath.Join(s.dir, id+snapExt)
 }
@@ -368,14 +365,6 @@ func (s *DirStore) List(ctx context.Context) ([]string, error) {
 	}
 	sort.Strings(ids)
 	return ids, nil
-}
-
-// Verify reads and checksums the snapshot under id without keeping it:
-// nil when intact, ErrNotFound when absent, ErrCorrupt when the bytes
-// fail their checksum or do not parse.
-func (s *DirStore) Verify(ctx context.Context, id string) error {
-	_, err := s.Get(ctx, id)
-	return err
 }
 
 // ScanResult reports what a recovery Scan found.

@@ -114,9 +114,6 @@ func (s *Store) insertTailLocked(d *persist.RoundDelta) {
 	s.tail[d.Session] = tail
 }
 
-// Inner returns the wrapped snapshot store.
-func (s *Store) Inner() persist.Store { return s.inner }
-
 // Log returns the underlying write-ahead log (for tests and fault
 // injection).
 func (s *Store) Log() *Log { return s.log }

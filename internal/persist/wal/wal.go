@@ -823,6 +823,8 @@ func (l *Log) Stats() persist.WalStats {
 }
 
 // Broken reports the poisoning error, nil while the log is healthy.
+//
+//etlint:ignore unreachable poisoning probe for the WAL crash tests of internal/persist/faulty
 func (l *Log) Broken() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()

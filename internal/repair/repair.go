@@ -234,65 +234,3 @@ func Apply(rel *dataset.Relation, suggestions []Suggestion) (*dataset.Relation, 
 	}
 	return out, nil
 }
-
-// ApplyInPlace applies the suggestions to rel itself through the
-// per-cell write path, so every edit lands in the relation's delta
-// journal and warm PLI caches, trackers and belief memos over rel
-// absorb the repairs incrementally instead of rebuilding. Validation
-// matches Apply: the whole batch is checked before the first write, so
-// a stale or out-of-bounds suggestion leaves rel untouched.
-func ApplyInPlace(rel *dataset.Relation, suggestions []Suggestion) error {
-	for _, s := range suggestions {
-		if s.Row < 0 || s.Row >= rel.NumRows() || s.Attr < 0 || s.Attr >= rel.Schema().Arity() {
-			return fmt.Errorf("repair: suggestion out of bounds: row %d attr %d", s.Row, s.Attr)
-		}
-		if got := rel.Value(s.Row, s.Attr); got != s.Old {
-			return fmt.Errorf("repair: stale suggestion for cell (%d,%d): have %q, expected %q",
-				s.Row, s.Attr, got, s.Old)
-		}
-	}
-	for _, s := range suggestions {
-		rel.SetValue(s.Row, s.Attr, s.New)
-	}
-	return nil
-}
-
-// Score evaluates suggestions against injection ground truth: a
-// suggestion is correct when it targets a corrupted cell AND restores
-// its original value. Returns (cell precision, cell recall, value
-// accuracy among correctly-targeted cells).
-func Score(suggestions []Suggestion, truth []TruthEntry) (precision, recall, valueAccuracy float64) {
-	want := make(map[fd.Cell]string, len(truth))
-	for _, t := range truth {
-		want[fd.Cell{Row: t.Row, Attr: t.Attr}] = t.Original
-	}
-	if len(suggestions) == 0 {
-		return 0, 0, 0
-	}
-	targeted, restored := 0, 0
-	for _, s := range suggestions {
-		orig, ok := want[fd.Cell{Row: s.Row, Attr: s.Attr}]
-		if !ok {
-			continue
-		}
-		targeted++
-		if s.New == orig {
-			restored++
-		}
-	}
-	precision = float64(targeted) / float64(len(suggestions))
-	if len(want) > 0 {
-		recall = float64(targeted) / float64(len(want))
-	}
-	if targeted > 0 {
-		valueAccuracy = float64(restored) / float64(targeted)
-	}
-	return precision, recall, valueAccuracy
-}
-
-// TruthEntry is one corrupted cell with its original value (the error
-// generator's log provides these).
-type TruthEntry struct {
-	Row, Attr int
-	Original  string
-}

@@ -277,3 +277,43 @@ func TestCausalCellResolution(t *testing.T) {
 		t.Fatal("causal repair did not restore both FDs")
 	}
 }
+
+// Score evaluates suggestions against injection ground truth: a
+// suggestion is correct when it targets a corrupted cell AND restores
+// its original value. Returns (cell precision, cell recall, value
+// accuracy among correctly-targeted cells).
+func Score(suggestions []Suggestion, truth []TruthEntry) (precision, recall, valueAccuracy float64) {
+	want := make(map[fd.Cell]string, len(truth))
+	for _, t := range truth {
+		want[fd.Cell{Row: t.Row, Attr: t.Attr}] = t.Original
+	}
+	if len(suggestions) == 0 {
+		return 0, 0, 0
+	}
+	targeted, restored := 0, 0
+	for _, s := range suggestions {
+		orig, ok := want[fd.Cell{Row: s.Row, Attr: s.Attr}]
+		if !ok {
+			continue
+		}
+		targeted++
+		if s.New == orig {
+			restored++
+		}
+	}
+	precision = float64(targeted) / float64(len(suggestions))
+	if len(want) > 0 {
+		recall = float64(targeted) / float64(len(want))
+	}
+	if targeted > 0 {
+		valueAccuracy = float64(restored) / float64(targeted)
+	}
+	return precision, recall, valueAccuracy
+}
+
+// TruthEntry is one corrupted cell with its original value (the error
+// generator's log provides these).
+type TruthEntry struct {
+	Row, Attr int
+	Original  string
+}

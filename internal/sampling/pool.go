@@ -230,16 +230,6 @@ func (p *Pool) isShown(pos int32) bool { return p.shown[pos/64]&(1<<uint(pos%64)
 // from. It is invalidated by the next MarkShown or Unshow.
 func (p *Pool) Candidates() Candidates { return Candidates{p: p} }
 
-// Remaining returns a copy of the candidate pairs not yet marked shown,
-// in pool order.
-func (p *Pool) Remaining() []dataset.Pair {
-	out := make([]dataset.Pair, len(p.unshown))
-	for i, pos := range p.unshown {
-		out[i] = p.pairs[pos]
-	}
-	return out
-}
-
 // MarkShown records that the pairs were presented, removing them from
 // the candidates. Pairs that are not candidates, or already shown, are
 // ignored. The unshown positions are compacted in place, preserving
@@ -289,6 +279,3 @@ func (p *Pool) RemainingCount() int { return len(p.unshown) }
 
 // Size returns the total pool size (shown and unshown).
 func (p *Pool) Size() int { return len(p.pairs) }
-
-// ShownCount returns how many pairs have been presented.
-func (p *Pool) ShownCount() int { return len(p.pairs) - len(p.unshown) }

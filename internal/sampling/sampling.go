@@ -193,13 +193,3 @@ func ByName(name string, gamma float64) (Sampler, error) {
 	}
 	return New(m, gamma)
 }
-
-// AllMethods lists the paper's four methods in presentation order.
-func AllMethods(gamma float64) []Sampler {
-	out := make([]Sampler, 0, 4)
-	for _, m := range Methods() {
-		s, _ := New(m, gamma)
-		out = append(out, s)
-	}
-	return out
-}

@@ -201,14 +201,18 @@ func TestByName(t *testing.T) {
 }
 
 func TestAllMethodsOrder(t *testing.T) {
-	ms := AllMethods(0.5)
+	ms := Methods()
 	want := []string{"Random", "US", "StochasticBR", "StochasticUS"}
 	if len(ms) != len(want) {
-		t.Fatalf("AllMethods returned %d", len(ms))
+		t.Fatalf("Methods returned %d", len(ms))
 	}
 	for i, m := range ms {
-		if m.Name() != want[i] {
-			t.Fatalf("method %d = %q, want %q", i, m.Name(), want[i])
+		s, err := New(m, 0.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Name() != want[i] {
+			t.Fatalf("method %d = %q, want %q", i, s.Name(), want[i])
 		}
 	}
 }
@@ -221,13 +225,13 @@ func TestPoolBuildsAgreeingAndRandom(t *testing.T) {
 	}
 	// Every agreeing pair of the planted FD should be present (well under
 	// the per-FD cap at this size).
-	want := fd.AgreeingPairs(fd.MustNew(fd.NewAttrSet(0), 1), rel)
+	f := fd.MustNew(fd.NewAttrSet(0), 1)
 	have := map[dataset.Pair]bool{}
 	for _, p := range pool.Remaining() {
 		have[p] = true
 	}
-	for _, p := range want {
-		if !have[p] {
+	for _, p := range dataset.AllPairs(rel.NumRows()) {
+		if fd.Status(f, rel, p) != fd.Neutral && !have[p] {
 			t.Fatalf("pool missing agreeing pair %v", p)
 		}
 	}
@@ -326,3 +330,16 @@ func TestPoolUnshowRestoresOrder(t *testing.T) {
 		}
 	}
 }
+
+// Remaining returns a copy of the candidate pairs not yet marked shown,
+// in pool order.
+func (p *Pool) Remaining() []dataset.Pair {
+	out := make([]dataset.Pair, len(p.unshown))
+	for i, pos := range p.unshown {
+		out[i] = p.pairs[pos]
+	}
+	return out
+}
+
+// ShownCount returns how many pairs have been presented.
+func (p *Pool) ShownCount() int { return len(p.pairs) - len(p.unshown) }

@@ -127,9 +127,6 @@ var kindRegistry = []KindInfo{
 	{KindInternal, http.StatusInternalServerError, "unclassified server-side failure"},
 }
 
-// Kinds returns the registered error kinds in emission-stable order.
-func Kinds() []KindInfo { return append([]KindInfo(nil), kindRegistry...) }
-
 // kindStatus resolves a kind's registered HTTP status (500 for an
 // unregistered kind, which would be a bug).
 func kindStatus(kind string) int {

@@ -355,15 +355,3 @@ func (m *Manager) peekPool(id string) *labelPool {
 	defer m.poolMu.Unlock()
 	return m.pools[id]
 }
-
-// QueuedSubmissions reports how many submissions are waiting in the
-// session's labelpool (0 if it has none).
-func (m *Manager) QueuedSubmissions(id string) int {
-	p := m.peekPool(id)
-	if p == nil {
-		return 0
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.queue)
-}

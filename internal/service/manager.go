@@ -35,12 +35,6 @@ type Source struct {
 	CSV []byte
 }
 
-// build materializes the relation.
-func (s Source) build() (*dataset.Relation, error) {
-	rel, _, err := s.materialize()
-	return rel, err
-}
-
 // materialize builds the relation and, for synthetic sources, also
 // returns the generated dataset (its exact FDs are the evaluator's
 // injection targets). ds is nil for CSV sources.
@@ -272,16 +266,6 @@ func NewManager(opts Options) *Manager {
 		streams:     make(map[string]map[chan struct{}]struct{}),
 		drainSignal: make(chan struct{}),
 	}
-}
-
-// Store returns the checkpoint store.
-func (m *Manager) Store() persist.Store { return m.store }
-
-// setNow installs a clock — a test hook.
-func (m *Manager) setNow(now func() time.Time) {
-	m.mu.Lock()
-	m.now = now
-	m.mu.Unlock()
 }
 
 // buildSession constructs the game.Session for a spec, optionally
@@ -767,13 +751,6 @@ func (m *Manager) Sweep(ctx context.Context) ([]string, error) {
 	}
 	sort.Strings(swept)
 	return swept, errors.Join(errs...)
-}
-
-// Counts reports how many sessions are live and parked.
-func (m *Manager) Counts() (live, parked int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.live), len(m.parked)
 }
 
 // Shutdown drains the manager: new requests fail with ErrShuttingDown,

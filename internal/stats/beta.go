@@ -72,15 +72,6 @@ func (b Beta) Variance() float64 {
 // StdDev returns the standard deviation.
 func (b Beta) StdDev() float64 { return math.Sqrt(b.Variance()) }
 
-// Mode returns the mode for α,β > 1; for other shapes it falls back to
-// the mean, which is what the belief code wants as a point estimate.
-func (b Beta) Mode() float64 {
-	if b.Alpha > 1 && b.Beta > 1 {
-		return (b.Alpha - 1) / (b.Alpha + b.Beta - 2)
-	}
-	return b.Mean()
-}
-
 // Observe returns the posterior after seeing `successes` compliant and
 // `failures` violating observations (standard conjugate update).
 func (b Beta) Observe(successes, failures float64) Beta {
@@ -89,17 +80,6 @@ func (b Beta) Observe(successes, failures float64) Beta {
 	}
 	return Beta{Alpha: b.Alpha + successes, Beta: b.Beta + failures}
 }
-
-// LogPDF returns the log density at x ∈ (0, 1).
-func (b Beta) LogPDF(x float64) float64 {
-	if x <= 0 || x >= 1 {
-		return math.Inf(-1)
-	}
-	return (b.Alpha-1)*math.Log(x) + (b.Beta-1)*math.Log(1-x) - logBetaFunc(b.Alpha, b.Beta)
-}
-
-// PDF returns the density at x.
-func (b Beta) PDF(x float64) float64 { return math.Exp(b.LogPDF(x)) }
 
 // Sample draws a variate using the ratio of two Gamma draws.
 func (b Beta) Sample(r *RNG) float64 {

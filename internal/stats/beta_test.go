@@ -108,29 +108,6 @@ func TestBetaObservePanicsOnNegative(t *testing.T) {
 	NewBeta(1, 1).Observe(-1, 0)
 }
 
-func TestBetaPDFIntegratesToOne(t *testing.T) {
-	for _, b := range []Beta{NewBeta(2, 5), NewBeta(1, 1), NewBeta(8, 2)} {
-		const n = 20000
-		var integral float64
-		for i := 0; i < n; i++ {
-			x := (float64(i) + 0.5) / n
-			integral += b.PDF(x) / n
-		}
-		if math.Abs(integral-1) > 0.01 {
-			t.Errorf("Beta(%v,%v) PDF integrates to %v", b.Alpha, b.Beta, integral)
-		}
-	}
-}
-
-func TestBetaPDFOutsideSupport(t *testing.T) {
-	b := NewBeta(2, 3)
-	for _, x := range []float64{-0.5, 0, 1, 1.5} {
-		if got := b.PDF(x); got != 0 {
-			t.Errorf("PDF(%v) = %v, want 0", x, got)
-		}
-	}
-}
-
 func TestBetaSampleMoments(t *testing.T) {
 	r := NewRNG(101)
 	for _, b := range []Beta{NewBeta(2, 5), NewBeta(0.5, 0.5), NewBeta(10, 1)} {
@@ -152,18 +129,6 @@ func TestBetaSampleMoments(t *testing.T) {
 		if math.Abs(variance-b.Variance()) > 0.01 {
 			t.Errorf("Beta(%v,%v) sample variance %v, want %v", b.Alpha, b.Beta, variance, b.Variance())
 		}
-	}
-}
-
-func TestBetaMode(t *testing.T) {
-	b := NewBeta(3, 2)
-	if got, want := b.Mode(), 2.0/3.0; math.Abs(got-want) > 1e-12 {
-		t.Fatalf("Mode = %v, want %v", got, want)
-	}
-	// Shapes ≤ 1 fall back to the mean.
-	u := NewBeta(1, 1)
-	if got := u.Mode(); got != 0.5 {
-		t.Fatalf("uniform Mode = %v, want 0.5", got)
 	}
 }
 

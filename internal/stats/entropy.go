@@ -15,20 +15,6 @@ func BernoulliEntropy(p float64) float64 {
 	return -p*math.Log(p) - (1-p)*math.Log(1-p)
 }
 
-// Entropy returns the Shannon entropy (nats) of the distribution p,
-// which need not be normalized exactly; non-positive entries contribute
-// zero. This is the exploration term −Σ π(x)·ln π(x) of the learner's
-// payoff u_L in Section 2.
-func Entropy(p []float64) float64 {
-	var h float64
-	for _, pi := range p {
-		if pi > 0 {
-			h -= pi * math.Log(pi)
-		}
-	}
-	return h
-}
-
 // Softmax writes into dst the distribution proportional to
 // exp(score[i]/gamma), the stochastic best-response form of Section 4:
 //

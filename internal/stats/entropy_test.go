@@ -33,27 +33,6 @@ func TestBernoulliEntropySymmetricAndPeaked(t *testing.T) {
 	}
 }
 
-func TestEntropyUniformIsLogN(t *testing.T) {
-	for _, n := range []int{2, 4, 10, 100} {
-		p := make([]float64, n)
-		for i := range p {
-			p[i] = 1 / float64(n)
-		}
-		if got, want := Entropy(p), math.Log(float64(n)); math.Abs(got-want) > 1e-9 {
-			t.Errorf("Entropy(uniform %d) = %v, want %v", n, got, want)
-		}
-	}
-}
-
-func TestEntropyDegenerate(t *testing.T) {
-	if got := Entropy([]float64{1, 0, 0}); got != 0 {
-		t.Fatalf("Entropy(point mass) = %v, want 0", got)
-	}
-	if got := Entropy(nil); got != 0 {
-		t.Fatalf("Entropy(nil) = %v, want 0", got)
-	}
-}
-
 func TestSoftmaxSumsToOne(t *testing.T) {
 	f := func(raw []float64, gRaw uint8) bool {
 		if len(raw) == 0 {

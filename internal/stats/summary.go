@@ -1,10 +1,5 @@
 package stats
 
-import (
-	"math"
-	"sort"
-)
-
 // Sum adds the values with Kahan compensation; experiment series are
 // aggregated over many runs and iterations, and plain accumulation drifts
 // noticeably at the precision the MAE curves are compared at.
@@ -25,57 +20,6 @@ func Mean(xs []float64) float64 {
 		return 0
 	}
 	return Sum(xs) / float64(len(xs))
-}
-
-// Variance returns the unbiased sample variance (n−1 denominator), or 0
-// when fewer than two values are given.
-func Variance(xs []float64) float64 {
-	n := len(xs)
-	if n < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var ss float64
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return ss / float64(n-1)
-}
-
-// StdDev returns the sample standard deviation.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
-// Median returns the median, or 0 for an empty slice. The input is not
-// modified.
-func Median(xs []float64) float64 {
-	n := len(xs)
-	if n == 0 {
-		return 0
-	}
-	cp := append([]float64(nil), xs...)
-	sort.Float64s(cp)
-	if n%2 == 1 {
-		return cp[n/2]
-	}
-	return (cp[n/2-1] + cp[n/2]) / 2
-}
-
-// MeanAbsDiff returns the mean absolute difference between paired slices,
-// the MAE metric of §C.1. It panics on length mismatch and returns 0 for
-// empty input.
-func MeanAbsDiff(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic("stats: MeanAbsDiff length mismatch")
-	}
-	if len(a) == 0 {
-		return 0
-	}
-	var s float64
-	for i := range a {
-		s += math.Abs(a[i] - b[i])
-	}
-	return s / float64(len(a))
 }
 
 // Series is a sequence of per-iteration values for one experimental

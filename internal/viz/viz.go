@@ -139,33 +139,6 @@ func Chart(w io.Writer, title string, series []Series, cfg ChartConfig) error {
 	return err
 }
 
-// Sparkline renders one series as a single-line bar sketch using block
-// characters, e.g. for compact per-method summaries.
-func Sparkline(values []float64) string {
-	if len(values) == 0 {
-		return ""
-	}
-	blocks := []rune("▁▂▃▄▅▆▇█")
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, v := range values {
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	var b strings.Builder
-	for _, v := range values {
-		idx := 0
-		if hi > lo {
-			idx = int((v - lo) / (hi - lo) * float64(len(blocks)-1))
-		}
-		b.WriteRune(blocks[idx])
-	}
-	return b.String()
-}
-
 func max(a, b int) int {
 	if a > b {
 		return a

@@ -3,7 +3,6 @@ package viz
 import (
 	"strings"
 	"testing"
-	"unicode/utf8"
 )
 
 func TestChartBasics(t *testing.T) {
@@ -100,25 +99,5 @@ func TestChartDownsamplesLongSeries(t *testing.T) {
 	}
 	if !strings.Contains(sb.String(), "iterations 1..500") {
 		t.Error("x-axis label wrong for long series")
-	}
-}
-
-func TestSparkline(t *testing.T) {
-	s := Sparkline([]float64{0, 0.5, 1})
-	if utf8.RuneCountInString(s) != 3 {
-		t.Fatalf("sparkline length %d, want 3", utf8.RuneCountInString(s))
-	}
-	runes := []rune(s)
-	if runes[0] >= runes[1] || runes[1] >= runes[2] {
-		t.Fatalf("sparkline not increasing: %q", s)
-	}
-	if Sparkline(nil) != "" {
-		t.Error("empty sparkline should be empty")
-	}
-	flat := Sparkline([]float64{1, 1, 1})
-	for _, r := range flat {
-		if r != '▁' {
-			t.Errorf("flat sparkline should be all low blocks: %q", flat)
-		}
 	}
 }

@@ -22,7 +22,8 @@ func TestLintClean(t *testing.T) {
 	if len(pkgs) < 20 {
 		t.Fatalf("loaded only %d packages; the module walk looks broken", len(pkgs))
 	}
-	for _, f := range lint.Run(pkgs, lint.AllRules()) {
+	findings, _ := lint.RunAudit(pkgs, lint.AllRules())
+	for _, f := range findings {
 		t.Errorf("%s", f)
 	}
 }
