@@ -9,6 +9,7 @@ FUZZTIME ?= 5s
 # per invocation).
 FUZZERS := ./internal/sampling:FuzzParseMethod \
            ./internal/sampling:FuzzAgreeClasses \
+           ./internal/sampling:FuzzClassSelect \
            ./internal/persist:FuzzSnapshotDecode \
            ./internal/persist:FuzzSnapshotChecksum \
            ./internal/persist/wal:FuzzWalDecode \
@@ -21,7 +22,7 @@ LOCDIRS := internal/service internal/persist internal/persist/wal \
            internal/fd internal/game internal/stats internal/sampling \
            internal/repair
 
-.PHONY: all build vet lint lintbench test race check verify bench benchbaseline benchcheck fuzz chaos loadsmoke walbench loc clean
+.PHONY: all build vet lint lintbench selectbench test race check verify bench benchbaseline benchcheck fuzz chaos loadsmoke walbench loc clean
 
 all: build
 
@@ -168,6 +169,18 @@ lintbench:
 		| $(GO) run ./cmd/benchjson > BENCH_Lint.json
 	@echo "   wrote BENCH_Lint.json"
 
+# Record the selection baseline (BENCH_Select.json): BenchmarkSelect
+# times one k=10 selection per sampler (US, StochasticUS, StochasticBR)
+# and hypothesis space (38 and 147 FDs) through the per-candidate
+# oracle (perpair) and the class-level samplers (class). Each class case
+# reports x-vs-perpair, the same run's perpair ns/op over its own, which
+# `make benchcheck` gates.
+selectbench:
+	@echo "== BenchmarkSelect"
+	@$(GO) test -run '^$$' -bench '^BenchmarkSelect$$' -benchmem ./internal/sampling \
+		| $(GO) run ./cmd/benchjson > BENCH_Select.json
+	@echo "   wrote BENCH_Select.json"
+
 # Record the incremental-PLI baseline (BENCH_PLIIncremental.json): the
 # warm-cache revision benchmark plus the one-iteration rows=100000
 # scaling case that the delta protocol makes feasible at all. Revision
@@ -199,6 +212,9 @@ benchcheck:
 	@echo "== benchcheck BenchmarkRevision (-benchtime 100x)"
 	@$(GO) test -run '^$$' -bench '^BenchmarkRevision$$' -benchtime 100x -benchmem . \
 		| $(GO) run ./cmd/benchjson -check BENCH_PLIIncremental.json
+	@echo "== benchcheck selection (BenchmarkSelect -benchtime 200x)"
+	@$(GO) test -run '^$$' -bench '^BenchmarkSelect$$' -benchtime 200x -benchmem ./internal/sampling \
+		| $(GO) run ./cmd/benchjson -check BENCH_Select.json
 	@echo "== benchcheck WAL group commit (etload -wal)"
 	@$(GO) run ./cmd/etload -wal -sessions 64 -rounds 4 -store-delay 20ms \
 		| $(GO) run ./cmd/benchjson -check BENCH_WalCommit.json

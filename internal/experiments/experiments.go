@@ -177,8 +177,8 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		methods = sampling.Methods()
 	}
 	for _, m := range methods {
-		if !m.Valid() {
-			return nil, fmt.Errorf("experiments: %w %d", sampling.ErrUnknownMethod, int(m))
+		if _, err := sampling.New(m, cfg.Gamma); err != nil {
+			return nil, fmt.Errorf("experiments: %w", err)
 		}
 	}
 	series := make([]MethodSeries, len(methods))

@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"context"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -34,6 +36,18 @@ func TestRunWithUnknownMethod(t *testing.T) {
 	cfg.Methods = []sampling.Method{sampling.Method(99)}
 	if _, err := Run(cfg); !errors.Is(err, sampling.ErrUnknownMethod) {
 		t.Fatal("unknown method should error with sampling.ErrUnknownMethod")
+	}
+}
+
+// TestRunContextRejectsBadGamma: a negative or non-finite temperature
+// is an error before any game starts, not a panic inside one.
+func TestRunContextRejectsBadGamma(t *testing.T) {
+	for _, gamma := range []float64{-1, math.Inf(1), math.NaN()} {
+		cfg := quickConfig("OMDB", belief.PriorSpec{Kind: belief.PriorRandom})
+		cfg.Gamma = gamma
+		if _, err := RunContext(context.Background(), cfg); !errors.Is(err, sampling.ErrBadGamma) {
+			t.Fatalf("gamma %v: err = %v, want sampling.ErrBadGamma", gamma, err)
+		}
 	}
 }
 

@@ -10,8 +10,8 @@ import (
 // violates a hypothesis depends only on the attributes its two tuples
 // agree on (fd.StatusOn), so every score a sampler derives from P(dirty)
 // is a function of the pair's class: a round scores each class once and
-// copies the result to the pairs by class id. Pools hold thousands of
-// pairs but only tens to a few thousand classes.
+// selects on the class values. Pools hold thousands of pairs but only
+// tens to a few thousand classes.
 //
 // The class ids follow the relation through its delta journal: when
 // cells change, only the pairs touching an edited row are re-derived,
@@ -134,25 +134,29 @@ func (c Candidates) Len() int { return len(c.p.unshown) }
 // Pair returns candidate i, 0 ≤ i < Len.
 func (c Candidates) Pair(i int) dataset.Pair { return c.p.pairs[c.p.unshown[i]] }
 
-// scores fills sc.scores with score(PDirty) of every candidate under b
-// and returns it. score runs once per agree-set class; each candidate
-// copies its class's value, so the slice holds the same float64s a
-// per-pair b.PDirty walk would produce, in candidate order.
-func (c Candidates) scores(sc *selectScratch, b *belief.Belief, score func(pdirty float64) float64) []float64 {
-	t := c.p.classesFor(b.Space())
-	sc.byClass = floats(sc.byClass, len(t.agree))
-	for k := range sc.byClass {
-		sc.byClass[k] = score(b.MaxConfidence(t.mask(k)))
+// countClasses brings the pool's class table up to date for space,
+// sizes sc.value to one entry per class for the caller to fill, sets
+// sc.count to the number of candidates in each class and returns the
+// table.
+func (c Candidates) countClasses(sc *selectScratch, space *fd.Space) *classTable {
+	t := c.p.classesFor(space)
+	sc.value = resize(sc.value, len(t.agree))
+	sc.count = resize(sc.count, len(t.agree))
+	clear(sc.count)
+	for _, pos := range c.p.unshown {
+		sc.count[t.id[pos]]++
 	}
-	return c.fill(sc, t)
+	return t
 }
 
-// fill copies per-class values in sc.byClass to sc.scores by candidate
-// class and returns sc.scores.
-func (c Candidates) fill(sc *selectScratch, t *classTable) []float64 {
-	sc.scores = floats(sc.scores, c.Len())
-	for i, pos := range c.p.unshown {
-		sc.scores[i] = sc.byClass[t.id[pos]]
+// scoreClasses is countClasses for b's space that sets sc.value to
+// score(PDirty) of each class under b. score runs once per agree-set
+// class, and a class's value is the float64 a per-pair b.PDirty walk
+// produces for each of its candidates.
+func (c Candidates) scoreClasses(sc *selectScratch, b *belief.Belief, score func(pdirty float64) float64) *classTable {
+	t := c.countClasses(sc, b.Space())
+	for cl := range sc.value {
+		sc.value[cl] = score(b.MaxConfidence(t.mask(cl)))
 	}
-	return sc.scores
+	return t
 }

@@ -2,6 +2,7 @@ package sampling
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"exptrain/internal/belief"
@@ -14,8 +15,9 @@ import (
 // checkClasses is the oracle for the agree-set class table: every pool
 // position's class mask over space must hold exactly the hypotheses
 // fd.Status reports the pair violating, with no bits past the space.
-// It also checks that class-based scoring reproduces a per-pair
-// b.PDirty walk bit for bit.
+// It also checks that every candidate's class value equals a per-pair
+// b.PDirty walk bit for bit, and that the class counts add up to the
+// candidates.
 func checkClasses(t *testing.T, p *Pool, space *fd.Space, b *belief.Belief, ctx string) {
 	t.Helper()
 	tab := p.classesFor(space)
@@ -40,11 +42,17 @@ func checkClasses(t *testing.T, p *Pool, space *fd.Space, b *belief.Belief, ctx 
 	}
 	sc := new(selectScratch)
 	c := p.Candidates()
-	scores := c.scores(sc, b, func(pd float64) float64 { return pd })
-	for i := 0; i < c.Len(); i++ {
-		if want := b.PDirty(p.rel, c.Pair(i)); scores[i] != want {
-			t.Fatalf("%s: candidate %v scored %v by class, PDirty %v", ctx, c.Pair(i), scores[i], want)
+	tab = c.scoreClasses(sc, b, func(pd float64) float64 { return pd })
+	counted := make([]int32, len(sc.count))
+	for i, pos := range p.unshown {
+		cl := tab.id[pos]
+		counted[cl]++
+		if want := b.PDirty(p.rel, c.Pair(i)); sc.value[cl] != want {
+			t.Fatalf("%s: candidate %v scored %v by class, PDirty %v", ctx, c.Pair(i), sc.value[cl], want)
 		}
+	}
+	if !slices.Equal(counted, sc.count) {
+		t.Fatalf("%s: class counts %v, candidates per class %v", ctx, sc.count, counted)
 	}
 }
 

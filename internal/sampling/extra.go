@@ -29,37 +29,46 @@ func (QueryByCommittee) Name() string { return "QBC" }
 
 // Select implements Sampler.
 func (s QueryByCommittee) Select(c Candidates, b *belief.Belief, k int, rng *stats.RNG) []dataset.Pair {
-	committee := s.Committee
-	if committee <= 0 {
-		committee = 5
+	confs := s.committee(b, rng)
+	// A member's vote on a pair is a property of the pair's agree-set
+	// class, so each class is voted on once.
+	sc := selPool.Get().(*selectScratch)
+	defer selPool.Put(sc)
+	t := c.countClasses(sc, b.Space())
+	for cl := range sc.value {
+		sc.value[cl] = voteEntropy(confs, t.mask(cl))
 	}
-	// Draw the members: per member, one confidence sample per
-	// hypothesis.
-	confs := make([][]float64, committee)
+	return classTopK(c, t, sc, k)
+}
+
+// committee draws the members: per member, one confidence sample per
+// hypothesis.
+func (s QueryByCommittee) committee(b *belief.Belief, rng *stats.RNG) [][]float64 {
+	n := s.Committee
+	if n <= 0 {
+		n = 5
+	}
+	confs := make([][]float64, n)
 	for m := range confs {
 		confs[m] = make([]float64, b.Size())
 		for i := 0; i < b.Size(); i++ {
 			confs[m][i] = b.Dist(i).Sample(rng)
 		}
 	}
-	// A member votes dirty on a pair when it holds (≥ 1/2) some
-	// hypothesis the pair violates — a property of the pair's agree-set
-	// class, so each class is voted on once.
-	t := c.p.classesFor(b.Space())
-	sc := selPool.Get().(*selectScratch)
-	defer selPool.Put(sc)
-	sc.byClass = floats(sc.byClass, len(t.agree))
-	for cl := range sc.byClass {
-		mask := t.mask(cl)
-		dirty := 0
-		for m := 0; m < committee; m++ {
-			if holdsAny(confs[m], mask) {
-				dirty++
-			}
+	return confs
+}
+
+// voteEntropy is the entropy of the committee's dirty/clean vote on a
+// pair whose violated hypotheses are set in mask. A member votes dirty
+// when it holds (≥ 1/2) some hypothesis the pair violates.
+func voteEntropy(confs [][]float64, mask []uint64) float64 {
+	dirty := 0
+	for _, conf := range confs {
+		if holdsAny(conf, mask) {
+			dirty++
 		}
-		sc.byClass[cl] = stats.BernoulliEntropy(float64(dirty) / float64(committee))
 	}
-	return topKByScore(c, k, sc, c.fill(sc, t))
+	return stats.BernoulliEntropy(float64(dirty) / float64(len(confs)))
 }
 
 // holdsAny reports whether any hypothesis set in mask has confidence at
@@ -89,16 +98,22 @@ func (EpsilonGreedy) Name() string { return "EpsilonGreedy" }
 
 // Select implements Sampler.
 func (s EpsilonGreedy) Select(c Candidates, b *belief.Belief, k int, rng *stats.RNG) []dataset.Pair {
+	// Rank once by entropy; then walk the ranking, substituting random
+	// picks with probability ε.
+	sc := selPool.Get().(*selectScratch)
+	ranked := classTopK(c, c.scoreClasses(sc, b, stats.BernoulliEntropy), sc, c.Len())
+	selPool.Put(sc)
+	return s.walk(c, ranked, k, rng)
+}
+
+// walk takes min(k, c.Len()) distinct candidates: each uniform-random
+// with probability ε, otherwise the next of ranked not yet taken.
+func (s EpsilonGreedy) walk(c Candidates, ranked []dataset.Pair, k int, rng *stats.RNG) []dataset.Pair {
 	eps := s.Epsilon
 	if eps == 0 { //etlint:ignore floatcmp zero value means unset; callers assign literals
 		eps = 0.2
 	}
 	k = min(k, c.Len())
-	// Rank once by entropy; then walk the ranking, substituting random
-	// picks with probability ε.
-	sc := selPool.Get().(*selectScratch)
-	ranked := topKByScore(c, c.Len(), sc, c.scores(sc, b, stats.BernoulliEntropy))
-	selPool.Put(sc)
 	taken := make(map[dataset.Pair]struct{}, k)
 	out := make([]dataset.Pair, 0, k)
 	next := 0

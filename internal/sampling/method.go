@@ -37,6 +37,11 @@ const (
 // errors.Is.
 var ErrUnknownMethod = errors.New("sampling: unknown method")
 
+// ErrBadGamma is the sentinel wrapped by New and ByName when the
+// exploration temperature is negative or not finite; test with
+// errors.Is.
+var ErrBadGamma = errors.New("sampling: gamma must be zero or a positive finite number")
+
 // methodNames maps each concrete method to the paper's name. Indexed by
 // Method value minus MethodRandom.
 var methodNames = [...]string{
@@ -113,9 +118,13 @@ func (m *Method) UnmarshalText(b []byte) error {
 }
 
 // New constructs the sampler for a method; gamma applies to the
-// stochastic strategies (DefaultGamma when zero). Invalid values return
-// an error wrapping ErrUnknownMethod.
+// stochastic strategies (DefaultGamma when zero). A negative or
+// non-finite gamma returns an error wrapping ErrBadGamma, whatever the
+// method; an invalid method one wrapping ErrUnknownMethod.
 func New(m Method, gamma float64) (Sampler, error) {
+	if !validGamma(gamma) {
+		return nil, fmt.Errorf("%w, got %v", ErrBadGamma, gamma)
+	}
 	switch m.Resolve() {
 	case MethodRandom:
 		return Random{}, nil

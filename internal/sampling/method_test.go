@@ -3,6 +3,7 @@ package sampling
 import (
 	"encoding/json"
 	"errors"
+	"math"
 	"testing"
 )
 
@@ -79,6 +80,24 @@ func TestNewResolvesSamplers(t *testing.T) {
 		}
 		if s.Name() != m.String() {
 			t.Fatalf("New(%v).Name() = %q, want %q", m, s.Name(), m.String())
+		}
+	}
+}
+
+func TestNewRejectsBadGamma(t *testing.T) {
+	for _, gamma := range []float64{-1, -0.5, math.Inf(1), math.Inf(-1), math.NaN()} {
+		for _, m := range append(Methods(), MethodQBC, MethodEpsilonGreedy, MethodDefault) {
+			if _, err := New(m, gamma); !errors.Is(err, ErrBadGamma) {
+				t.Fatalf("New(%v, %v): err = %v, want ErrBadGamma", m, gamma, err)
+			}
+		}
+		if _, err := ByName("StochasticBR", gamma); !errors.Is(err, ErrBadGamma) {
+			t.Fatalf("ByName(StochasticBR, %v): err = %v, want ErrBadGamma", gamma, err)
+		}
+	}
+	for _, gamma := range []float64{0, 1e-4, 0.5, 5} {
+		if _, err := New(MethodStochasticUS, gamma); err != nil {
+			t.Fatalf("New(StochasticUS, %v): %v", gamma, err)
 		}
 	}
 }

@@ -168,7 +168,7 @@ func errorKind(err error) string {
 		return KindNoRoundPending
 	case errors.Is(err, game.ErrPoolExhausted):
 		return KindPoolExhausted
-	case errors.Is(err, ErrBadRequest), errors.Is(err, sampling.ErrUnknownMethod), errors.Is(err, persist.ErrBadID):
+	case errors.Is(err, ErrBadRequest), errors.Is(err, sampling.ErrUnknownMethod), errors.Is(err, sampling.ErrBadGamma), errors.Is(err, persist.ErrBadID):
 		return KindBadRequest
 	case errors.Is(err, context.DeadlineExceeded):
 		return KindTimeout

@@ -67,7 +67,9 @@ type Spec struct {
 	// Method is the learner's response strategy (MethodDefault →
 	// StochasticUS).
 	Method sampling.Method
-	// Gamma is the stochastic temperature (DefaultGamma when zero).
+	// Gamma is the stochastic temperature (DefaultGamma when zero). A
+	// negative or non-finite one fails creation with
+	// sampling.ErrBadGamma, a bad_request.
 	Gamma float64
 	// K is pairs per round (game.Session default when zero).
 	K int

@@ -167,6 +167,12 @@ func TestServerStatusMapping(t *testing.T) {
 	if resp0.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bogus method: status %d", resp0.StatusCode)
 	}
+	// A negative temperature → 400 bad_request at create time, not a
+	// session whose every next panics.
+	if raw := c.expect(http.StatusBadRequest, "POST", "/v1/sessions",
+		CreateRequest{CSV: testCSV, Method: sampling.MethodStochasticUS, Gamma: -1}, nil); kind(raw) != "bad_request" {
+		t.Fatalf("gamma -1: kind = %s", kind(raw))
+	}
 	c.expect(http.StatusBadRequest, "POST", "/v1/sessions",
 		CreateRequest{Dataset: "OMDB", CSV: testCSV}, nil) // both sources
 	c.expect(http.StatusBadRequest, "POST", "/v1/sessions", CreateRequest{}, nil)

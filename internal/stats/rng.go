@@ -1,7 +1,7 @@
 // Package stats provides the probabilistic primitives used across the
 // exploratory-training framework: deterministic random number generation,
-// Beta distributions for belief modeling, entropy measures, softmax
-// response distributions, and numerically careful aggregation.
+// Beta distributions for belief modeling, entropy measures, and
+// numerically careful aggregation.
 //
 // Every source of randomness in the repository flows through an *RNG so
 // that experiments are reproducible bit-for-bit for a fixed seed.
@@ -10,6 +10,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // RNG is a deterministic pseudo-random number generator based on the
@@ -144,24 +145,40 @@ func (r *RNG) SampleWithoutReplacement(n, k int) []int {
 	if k == 0 {
 		return nil
 	}
-	// Floyd's algorithm: O(k) memory, no O(n) allocation. Membership is
-	// a linear scan of the draws so far — k is small everywhere this is
-	// called (pair budgets, pool sub-sampling caps), and dropping the
-	// map halves the allocation count of the sampler hot path. The RNG
-	// consumption and results are identical to the map-based form.
-	out := make([]int, 0, k)
+	// Floyd's algorithm: O(k) memory, no O(n) allocation. The draws so
+	// far also sit in an open-addressing hash set of at least 2k slots,
+	// carved from the result's allocation, so a membership test is O(1)
+	// expected instead of a scan of the draws and a call still
+	// allocates once.
+	b := bits.Len(uint(2*k - 1))
+	buf := make([]int, k+1<<b)
+	out, set := buf[:0:k], buf[k:]
+	shift := uint(64 - b)
 	for j := n - k; j < n; j++ {
 		t := r.Intn(j + 1)
-		for _, v := range out {
-			if v == t {
-				t = j
-				break
-			}
+		h := setSlot(set, t, shift)
+		if set[h] != 0 {
+			// t was drawn before; j was not, as every earlier draw is < j.
+			t = j
+			h = setSlot(set, t, shift)
 		}
+		set[h] = t + 1
 		out = append(out, t)
 	}
 	r.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
 	return out
+}
+
+// setSlot returns v's slot in SampleWithoutReplacement's set of
+// 1<<(64-shift) slots, each holding a drawn value plus one or 0 when
+// empty: the slot holding v, or the empty slot its linear probe
+// reaches.
+func setSlot(set []int, v int, shift uint) int {
+	h := int(uint64(v) * 0x9e3779b97f4a7c15 >> shift)
+	for set[h] != 0 && set[h] != v+1 {
+		h = (h + 1) & (len(set) - 1)
+	}
+	return h
 }
 
 // State exposes the generator's xoshiro256** state words so a

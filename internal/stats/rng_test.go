@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -174,6 +175,56 @@ func TestSampleWithoutReplacementProperties(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// sampleWithoutReplacementLinear is SampleWithoutReplacement with the
+// membership test it replaced, a scan of the draws so far: the oracle
+// for the hashed set.
+func (r *RNG) sampleWithoutReplacementLinear(n, k int) []int {
+	if k == 0 {
+		return nil
+	}
+	out := make([]int, 0, k)
+	for j := n - k; j < n; j++ {
+		t := r.Intn(j + 1)
+		for _, v := range out {
+			if v == t {
+				t = j
+				break
+			}
+		}
+		out = append(out, t)
+	}
+	r.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
+	return out
+}
+
+// TestSampleWithoutReplacementMatchesLinearScan: the hashed membership
+// test returns the linear scan's indices, in the same order, and leaves
+// the generator in the same state, for small and large k, k = n and
+// n up to the pool's sub-sampling sizes.
+func TestSampleWithoutReplacementMatchesLinearScan(t *testing.T) {
+	meta := NewRNG(41)
+	for trial := 0; trial < 2000; trial++ {
+		n, k := 1+meta.Intn(6000), 0
+		switch trial % 4 {
+		case 0: // k ≤ 16
+			k = min(n, meta.Intn(17))
+		case 1: // the whole range
+			n = 1 + meta.Intn(300)
+			k = n
+		case 2: // NewPool's per-hypothesis cap
+			k = min(n, 200)
+		default:
+			k = meta.Intn(min(n, 1000) + 1)
+		}
+		seed := meta.Uint64()
+		got, want := NewRNG(seed), NewRNG(seed)
+		g, w := got.SampleWithoutReplacement(n, k), want.sampleWithoutReplacementLinear(n, k)
+		if !slices.Equal(g, w) || got.State() != want.State() {
+			t.Fatalf("n=%d k=%d seed=%d: hashed %v, linear scan %v", n, k, seed, g, w)
+		}
 	}
 }
 
