@@ -2,7 +2,7 @@ GO ?= go
 # Extra flags for `make bench`, e.g. BENCHFLAGS='-benchtime 3s -count 5'
 BENCHFLAGS ?=
 # Hot-path benchmarks that get a machine-readable BENCH_<name>.json each.
-BENCHES := FullGame G1 Discovery GameScaling SessionRound SessionRoundService
+BENCHES := FullGame G1 Discovery GameScaling SessionRound SessionRoundService SessionCreate
 # How long `make fuzz` runs each native fuzz target (corpus smoke).
 FUZZTIME ?= 5s
 # Package:Target pairs for `make fuzz` (go test -fuzz takes one target
@@ -10,6 +10,7 @@ FUZZTIME ?= 5s
 FUZZERS := ./internal/sampling:FuzzParseMethod \
            ./internal/sampling:FuzzAgreeClasses \
            ./internal/sampling:FuzzClassSelect \
+           ./internal/sampling:FuzzPoolBuild \
            ./internal/persist:FuzzSnapshotDecode \
            ./internal/persist:FuzzSnapshotChecksum \
            ./internal/persist/wal:FuzzWalDecode \
@@ -22,7 +23,7 @@ LOCDIRS := internal/service internal/persist internal/persist/wal \
            internal/fd internal/game internal/stats internal/sampling \
            internal/repair
 
-.PHONY: all build vet lint lintbench selectbench test race check verify bench benchbaseline benchcheck fuzz chaos loadsmoke walbench loc clean
+.PHONY: all build vet lint lintbench selectbench poolbench test race check verify bench benchbaseline benchcheck fuzz chaos loadsmoke walbench loc clean
 
 all: build
 
@@ -181,6 +182,17 @@ selectbench:
 		| $(GO) run ./cmd/benchjson > BENCH_Select.json
 	@echo "   wrote BENCH_Select.json"
 
+# Record the pool-construction baseline (BENCH_Pool.json):
+# BenchmarkNewPool builds one OMDB-240 pool with the default sizes per
+# hypothesis space (38 and 147 FDs) through the per-FD oracle (oracle)
+# and NewPool (fast). Each fast case reports x-vs-oracle, the same run's
+# oracle ns/op over its own, which `make benchcheck` gates.
+poolbench:
+	@echo "== BenchmarkNewPool"
+	@$(GO) test -run '^$$' -bench '^BenchmarkNewPool$$' -benchmem ./internal/sampling \
+		| $(GO) run ./cmd/benchjson > BENCH_Pool.json
+	@echo "   wrote BENCH_Pool.json"
+
 # Record the incremental-PLI baseline (BENCH_PLIIncremental.json): the
 # warm-cache revision benchmark plus the one-iteration rows=100000
 # scaling case that the delta protocol makes feasible at all. Revision
@@ -215,6 +227,9 @@ benchcheck:
 	@echo "== benchcheck selection (BenchmarkSelect -benchtime 200x)"
 	@$(GO) test -run '^$$' -bench '^BenchmarkSelect$$' -benchtime 200x -benchmem ./internal/sampling \
 		| $(GO) run ./cmd/benchjson -check BENCH_Select.json
+	@echo "== benchcheck pool construction (BenchmarkNewPool -benchtime 100x)"
+	@$(GO) test -run '^$$' -bench '^BenchmarkNewPool$$' -benchtime 100x -benchmem ./internal/sampling \
+		| $(GO) run ./cmd/benchjson -check BENCH_Pool.json
 	@echo "== benchcheck WAL group commit (etload -wal)"
 	@$(GO) run ./cmd/etload -wal -sessions 64 -rounds 4 -store-delay 20ms \
 		| $(GO) run ./cmd/benchjson -check BENCH_WalCommit.json

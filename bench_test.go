@@ -261,6 +261,32 @@ func BenchmarkSessionRoundService(b *testing.B) {
 	benchSessionRound(b, ds, serviceSpace(b, ds))
 }
 
+// BenchmarkSessionCreate measures what a new session costs before its
+// first pairs reach the annotator, at the session service's default
+// shape (OMDB-240, the 147-FD MaxLHS-2 enumeration): game.NewSession,
+// which builds the prior and the candidate pool, plus the first Next,
+// which groups the pool by agree set and selects the first round.
+func BenchmarkSessionCreate(b *testing.B) {
+	ds := datagen.OMDB(240, 1)
+	space := serviceSpace(b, ds)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sess, err := game.NewSession(game.SessionConfig{
+			Relation: ds.Rel,
+			Space:    space,
+			Sampler:  sampling.StochasticUS{},
+			K:        10,
+			Seed:     1,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := sess.Next(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func benchSessionRound(b *testing.B, ds *datagen.Dataset, space *fd.Space) {
 	newSession := func(seed uint64) *game.Session {
 		sess, err := game.NewSession(game.SessionConfig{

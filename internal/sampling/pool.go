@@ -1,7 +1,8 @@
 package sampling
 
 import (
-	"sort"
+	"math"
+	"math/bits"
 
 	"exptrain/internal/dataset"
 	"exptrain/internal/fd"
@@ -52,14 +53,15 @@ type PoolConfig struct {
 }
 
 // NewPool builds the candidate pool for the hypothesis space over rel.
-// Hypotheses sharing an LHS (every RHS choice over the same attribute
-// set) reuse one stripped partition through a PLI cache, so pool
-// construction partitions once per distinct LHS rather than once per
-// FD. Agreeing pairs are never materialized: a hypothesis with more
+// Work that depends only on an FD's LHS happens once per distinct LHS:
+// hypotheses sharing one (every RHS choice over the same attribute set)
+// share its stripped partition, through a PLI cache, and its rank
+// table. Agreeing pairs are never materialized: a hypothesis with more
 // pairs than the cap has its sample indices decoded arithmetically off
 // the partition's class sizes, so construction cost is O(classes +
-// cap) per FD instead of O(n²/dictionary) — the difference between
-// rows=10⁵ finishing and thrashing.
+// cap) per LHS and O(cap) per FD instead of O(n²/dictionary) — the
+// difference between rows=10⁵ finishing and thrashing. Candidates are
+// deduplicated as they are decoded.
 func NewPool(rel *dataset.Relation, space *fd.Space, cfg PoolConfig) *Pool {
 	maxPer := cfg.MaxAgreeingPerFD
 	if maxPer <= 0 {
@@ -69,36 +71,46 @@ func NewPool(rel *dataset.Relation, space *fd.Space, cfg PoolConfig) *Pool {
 	if randomPairs <= 0 {
 		randomPairs = 2 * rel.NumRows()
 	}
-	rng := stats.NewRNG(cfg.Seed)
-	cache := fd.NewPLICache(rel)
 
-	var cand []dataset.Pair // with duplicates; NewPoolFrom keeps first occurrences
-	var cum []int           // per-class cumulative pair counts, reused across FDs
-	for i := 0; i < space.Size(); i++ {
-		part := cache.Partition(space.FD(i).LHS)
-		total := part.AgreeingPairCount()
-		if total > maxPer {
-			// Same RNG draw the materialized version made over the pair
-			// list, decoded against the partition's deterministic
-			// enumeration order (classes by smallest member, ascending
-			// (a,b) within a class) so the pool contents and order are
-			// bit-identical to building the full list first.
-			cum = cum[:0]
-			run := 0
-			for _, rows := range part.Classes {
-				m := len(rows)
-				run += m * (m - 1) / 2
-				cum = append(cum, run)
+	// First pass, no draws: one rank table per distinct LHS, and a bound
+	// on the candidates the second pass adds.
+	cache := fd.NewPLICache(rel)
+	tableOf := make(map[fd.AttrSet]*rankTable)
+	fdTable := make([]*rankTable, space.Size())
+	bound := randomPairs
+	for i := range fdTable {
+		x := space.FD(i).LHS
+		tab := tableOf[x]
+		if tab == nil {
+			part := cache.Partition(x)
+			tab = &rankTable{part: part, total: part.AgreeingPairCount()}
+			tableOf[x] = tab
+		}
+		fdTable[i] = tab
+		bound += min(tab.total, maxPer)
+	}
+
+	// Second pass: the draws, in FD order. A hypothesis over the cap
+	// draws maxPer ranks into its partition's enumeration order
+	// (classes by smallest member, ascending (a, b) within a class);
+	// one under it contributes every pair in that order.
+	rng := stats.NewRNG(cfg.Seed)
+	cs := newCandidateSet(bound)
+	var idx []int
+	for _, tab := range fdTable {
+		if tab.total > maxPer {
+			if tab.cum == nil {
+				tab.index()
 			}
-			idx := rng.SampleWithoutReplacement(total, maxPer)
-			for _, j := range idx {
-				cand = append(cand, pairAt(part, cum, j))
+			idx = rng.SampleInto(idx, tab.total, maxPer)
+			for _, r := range idx {
+				cs.add(tab.pairAt(r))
 			}
 		} else {
-			for _, rows := range part.Classes {
+			for _, rows := range tab.part.Classes {
 				for a := 0; a < len(rows); a++ {
 					for b := a + 1; b < len(rows); b++ {
-						cand = append(cand, dataset.Pair{A: int(rows[a]), B: int(rows[b])})
+						cs.add(dataset.Pair{A: int(rows[a]), B: int(rows[b])})
 					}
 				}
 			}
@@ -112,97 +124,195 @@ func NewPool(rel *dataset.Relation, space *fd.Space, cfg PoolConfig) *Pool {
 			if a == b {
 				continue
 			}
-			cand = append(cand, dataset.NewPair(a, b))
+			cs.add(dataset.NewPair(a, b))
 		}
 	}
-	return NewPoolFrom(rel, cand)
+	return cs.pool(rel)
 }
 
 // NewPoolFrom builds a pool over exactly the given candidates: each
 // distinct pair once, in order of first occurrence. Pairs must name
-// rows of rel. Deduplication is a stable two-pass counting sort by
-// (A, B) — O(len(cand) + rows), no hash map — whose sorted order is
-// kept as the pool's pair index.
+// rows of rel.
+//
+//etlint:ignore unreachable test constructor shared by the tests of sampling and agents
 func NewPoolFrom(rel *dataset.Relation, cand []dataset.Pair) *Pool {
-	rows := 0
+	cs := newCandidateSet(len(cand))
 	for _, q := range cand {
+		cs.add(q)
+	}
+	return cs.pool(rel)
+}
+
+// candidateSet collects candidates into a pool, keeping the first
+// occurrence of each pair. Membership is an open-addressing hash set
+// of at least twice the candidates the caller bounds, so a lookup is
+// O(1) expected and no duplicate is ever stored.
+type candidateSet struct {
+	// set holds each added pair's key plus one, 0 marking an empty slot.
+	set   []uint64
+	shift uint
+	// keys lists the distinct keys plus one in order of first
+	// occurrence: the pool order.
+	keys []uint64
+}
+
+// newCandidateSet returns a set for at most bound add calls. The hash
+// table and the key list share one allocation.
+func newCandidateSet(bound int) *candidateSet {
+	b := bits.Len(uint(2*max(bound, 1) - 1))
+	buf := make([]uint64, 1<<b+bound)
+	return &candidateSet{set: buf[:1<<b], shift: uint(64 - b), keys: buf[1<<b : 1<<b]}
+}
+
+// add appends q to the pool order unless an earlier call added it.
+func (cs *candidateSet) add(q dataset.Pair) {
+	k := (uint64(q.A)<<32 | uint64(q.B)) + 1
+	mask := uint64(len(cs.set) - 1)
+	for h := k * 0x9e3779b97f4a7c15 >> cs.shift; ; h = (h + 1) & mask {
+		switch cs.set[h] {
+		case k:
+			return
+		case 0:
+			cs.set[h] = k
+			cs.keys = append(cs.keys, k)
+			return
+		}
+	}
+}
+
+// pool returns the pool over the distinct pairs added, in pool order.
+// byPair comes from a stable two-pass counting sort of the positions by
+// (A, B): O(distinct pairs + rows), no comparison sort.
+func (cs *candidateSet) pool(rel *dataset.Relation) *Pool {
+	u := len(cs.keys)
+	p := &Pool{
+		rel:     rel,
+		pairs:   make([]dataset.Pair, u),
+		byPair:  make([]int32, u),
+		unshown: make([]int32, u),
+		shown:   make([]uint64, (u+63)/64),
+	}
+	rows := 0
+	for i, k := range cs.keys {
+		k--
+		q := dataset.Pair{A: int(k >> 32), B: int(uint32(k))}
+		p.pairs[i] = q
+		p.unshown[i] = int32(i)
 		rows = max(rows, q.A+1, q.B+1)
 	}
-	order := make([]int32, len(cand))
-	sorted := make([]int32, len(cand))
-	for i := range sorted {
-		sorted[i] = int32(i)
-	}
 	count := make([]int32, rows+1)
-	radix := func(dst, src []int32, key func(dataset.Pair) int) {
-		clear(count)
-		for _, i := range src {
-			count[key(cand[i])+1]++
-		}
+	prefix := func() {
 		for v := 1; v <= rows; v++ {
 			count[v] += count[v-1]
 		}
-		for _, i := range src {
-			k := key(cand[i])
-			dst[count[k]] = i
-			count[k]++
-		}
 	}
-	radix(order, sorted, func(q dataset.Pair) int { return q.B })
-	radix(sorted, order, func(q dataset.Pair) int { return q.A })
-
-	// sorted now runs through the candidates by (A, B), equal pairs
-	// adjacent with their first occurrence first: keep that one.
-	keep := make([]bool, len(cand))
-	unique := 0
-	for j, i := range sorted {
-		if j == 0 || cand[i] != cand[sorted[j-1]] {
-			keep[i] = true
-			unique++
-		}
+	order := make([]int32, u) // the positions by B
+	for _, q := range p.pairs {
+		count[q.B+1]++
 	}
-	p := &Pool{
-		rel:     rel,
-		pairs:   make([]dataset.Pair, 0, unique),
-		byPair:  make([]int32, 0, unique),
-		unshown: make([]int32, unique),
-		shown:   make([]uint64, (unique+63)/64),
+	prefix()
+	for i, q := range p.pairs {
+		order[count[q.B]] = int32(i)
+		count[q.B]++
 	}
-	pos := order // reused: pos[i] is kept candidate i's pool position
-	for i, q := range cand {
-		if keep[i] {
-			pos[i] = int32(len(p.pairs))
-			p.pairs = append(p.pairs, q)
-		}
+	clear(count)
+	for _, q := range p.pairs {
+		count[q.A+1]++
 	}
-	for _, i := range sorted {
-		if keep[i] {
-			p.byPair = append(p.byPair, pos[i])
-		}
-	}
-	for i := range p.unshown {
-		p.unshown[i] = int32(i)
+	prefix()
+	for _, i := range order {
+		a := p.pairs[i].A
+		p.byPair[count[a]] = i
+		count[a]++
 	}
 	return p
 }
 
-// pairAt decodes the t-th agreeing pair (0-based, partition enumeration
-// order) without expanding any pair list. cum holds the cumulative pair
-// counts per class. Within a class of m ascending members, the pairs
-// with first index a precede those with a+1, so S(a) = a·(2m−a−1)/2
-// pairs come before first-index a; the largest a with S(a) ≤ t′ and
-// b = a+1+(t′−S(a)) recover the pair.
-func pairAt(p *fd.Partition, cum []int, t int) dataset.Pair {
-	ci := sort.SearchInts(cum, t+1)
-	rows := p.Classes[ci]
-	tp := t
-	if ci > 0 {
-		tp -= cum[ci-1]
+// rankTable decodes the agreeing pairs of one LHS partition by rank,
+// in the partition's enumeration order, without expanding any pair
+// list. index builds cum and first before the first decode.
+type rankTable struct {
+	part  *fd.Partition
+	total int
+	// cum[c] counts the pairs of classes 0..c.
+	cum []int
+	// first[j] is the class holding rank j<<shift, plus one last entry
+	// naming the last class: rank r's class lies in
+	// [first[r>>shift], first[r>>shift+1]].
+	first []int32
+	shift uint
+}
+
+// index builds cum and first. A bucket spans about total/(2·classes)
+// ranks, rounded down to a power of two, so there are about two buckets
+// per class and most buckets overlap one or two classes.
+func (t *rankTable) index() {
+	classes := t.part.Classes
+	t.cum = make([]int, len(classes))
+	run := 0
+	for c, rows := range classes {
+		m := len(rows)
+		run += m * (m - 1) / 2
+		t.cum[c] = run
 	}
+	t.shift = uint(bits.Len(uint(max(t.total/(2*len(classes)), 1))) - 1)
+	buckets := (t.total-1)>>t.shift + 1
+	t.first = make([]int32, buckets+1)
+	c := 0
+	for j := 0; j < buckets; j++ {
+		for t.cum[c] <= j<<t.shift {
+			c++
+		}
+		t.first[j] = int32(c)
+	}
+	t.first[buckets] = int32(len(classes) - 1)
+}
+
+// pairAt returns the agreeing pair of rank r: its class by binary
+// search within r's bucket, O(log classes) at worst, then its members
+// in closed form.
+func (t *rankTable) pairAt(r int) dataset.Pair {
+	j := r >> t.shift
+	lo, hi := int(t.first[j]), int(t.first[j+1])
+	for lo < hi { // the first class whose cumulative count exceeds r
+		mid := int(uint(lo+hi) >> 1)
+		if t.cum[mid] > r {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	if lo > 0 {
+		r -= t.cum[lo-1]
+	}
+	return classPair(t.part.Classes[lo], r)
+}
+
+// classPair returns the pair of rank r among a class's pairs (a, b),
+// a < b, in ascending (a, b) order. Counted from the end, the pairs
+// whose first member is one of the last u+1 number T(u) = u(u+1)/2, so
+// with e pairs after rank r, r's first member is m−1−u for the least u
+// with T(u) > e: one more than the greatest u with (2u+1)² ≤ 8e+1.
+func classPair(rows []int32, r int) dataset.Pair {
 	m := len(rows)
-	a := sort.Search(m-1, func(x int) bool { return (x+1)*(2*m-x-2)/2 > tp })
-	b := a + 1 + tp - a*(2*m-a-1)/2
+	e := m*(m-1)/2 - 1 - r
+	u := (isqrt(8*e+1)-1)/2 + 1
+	a := m - 1 - u
+	b := a + 1 + r - (m*(m-1)-u*(u+1))/2
 	return dataset.Pair{A: int(rows[a]), B: int(rows[b])}
+}
+
+// isqrt returns ⌊√x⌋ for x ≥ 0: the float estimate corrected by integer
+// steps, so the result is exact whatever the rounding.
+func isqrt(x int) int {
+	s := int(math.Sqrt(float64(x)))
+	for s*s > x {
+		s--
+	}
+	for (s+1)*(s+1) <= x {
+		s++
+	}
+	return s
 }
 
 // position returns pair q's pool position, or -1 when q is not a

@@ -76,29 +76,15 @@ func (r *RNG) Intn(n int) int {
 	// Lemire's nearly-divisionless bounded generation.
 	bound := uint64(n)
 	x := r.Uint64()
-	hi, lo := mul64(x, bound)
+	hi, lo := bits.Mul64(x, bound)
 	if lo < bound {
 		threshold := -bound % bound
 		for lo < threshold {
 			x = r.Uint64()
-			hi, lo = mul64(x, bound)
+			hi, lo = bits.Mul64(x, bound)
 		}
 	}
 	return int(hi)
-}
-
-// mul64 returns the 128-bit product of a and b as (hi, lo).
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask = 0xffffffff
-	aLo, aHi := a&mask, a>>32
-	bLo, bHi := b&mask, b>>32
-	t := aLo*bHi + (aLo*bLo)>>32
-	w1 := t & mask
-	w2 := t >> 32
-	w1 += aHi * bLo
-	hi = aHi*bHi + w2 + (w1 >> 32)
-	lo = a * b
-	return hi, lo
 }
 
 // NormFloat64 returns a standard normal variate using the Marsaglia polar
@@ -139,20 +125,34 @@ func (r *RNG) Shuffle(n int, swap func(i, j int)) {
 // SampleWithoutReplacement returns k distinct indices drawn uniformly from
 // [0, n). It panics if k > n or k < 0. The result is in random order.
 func (r *RNG) SampleWithoutReplacement(n, k int) []int {
+	return r.SampleInto(nil, n, k)
+}
+
+// SampleInto is SampleWithoutReplacement drawing into buf's storage: it
+// makes the same RNG calls and returns the same indices, in buf[:k]
+// when buf has the capacity for them and their membership set, else in
+// a fresh allocation. Passing the result back as buf reuses it, so a
+// caller drawing repeatedly allocates once.
+func (r *RNG) SampleInto(buf []int, n, k int) []int {
 	if k < 0 || k > n {
-		panic("stats: SampleWithoutReplacement with k out of range")
+		panic("stats: sample size k out of range [0, n]")
 	}
 	if k == 0 {
-		return nil
+		return buf[:0]
 	}
 	// Floyd's algorithm: O(k) memory, no O(n) allocation. The draws so
 	// far also sit in an open-addressing hash set of at least 2k slots,
-	// carved from the result's allocation, so a membership test is O(1)
-	// expected instead of a scan of the draws and a call still
-	// allocates once.
+	// carved from the same storage as the result, so a membership test
+	// is O(1) expected instead of a scan of the draws.
 	b := bits.Len(uint(2*k - 1))
-	buf := make([]int, k+1<<b)
-	out, set := buf[:0:k], buf[k:]
+	size := k + 1<<b
+	if cap(buf) < size {
+		buf = make([]int, size)
+	} else {
+		buf = buf[:size]
+		clear(buf[k:])
+	}
+	out, set := buf[:0], buf[k:]
 	shift := uint(64 - b)
 	for j := n - k; j < n; j++ {
 		t := r.Intn(j + 1)
@@ -169,7 +169,7 @@ func (r *RNG) SampleWithoutReplacement(n, k int) []int {
 	return out
 }
 
-// setSlot returns v's slot in SampleWithoutReplacement's set of
+// setSlot returns v's slot in SampleInto's set of
 // 1<<(64-shift) slots, each holding a drawn value plus one or 0 when
 // empty: the slot holding v, or the empty slot its linear probe
 // reaches.

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -228,6 +229,30 @@ func TestSampleWithoutReplacementMatchesLinearScan(t *testing.T) {
 	}
 }
 
+// TestSampleIntoMatchesSampleWithoutReplacement: drawing into a reused
+// buffer — left dirty by the previous draw, with k shrinking and
+// growing so the membership set lands on stale indices and the storage
+// is outgrown — returns the fresh-allocation indices and leaves the
+// generator in the same state.
+func TestSampleIntoMatchesSampleWithoutReplacement(t *testing.T) {
+	meta := NewRNG(43)
+	var buf []int
+	for trial := 0; trial < 3000; trial++ {
+		n := 1 + meta.Intn(5000)
+		k := meta.Intn(min(n, 1+trial%400) + 1)
+		if trial%7 == 0 {
+			k = n % 301 // the whole range when n ≤ 300
+		}
+		seed := meta.Uint64()
+		got, want := NewRNG(seed), NewRNG(seed)
+		buf = got.SampleInto(buf, n, k)
+		w := want.SampleWithoutReplacement(n, k)
+		if !slices.Equal(buf, w) || got.State() != want.State() {
+			t.Fatalf("trial %d n=%d k=%d: into reused buffer %v, fresh %v", trial, n, k, buf, w)
+		}
+	}
+}
+
 func TestSampleWithoutReplacementFullSet(t *testing.T) {
 	r := NewRNG(23)
 	s := r.SampleWithoutReplacement(8, 8)
@@ -281,5 +306,44 @@ func TestShuffle(t *testing.T) {
 		if !ok {
 			t.Fatalf("shuffle lost element %d: %v", i, xs)
 		}
+	}
+}
+
+// mul64 is the Hacker's Delight 128-bit product Intn used before
+// math/bits.Mul64: the oracle for the intrinsic.
+func mul64(a, b uint64) (hi, lo uint64) {
+	const mask = 0xffffffff
+	aLo, aHi := a&mask, a>>32
+	bLo, bHi := b&mask, b>>32
+	t := aLo*bHi + (aLo*bLo)>>32
+	w1 := t & mask
+	w2 := t >> 32
+	w1 += aHi * bLo
+	hi = aHi*bHi + w2 + (w1 >> 32)
+	lo = a * b
+	return hi, lo
+}
+
+// TestMul64MatchesBits: bits.Mul64 returns mul64's 128-bit product on
+// the edge operands and on random pairs, so Intn's bounded draws are
+// unchanged.
+func TestMul64MatchesBits(t *testing.T) {
+	edges := []uint64{0, 1, 2, 1<<32 - 1, 1 << 32, 1<<32 + 1, 1<<63 - 1, 1 << 63, math.MaxUint64}
+	check := func(a, b uint64) {
+		hi, lo := bits.Mul64(a, b)
+		whi, wlo := mul64(a, b)
+		if hi != whi || lo != wlo {
+			t.Fatalf("Mul64(%#x, %#x) = (%#x, %#x), mul64 = (%#x, %#x)", a, b, hi, lo, whi, wlo)
+		}
+	}
+	for _, a := range edges {
+		for _, b := range edges {
+			check(a, b)
+		}
+	}
+	r := NewRNG(47)
+	for i := 0; i < 100000; i++ {
+		check(r.Uint64(), r.Uint64())
+		check(r.Uint64(), uint64(r.Intn(1<<20)+1))
 	}
 }
