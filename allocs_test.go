@@ -24,8 +24,10 @@ const maxAllocsPerRound = 200
 // maxResidentSessionBytes caps the live heap one resident
 // OMDB-240 session holds after 48 rounds over the service-default
 // 147-hypothesis space — relation, pool and its agree-set class table,
-// beliefs and trajectory. A per-pair violation memo held ~2.2 MiB.
-const maxResidentSessionBytes = 1 << 20
+// beliefs and trajectory. A per-pair violation memo held ~2.2 MiB, and
+// a pool paying 28 bytes per position (a dataset.Pair, a position
+// list, a class id per position) held ~433 KiB.
+const maxResidentSessionBytes = 400 << 10
 
 // serviceSpace is the hypothesis space the session service builds by
 // default: every FD with at most two LHS attributes (147 over OMDB's

@@ -6,7 +6,7 @@ import (
 	"exptrain/internal/fd"
 )
 
-// classTable groups a pool's pairs by agree set. Whether a pair
+// classTable groups a pool's candidates by agree set. Whether a pair
 // violates a hypothesis depends only on the attributes its two tuples
 // agree on (fd.StatusOn), so every score a sampler derives from P(dirty)
 // is a function of the pair's class: a round scores each class once and
@@ -14,16 +14,21 @@ import (
 // tens to a few thousand classes.
 //
 // The class ids follow the relation through its delta journal: when
-// cells change, only the pairs touching an edited row are re-derived,
-// and a journal gap (an Append, or edits past the journal window)
-// rebuilds the table.
+// cells change, only the candidates touching an edited row are
+// re-derived, and a journal gap (an Append, or edits past the journal
+// window) rebuilds the table.
 type classTable struct {
-	// id holds the class of each pool position; nil until first built.
-	id []int32
+	// cand holds the class of each candidate, in candidate order; nil
+	// until first built. MarkShown compacts it in place and Unshow
+	// merges the returning candidates into it, so it always lists
+	// exactly the pool's candidates.
+	cand []int32
+	// count holds the number of candidates in each class.
+	count []int32
 	// agree holds each class's agree set. Classes a later edit emptied
 	// stay in the table until the next rebuild.
 	agree []fd.AttrSet
-	// version is the relation version id reflects.
+	// version is the relation version cand reflects.
 	version uint64
 	// space is the hypothesis space masks cover (nil: not computed).
 	space *fd.Space
@@ -43,7 +48,7 @@ func (t *classTable) mask(c int) []uint64 {
 func (p *Pool) classesFor(space *fd.Space) *classTable {
 	t := &p.classes
 	switch {
-	case t.id == nil:
+	case t.cand == nil:
 		p.buildClasses()
 	case t.version != p.rel.Version():
 		p.updateClasses()
@@ -58,22 +63,24 @@ func (p *Pool) classesFor(space *fd.Space) *classTable {
 	return t
 }
 
-// buildClasses derives every position's class from scratch.
+// buildClasses derives every candidate's class from scratch.
 func (p *Pool) buildClasses() {
 	t := &p.classes
-	if t.id == nil {
-		t.id = make([]int32, len(p.pairs))
+	if t.cand == nil {
+		t.cand = make([]int32, 0, p.remaining)
 	}
-	t.agree, t.masks, t.space = t.agree[:0], t.masks[:0], nil
+	t.cand, t.agree, t.masks, t.space = t.cand[:0], t.agree[:0], t.masks[:0], nil
 	index := make(map[fd.AttrSet]int32)
-	for pos, q := range p.pairs {
-		t.id[pos] = t.classOf(index, fd.AgreeSet(p.rel, q))
+	at := p.cursor()
+	for i := 0; i < p.remaining; i++ {
+		t.cand = append(t.cand, t.classOf(index, fd.AgreeSet(p.rel, p.pairs[at.seek(i)].pair())))
 	}
+	t.recount()
 	t.version = p.rel.Version()
 }
 
 // updateClasses replays the relation's cell deltas since the table's
-// version: only pairs touching an edited row can change class.
+// version: only candidates touching an edited row can change class.
 func (p *Pool) updateClasses() {
 	t := &p.classes
 	deltas, ok := p.rel.DeltasSince(t.version)
@@ -95,16 +102,23 @@ func (p *Pool) updateClasses() {
 	if edited == nil {
 		return
 	}
-	touched := func(row int) bool { return edited[row/64]&(1<<uint(row%64)) != 0 }
+	touched := func(row int32) bool { return edited[row/64]&(1<<uint(row%64)) != 0 }
+	index, at := t.index(), p.cursor()
+	for i := range t.cand {
+		if q := p.pairs[at.seek(i)]; touched(q.a) || touched(q.b) {
+			t.cand[i] = t.classOf(index, fd.AgreeSet(p.rel, q.pair()))
+		}
+	}
+	t.recount()
+}
+
+// index returns the map from agree set to class that classOf extends.
+func (t *classTable) index() map[fd.AttrSet]int32 {
 	index := make(map[fd.AttrSet]int32, len(t.agree))
 	for c, a := range t.agree {
 		index[a] = int32(c)
 	}
-	for pos, q := range p.pairs {
-		if touched(q.A) || touched(q.B) {
-			t.id[pos] = t.classOf(index, fd.AgreeSet(p.rel, q))
-		}
-	}
+	return index
 }
 
 // classOf returns the class of agree set a, adding it (with its mask,
@@ -122,6 +136,31 @@ func (t *classTable) classOf(index map[fd.AttrSet]int32, a fd.AttrSet) int32 {
 	return c
 }
 
+// recount sets count from cand.
+func (t *classTable) recount() {
+	t.count = resize(t.count, len(t.agree))
+	clear(t.count)
+	for _, c := range t.cand {
+		t.count[c]++
+	}
+}
+
+// remove deletes the candidates at the ascending indices idx from
+// cand, in one order-preserving pass.
+func (t *classTable) remove(idx []int32) {
+	cand := t.cand
+	w := int(idx[0])
+	for j, i := range idx {
+		t.count[cand[i]]--
+		end := len(cand)
+		if j+1 < len(idx) {
+			end = int(idx[j+1])
+		}
+		w += copy(cand[w:], cand[i+1:end])
+	}
+	t.cand = cand[:w]
+}
+
 // Candidates is the read-only view a Sampler selects from: the pool's
 // unshown pairs in pool order. Besides the pairs themselves it scores
 // them through the pool's agree-set classes, one evaluation per class.
@@ -129,10 +168,13 @@ func (t *classTable) classOf(index map[fd.AttrSet]int32, a fd.AttrSet) int32 {
 type Candidates struct{ p *Pool }
 
 // Len returns the number of candidates.
-func (c Candidates) Len() int { return len(c.p.unshown) }
+func (c Candidates) Len() int { return c.p.remaining }
 
-// Pair returns candidate i, 0 ≤ i < Len.
-func (c Candidates) Pair(i int) dataset.Pair { return c.p.pairs[c.p.unshown[i]] }
+// Pair returns candidate i, 0 ≤ i < Len, in O(pool size/64).
+func (c Candidates) Pair(i int) dataset.Pair {
+	at := c.p.cursor()
+	return c.p.pairs[at.seek(i)].pair()
+}
 
 // countClasses brings the pool's class table up to date for space,
 // sizes sc.value to one entry per class for the caller to fill, sets
@@ -141,11 +183,7 @@ func (c Candidates) Pair(i int) dataset.Pair { return c.p.pairs[c.p.unshown[i]] 
 func (c Candidates) countClasses(sc *selectScratch, space *fd.Space) *classTable {
 	t := c.p.classesFor(space)
 	sc.value = resize(sc.value, len(t.agree))
-	sc.count = resize(sc.count, len(t.agree))
-	clear(sc.count)
-	for _, pos := range c.p.unshown {
-		sc.count[t.id[pos]]++
-	}
+	sc.count = append(sc.count[:0], t.count...)
 	return t
 }
 

@@ -12,8 +12,8 @@ import (
 	"exptrain/internal/stats"
 )
 
-// checkClasses is the oracle for the agree-set class table: every pool
-// position's class mask over space must hold exactly the hypotheses
+// checkClasses is the oracle for the agree-set class table: every
+// candidate's class mask over space must hold exactly the hypotheses
 // fd.Status reports the pair violating, with no bits past the space.
 // It also checks that every candidate's class value equals a per-pair
 // b.PDirty walk bit for bit, and that the class counts add up to the
@@ -24,8 +24,10 @@ func checkClasses(t *testing.T, p *Pool, space *fd.Space, b *belief.Belief, ctx 
 	if tab.version != p.rel.Version() {
 		t.Fatalf("%s: class table at version %d, relation at %d", ctx, tab.version, p.rel.Version())
 	}
-	for pos, q := range p.pairs {
-		mask := tab.mask(int(tab.id[pos]))
+	at := p.cursor()
+	for i, cl := range tab.cand {
+		q := p.pairs[at.seek(i)].pair()
+		mask := tab.mask(int(cl))
 		if len(mask) != space.MaskWords() {
 			t.Fatalf("%s: mask of %v spans %d words, want %d", ctx, q, len(mask), space.MaskWords())
 		}
@@ -44,11 +46,12 @@ func checkClasses(t *testing.T, p *Pool, space *fd.Space, b *belief.Belief, ctx 
 	c := p.Candidates()
 	tab = c.scoreClasses(sc, b, func(pd float64) float64 { return pd })
 	counted := make([]int32, len(sc.count))
-	for i, pos := range p.unshown {
-		cl := tab.id[pos]
+	at = p.cursor()
+	for i, cl := range tab.cand {
+		q := p.pairs[at.seek(i)].pair()
 		counted[cl]++
-		if want := b.PDirty(p.rel, c.Pair(i)); sc.value[cl] != want {
-			t.Fatalf("%s: candidate %v scored %v by class, PDirty %v", ctx, c.Pair(i), sc.value[cl], want)
+		if want := b.PDirty(p.rel, q); sc.value[cl] != want {
+			t.Fatalf("%s: candidate %v scored %v by class, PDirty %v", ctx, q, sc.value[cl], want)
 		}
 	}
 	if !slices.Equal(counted, sc.count) {

@@ -62,8 +62,8 @@ func (o *perPair) candidateScores(c Candidates, b *belief.Belief, score func(pdi
 // class and returns o.scores.
 func (o *perPair) fill(c Candidates, t *classTable) []float64 {
 	o.scores = resize(o.scores, c.Len())
-	for i, pos := range c.p.unshown {
-		o.scores[i] = o.sc.value[t.id[pos]]
+	for i, cl := range t.cand {
+		o.scores[i] = o.sc.value[cl]
 	}
 	return o.scores
 }

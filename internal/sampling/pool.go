@@ -3,6 +3,7 @@ package sampling
 import (
 	"math"
 	"math/bits"
+	"slices"
 
 	"exptrain/internal/dataset"
 	"exptrain/internal/fd"
@@ -17,27 +18,36 @@ import (
 // provides a fresh example in each interaction).
 //
 // The pool owns its candidates densely: every structure is a slice
-// indexed by pool position, so nothing keyed by pair grows with the
-// pool.
+// indexed by pool position or by candidate, so nothing keyed by pair
+// grows with the pool. A candidate's index is its rank among the
+// unshown positions in pool order: the count of clear bits of shown
+// below its position.
 type Pool struct {
 	rel *dataset.Relation
 	// pairs holds every candidate once, in pool order. It never changes
 	// after construction.
-	pairs []dataset.Pair
+	pairs []rowPair
 	// byPair lists the positions sorted by pair, so MarkShown and
 	// Unshow find a pair by binary search.
 	byPair []int32
-	// unshown holds the positions not yet presented, ascending (pool
-	// order). MarkShown compacts it in place and Unshow rebuilds it
-	// from the shown bitset, so the candidate view is O(1) and steady-state
-	// allocation-free.
-	unshown []int32
-	// shown is a bitset over positions.
+	// shown is a bitset over positions. The bits past the last position
+	// are set, so the clear bits are exactly the candidates.
 	shown []uint64
-	// classes groups the positions by agree set for scoring; built on
+	// remaining counts the clear bits of shown.
+	remaining int
+	// classes groups the candidates by agree set for scoring; built on
 	// the first scoring call.
 	classes classTable
+	// moved is MarkShown's and Unshow's scratch: the positions that
+	// change side (MarkShown then turns them into candidate indices).
+	moved []int32
 }
+
+// rowPair is a pair's two rows. Partitions hold rows as int32, so a
+// pool position costs 8 bytes of pair instead of a dataset.Pair's 16.
+type rowPair struct{ a, b int32 }
+
+func (r rowPair) pair() dataset.Pair { return dataset.Pair{A: int(r.a), B: int(r.b)} }
 
 // PoolConfig sizes the candidate pool.
 type PoolConfig struct {
@@ -186,19 +196,21 @@ func (cs *candidateSet) add(q dataset.Pair) {
 func (cs *candidateSet) pool(rel *dataset.Relation) *Pool {
 	u := len(cs.keys)
 	p := &Pool{
-		rel:     rel,
-		pairs:   make([]dataset.Pair, u),
-		byPair:  make([]int32, u),
-		unshown: make([]int32, u),
-		shown:   make([]uint64, (u+63)/64),
+		rel:       rel,
+		pairs:     make([]rowPair, u),
+		byPair:    make([]int32, u),
+		shown:     make([]uint64, (u+63)/64),
+		remaining: u,
+	}
+	if u%64 != 0 {
+		p.shown[u/64] = ^uint64(0) << uint(u%64)
 	}
 	rows := 0
 	for i, k := range cs.keys {
 		k--
-		q := dataset.Pair{A: int(k >> 32), B: int(uint32(k))}
+		q := rowPair{a: int32(k >> 32), b: int32(uint32(k))}
 		p.pairs[i] = q
-		p.unshown[i] = int32(i)
-		rows = max(rows, q.A+1, q.B+1)
+		rows = max(rows, int(q.a)+1, int(q.b)+1)
 	}
 	count := make([]int32, rows+1)
 	prefix := func() {
@@ -208,20 +220,20 @@ func (cs *candidateSet) pool(rel *dataset.Relation) *Pool {
 	}
 	order := make([]int32, u) // the positions by B
 	for _, q := range p.pairs {
-		count[q.B+1]++
+		count[q.b+1]++
 	}
 	prefix()
 	for i, q := range p.pairs {
-		order[count[q.B]] = int32(i)
-		count[q.B]++
+		order[count[q.b]] = int32(i)
+		count[q.b]++
 	}
 	clear(count)
 	for _, q := range p.pairs {
-		count[q.A+1]++
+		count[q.a+1]++
 	}
 	prefix()
 	for _, i := range order {
-		a := p.pairs[i].A
+		a := p.pairs[i].a
 		p.byPair[count[a]] = i
 		count[a]++
 	}
@@ -316,19 +328,23 @@ func isqrt(x int) int {
 }
 
 // position returns pair q's pool position, or -1 when q is not a
-// candidate.
+// candidate. A row outside the int32 range names no candidate.
 func (p *Pool) position(q dataset.Pair) int32 {
+	a, b := int32(q.A), int32(q.B)
+	if int(a) != q.A || int(b) != q.B {
+		return -1
+	}
 	lo, hi := 0, len(p.byPair)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
 		r := p.pairs[p.byPair[mid]]
-		if r.A < q.A || (r.A == q.A && r.B < q.B) {
+		if r.a < a || (r.a == a && r.b < b) {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	if lo < len(p.byPair) && p.pairs[p.byPair[lo]] == q {
+	if lo < len(p.byPair) && p.pairs[p.byPair[lo]] == (rowPair{a, b}) {
 		return p.byPair[lo]
 	}
 	return -1
@@ -342,50 +358,110 @@ func (p *Pool) Candidates() Candidates { return Candidates{p: p} }
 
 // MarkShown records that the pairs were presented, removing them from
 // the candidates. Pairs that are not candidates, or already shown, are
-// ignored. The unshown positions are compacted in place, preserving
-// order — order-preservation is what keeps seeded sampler runs
-// bit-identical to the original filter-on-read implementation (a
-// swap-remove would permute what the samplers see).
+// ignored. The class table's candidate list is compacted in place,
+// preserving order — order-preservation is what keeps seeded sampler
+// runs bit-identical to the original filter-on-read implementation (a
+// swap-remove would permute what the samplers see). Before the first
+// scoring call there is no list, and only bits change.
 func (p *Pool) MarkShown(pairs []dataset.Pair) {
-	fresh := 0
+	moved := p.moved[:0]
 	for _, q := range pairs {
 		if pos := p.position(q); pos >= 0 && !p.isShown(pos) {
 			p.shown[pos/64] |= 1 << uint(pos%64)
-			fresh++
+			moved = append(moved, pos)
 		}
 	}
-	if fresh == 0 {
-		return
-	}
-	kept := p.unshown[:0]
-	for _, pos := range p.unshown {
-		if !p.isShown(pos) {
-			kept = append(kept, pos)
+	p.remaining -= len(moved)
+	if t := &p.classes; t.cand != nil && len(moved) > 0 {
+		slices.Sort(moved)
+		// A leaving position's index before the call: the candidates
+		// still below it plus the leaving ones below it, now set.
+		p.clearBelow(moved)
+		for j := range moved {
+			moved[j] += int32(j)
 		}
+		t.remove(moved)
 	}
-	p.unshown = kept
+	p.moved = moved
 }
 
 // Unshow reverses MarkShown for the given pairs: each shown candidate
 // among them returns to its original place in pool order, so the
 // samplers see exactly the candidates they saw before it was marked.
+// A returning pair is classed against the relation as it stands now;
+// the next delta catch-up then treats it like any other candidate.
 func (p *Pool) Unshow(pairs []dataset.Pair) {
+	moved := p.moved[:0]
 	for _, q := range pairs {
-		if pos := p.position(q); pos >= 0 {
+		if pos := p.position(q); pos >= 0 && p.isShown(pos) {
 			p.shown[pos/64] &^= 1 << uint(pos%64)
+			moved = append(moved, pos)
 		}
 	}
-	p.unshown = p.unshown[:0]
-	for pos := range p.pairs {
-		if !p.isShown(int32(pos)) {
-			p.unshown = append(p.unshown, int32(pos))
+	p.remaining += len(moved)
+	if t := &p.classes; t.cand != nil && len(moved) > 0 {
+		slices.Sort(moved)
+		index, kept := t.index(), t.cand
+		t.cand = make([]int32, p.remaining)
+		at, j := p.cursor(), 0
+		for i := range t.cand {
+			if pos := at.seek(i); j < len(moved) && pos == moved[j] {
+				t.cand[i] = t.classOf(index, fd.AgreeSet(p.rel, p.pairs[pos].pair()))
+				j++
+			} else {
+				t.cand[i] = kept[i-j]
+			}
 		}
+		t.recount()
 	}
+	p.moved = moved
+}
+
+// clearBelow replaces each of the ascending positions in pos by the
+// number of clear bits of shown below it, in one sweep.
+func (p *Pool) clearBelow(pos []int32) {
+	w, set := 0, 0
+	for j, at := range pos {
+		for ; w < int(at/64); w++ {
+			set += bits.OnesCount64(p.shown[w])
+		}
+		below := p.shown[w] & (1<<uint(at%64) - 1)
+		pos[j] = at - int32(set+bits.OnesCount64(below))
+	}
+}
+
+// cursor returns a cursor at the first candidate.
+func (p *Pool) cursor() cursor { return cursor{shown: p.shown, w: -1} }
+
+// cursor maps ascending candidate indices to positions in one sweep
+// over shown: a popcount per word skipped, a bit step per candidate
+// passed within a word.
+type cursor struct {
+	shown []uint64
+	// w is the current word; free holds its clear bits not yet passed,
+	// the lowest of them candidate i.
+	w    int
+	free uint64
+	i    int
+}
+
+// seek returns the position of candidate i, which must not precede the
+// cursor's and must be below RemainingCount.
+func (c *cursor) seek(i int) int32 {
+	for n := bits.OnesCount64(c.free); i >= c.i+n; n = bits.OnesCount64(c.free) {
+		c.i += n
+		c.w++
+		c.free = ^c.shown[c.w]
+	}
+	for ; c.i < i; c.i++ {
+		c.free &= c.free - 1
+	}
+	return int32(c.w*64 + bits.TrailingZeros64(c.free))
 }
 
 // RemainingCount returns how many fresh pairs the pool still holds —
 // an O(1) counter for callers that only need the number.
-func (p *Pool) RemainingCount() int { return len(p.unshown) }
+func (p *Pool) RemainingCount() int { return p.remaining }
 
 // Size returns the total pool size (shown and unshown).
 func (p *Pool) Size() int { return len(p.pairs) }

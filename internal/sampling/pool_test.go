@@ -12,8 +12,9 @@ import (
 )
 
 // samePool fails unless got and want hold the same pairs, pair index,
-// unshown positions and shown bitset, with the same lengths and no
-// spare capacity on either side.
+// shown bitset (the bits past the last position included) and
+// remaining count, with the same lengths and no spare capacity on
+// either side.
 func samePool(t testing.TB, got, want *Pool, ctx string) {
 	t.Helper()
 	if !slices.Equal(got.pairs, want.pairs) {
@@ -22,15 +23,15 @@ func samePool(t testing.TB, got, want *Pool, ctx string) {
 	if !slices.Equal(got.byPair, want.byPair) {
 		t.Fatalf("%s: byPair differs", ctx)
 	}
-	if !slices.Equal(got.unshown, want.unshown) {
-		t.Fatalf("%s: unshown differs", ctx)
-	}
 	if !slices.Equal(got.shown, want.shown) {
 		t.Fatalf("%s: shown differs", ctx)
 	}
+	if got.remaining != want.remaining {
+		t.Fatalf("%s: %d remaining, oracle %d", ctx, got.remaining, want.remaining)
+	}
 	for _, c := range [][2]int{
 		{cap(got.pairs), cap(want.pairs)}, {cap(got.byPair), cap(want.byPair)},
-		{cap(got.unshown), cap(want.unshown)}, {cap(got.shown), cap(want.shown)},
+		{cap(got.shown), cap(want.shown)},
 	} {
 		if c[0] != c[1] {
 			t.Fatalf("%s: capacities %d, oracle %d", ctx, c[0], c[1])

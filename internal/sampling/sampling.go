@@ -162,7 +162,8 @@ func gammaOrDefault(g float64) float64 {
 // candidates it ranks the distinct values of the classes present into
 // levels, highest first, and then places each candidate of the levels
 // that fill the k slots, in one pass in candidate order, at its
-// level's next free slot.
+// level's next free slot. The placements arrive in ascending candidate
+// index, so one cursor sweep over the pool turns them into pairs.
 func classTopK(c Candidates, t *classTable, sc *selectScratch, k int) []dataset.Pair {
 	k = min(k, c.Len())
 	out := make([]dataset.Pair, k)
@@ -191,16 +192,16 @@ func classTopK(c Candidates, t *classTable, sc *selectScratch, k int) []dataset.
 		level[cl] = int32(len(slot) - 1)
 		ranked += int(count[cl])
 	}
-	placed := 0
-	for _, pos := range c.p.unshown {
+	placed, at := 0, c.p.cursor()
+	for i, cl := range t.cand {
 		if placed == k {
 			break
 		}
-		l := level[t.id[pos]]
+		l := level[cl]
 		if l < 0 || slot[l] == k {
 			continue
 		}
-		out[slot[l]] = c.p.pairs[pos]
+		out[slot[l]] = c.p.pairs[at.seek(i)].pair()
 		slot[l]++
 		placed++
 	}
@@ -232,7 +233,7 @@ func classSoftmax(c Candidates, b *belief.Belief, k int, gamma float64, rng *sta
 	sc := selPool.Get().(*selectScratch)
 	defer selPool.Put(sc)
 	t := c.scoreClasses(sc, b, score)
-	l := liveMass{cands: c.p.unshown, id: t.id, mass: sc.value, drawn: resize(sc.drawn, k)[:0]}
+	l := liveMass{cand: t.cand, mass: sc.value, drawn: resize(sc.drawn, k)[:0]}
 	maxS := math.Inf(-1)
 	for cl, n := range sc.count {
 		if n > 0 && l.mass[cl] > maxS {
@@ -242,7 +243,7 @@ func classSoftmax(c Candidates, b *belief.Belief, k int, gamma float64, rng *sta
 	for cl := range l.mass {
 		l.mass[cl] = math.Exp((l.mass[cl] - maxS) / gamma)
 	}
-	total := l.sum(0, 0, len(l.cands))
+	total := l.sum(0, 0, len(l.cand))
 	for cl := range l.mass {
 		l.mass[cl] /= total
 	}
@@ -254,16 +255,16 @@ func classSoftmax(c Candidates, b *belief.Belief, k int, gamma float64, rng *sta
 			pick = l.lastWithMass()
 			before = l.sum(0, 0, pick)
 		}
-		out = append(out, c.p.pairs[l.cands[pick]])
+		out = append(out, c.Pair(pick))
 		if len(out) == k {
 			sc.drawn = l.drawn
 			return out
 		}
-		total = l.sum(before, pick+1, len(l.cands))
+		total = l.sum(before, pick+1, len(l.cand))
 		at, _ := slices.BinarySearch(l.drawn, pick)
 		l.drawn = slices.Insert(l.drawn, at, pick)
 		if total <= 0 {
-			u := 1 / float64(len(l.cands)-len(l.drawn))
+			u := 1 / float64(len(l.cand)-len(l.drawn))
 			for cl := range l.mass {
 				l.mass[cl] = u
 			}
@@ -280,26 +281,26 @@ func classSoftmax(c Candidates, b *belief.Belief, k int, gamma float64, rng *sta
 }
 
 // liveMass is classSoftmax's view of the candidates: candidate i holds
-// mass[id[cands[i]]], its class's mass, unless it is among drawn, the
+// mass[cand[i]], its class's mass, unless it is among drawn, the
 // ascending indices of the candidates drawn so far.
 type liveMass struct {
-	cands, id []int32
-	mass      []float64
-	drawn     []int
+	cand  []int32
+	mass  []float64
+	drawn []int
 }
 
 // sum adds to acc, in candidate order, the masses of the undrawn
 // candidates with indices in [from, to).
 func (l *liveMass) sum(acc float64, from, to int) float64 {
-	id, mass := l.id, l.mass
+	cand, mass := l.cand, l.mass
 	s, _ := slices.BinarySearch(l.drawn, from)
 	for lo := from; lo < to; s++ {
 		hi := to
 		if s < len(l.drawn) && l.drawn[s] < to {
 			hi = l.drawn[s]
 		}
-		for _, pos := range l.cands[lo:hi] {
-			acc += mass[id[pos]]
+		for _, cl := range cand[lo:hi] {
+			acc += mass[cl]
 		}
 		lo = hi + 1
 	}
@@ -310,17 +311,17 @@ func (l *liveMass) sum(acc float64, from, to int) float64 {
 // mass, in candidate order, exceeds u, and the cumulative mass before
 // it; ok is false when the whole sum stays at or below u.
 func (l *liveMass) draw(u float64) (pick int, before float64, ok bool) {
-	id, mass := l.id, l.mass
+	cand, mass := l.cand, l.mass
 	var cum float64
 	lo := 0
 	for s := 0; s <= len(l.drawn); s++ {
-		hi := len(l.cands)
+		hi := len(cand)
 		if s < len(l.drawn) {
 			hi = l.drawn[s]
 		}
-		for i, pos := range l.cands[lo:hi] {
+		for i, cl := range cand[lo:hi] {
 			prev := cum
-			if cum += mass[id[pos]]; u < cum {
+			if cum += mass[cl]; u < cum {
 				return lo + i, prev, true
 			}
 		}
@@ -333,12 +334,12 @@ func (l *liveMass) draw(u float64) (pick int, before float64, ok bool) {
 // positive.
 func (l *liveMass) lastWithMass() int {
 	s := len(l.drawn) - 1
-	for i := len(l.cands) - 1; ; i-- {
+	for i := len(l.cand) - 1; ; i-- {
 		if s >= 0 && l.drawn[s] == i {
 			s--
 			continue
 		}
-		if l.mass[l.id[l.cands[i]]] > 0 {
+		if l.mass[l.cand[i]] > 0 {
 			return i
 		}
 	}

@@ -334,12 +334,13 @@ func TestPoolUnshowRestoresOrder(t *testing.T) {
 // Remaining returns a copy of the candidate pairs not yet marked shown,
 // in pool order.
 func (p *Pool) Remaining() []dataset.Pair {
-	out := make([]dataset.Pair, len(p.unshown))
-	for i, pos := range p.unshown {
-		out[i] = p.pairs[pos]
+	out := make([]dataset.Pair, p.remaining)
+	at := p.cursor()
+	for i := range out {
+		out[i] = p.pairs[at.seek(i)].pair()
 	}
 	return out
 }
 
 // ShownCount returns how many pairs have been presented.
-func (p *Pool) ShownCount() int { return len(p.pairs) - len(p.unshown) }
+func (p *Pool) ShownCount() int { return len(p.pairs) - p.remaining }

@@ -98,8 +98,8 @@ func emptyClass(t testing.TB, p *Pool, space *fd.Space) {
 		if edit == c.Len() {
 			t.Fatalf("class %d kept %d candidates through %d edits", cl, sc.count[cl], edit)
 		}
-		for i, pos := range p.unshown {
-			if int(tab.id[pos]) == cl {
+		for i, id := range tab.cand {
+			if int(id) == cl {
 				moveOut(p.rel, c.Pair(i), tab.agree[cl], fmt.Sprintf("emptied-%d", edit))
 				break
 			}
@@ -117,7 +117,7 @@ func createClass(t testing.TB, p *Pool, space *fd.Space) {
 	for i := 0; i < c.Len(); i++ {
 		tab := c.countClasses(sc, space)
 		classes := len(tab.agree)
-		moveOut(p.rel, c.Pair(i), tab.agree[tab.id[p.unshown[i]]], fmt.Sprintf("created-%d", i))
+		moveOut(p.rel, c.Pair(i), tab.agree[tab.cand[i]], fmt.Sprintf("created-%d", i))
 		if len(c.countClasses(sc, space).agree) > classes {
 			return
 		}
@@ -310,11 +310,11 @@ func TestClassSoftmaxBoundaryDraws(t *testing.T) {
 		var top []int32
 		for _, score := range scores {
 			values := o.candidateScores(c, tc.b, score)
-			top = append(top, tab.id[tc.p.unshown[slices.Index(values, slices.Max(values))]])
+			top = append(top, tab.cand[slices.Index(values, slices.Max(values))])
 		}
 		var hide []dataset.Pair
-		for i, pos := range tc.p.unshown {
-			if slices.Contains(top, tab.id[pos]) {
+		for i, id := range tab.cand {
+			if slices.Contains(top, id) {
 				hide = append(hide, c.Pair(i))
 			}
 		}
@@ -369,10 +369,11 @@ func FuzzClassSelect(f *testing.F) {
 
 // BenchmarkSelect times one selection of k = 10 pairs from an OMDB-240
 // pool under a DataEstimate prior, over the paper's 38-FD space and the
-// service's 147-FD one, through the per-candidate oracle (perpair) and
-// the class-level samplers (class). Each class case also reports
-// x-vs-perpair: the same run's perpair ns/op for its sampler and space
-// divided by its own.
+// service's 147-FD one, from the pool as built (shown=0) and after 40
+// rounds of k = 10 StochasticUS presentations (shown=400), through the
+// per-candidate oracle (perpair) and the class-level samplers (class).
+// Each class case also reports x-vs-perpair: the same run's perpair
+// ns/op for its sampler and shape divided by its own.
 func BenchmarkSelect(b *testing.B) {
 	ds := datagen.OMDB(240, 1)
 	type shape struct {
@@ -382,9 +383,16 @@ func BenchmarkSelect(b *testing.B) {
 	}
 	var shapes []shape
 	for _, space := range []*fd.Space{ds.Space(3, 38), enumerated(ds.Rel, 2, 0)} {
-		pool := NewPool(ds.Rel, space, PoolConfig{Seed: 1})
-		pool.Candidates().countClasses(new(selectScratch), space) // build the class table outside the timer
-		shapes = append(shapes, shape{fmt.Sprintf("fds=%d", space.Size()), belief.DataEstimatePrior(space, ds.Rel, 0.12), pool})
+		bel := belief.DataEstimatePrior(space, ds.Rel, 0.12)
+		for _, shown := range []int{0, 400} {
+			pool := NewPool(ds.Rel, space, PoolConfig{Seed: 1})
+			rng := stats.NewRNG(3)
+			for pool.ShownCount() < shown {
+				pool.MarkShown(StochasticUS{}.Select(pool.Candidates(), bel, 10, rng))
+			}
+			pool.Candidates().countClasses(new(selectScratch), space) // build the class table outside the timer
+			shapes = append(shapes, shape{fmt.Sprintf("fds=%d/shown=%d", space.Size(), shown), bel, pool})
+		}
 	}
 	perpairNs := map[string]float64{}
 	for _, path := range []string{"perpair", "class"} {
