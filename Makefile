@@ -15,6 +15,7 @@ FUZZERS := ./internal/sampling:FuzzParseMethod \
            ./internal/persist:FuzzSnapshotDecode \
            ./internal/persist:FuzzSnapshotChecksum \
            ./internal/persist/wal:FuzzWalDecode \
+           ./internal/persist/wal:FuzzWalTailFold \
            ./internal/service:FuzzServerJSON \
            ./internal/fd:FuzzPLIDelta
 

@@ -1,15 +1,21 @@
 package exptrain
 
 import (
+	"context"
 	"fmt"
+	"path/filepath"
 	"runtime"
 	"testing"
 
 	"exptrain/internal/belief"
 	"exptrain/internal/datagen"
+	"exptrain/internal/dataset"
 	"exptrain/internal/fd"
 	"exptrain/internal/game"
+	"exptrain/internal/persist"
+	"exptrain/internal/persist/wal"
 	"exptrain/internal/sampling"
+	"exptrain/internal/service"
 )
 
 // maxAllocsPerRound is the regression ceiling for one warm session
@@ -29,6 +35,15 @@ const maxAllocsPerRound = 200
 // list, a class id per position) held ~433 KiB.
 const maxResidentSessionBytes = 400 << 10
 
+// maxResidentWalSessionBytes caps the live heap one resident session
+// of etperf's durable shape holds when its store is a write-ahead log:
+// OMDB-24, K = 2 and the service's 147-hypothesis space after 40 rounds
+// — the session, its manager entry and the log's committed tail of 40
+// round deltas, of which only the newest keeps the learner's belief
+// (~69 KB measured). With every delta in the tail keeping its own
+// 147-Beta copy a session held ~181 KB.
+const maxResidentWalSessionBytes = 96 << 10
+
 // serviceSpace is the hypothesis space the session service builds by
 // default: every FD with at most two LHS attributes (147 over OMDB's
 // seven attributes).
@@ -43,6 +58,14 @@ func serviceSpace(tb testing.TB, ds *datagen.Dataset) *fd.Space {
 		tb.Fatal(err)
 	}
 	return space
+}
+
+// liveHeap is the live heap after a collection.
+func liveHeap() uint64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
 }
 
 // playRound presents one round and submits it labeled clean.
@@ -112,12 +135,6 @@ func TestResidentSessionHeap(t *testing.T) {
 		t.Skip("heap measurement is not meaningful with -short races")
 	}
 	const sessions, rounds = 8, 48
-	liveHeap := func() uint64 {
-		var ms runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&ms)
-		return ms.HeapAlloc
-	}
 	before := liveHeap()
 	resident := make([]*game.Session, sessions)
 	for i := range resident {
@@ -146,4 +163,71 @@ func TestResidentSessionHeap(t *testing.T) {
 		t.Fatalf("a resident session holds %.0f bytes of live heap, ceiling %d", per, maxResidentSessionBytes)
 	}
 	t.Logf("live heap per resident session: %.0f bytes (ceiling %d)", per, maxResidentSessionBytes)
+}
+
+// TestResidentWalSessionHeap pins the memory a resident session holds
+// on the durability path every configured store runs: 8 sessions of
+// etperf's durable shape play 40 rounds each through a Manager over a
+// write-ahead log on disk, and the collected live heap they add, per
+// session, must stay under maxResidentWalSessionBytes. No round is
+// folded into a snapshot (the log compacts at 64), so the log's tail
+// holds every round's delta.
+func TestResidentWalSessionHeap(t *testing.T) {
+	if testing.Short() {
+		t.Skip("heap measurement is not meaningful with -short races")
+	}
+	const sessions, rounds = 8, 40
+	ctx := context.Background()
+	dir := t.TempDir()
+	snaps, err := persist.NewDirStore(filepath.Join(dir, "snapshots"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, _, err := wal.OpenStore(snaps, filepath.Join(dir, "wal"), wal.StoreConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	m := service.NewManager(service.Options{Store: store})
+	before := liveHeap()
+	for i := 0; i < sessions; i++ {
+		info, err := m.Create(ctx, service.Spec{
+			Source: service.Source{Dataset: "OMDB", Rows: 24, Seed: uint64(i + 1)},
+			Method: sampling.MethodStochasticUS,
+			K:      2,
+			Seed:   uint64(i + 1),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Space != 147 {
+			t.Fatalf("session space has %d hypotheses, want the service's 147", info.Space)
+		}
+		for r := 0; r < rounds; r++ {
+			pairs, err := m.Next(ctx, info.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			labeled := make([]belief.Labeling, len(pairs))
+			for j, p := range pairs {
+				labeled[j] = belief.Labeling{Pair: dataset.NewPair(p.A, p.B)}
+			}
+			if _, err := m.Submit(ctx, info.ID, r, labeled); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	after := liveHeap()
+	runtime.KeepAlive(m)
+	if st, _ := store.WalStats(); st.CompactionLag != sessions*rounds {
+		t.Fatalf("the log's tail holds %d deltas, want all %d rounds unfolded", st.CompactionLag, sessions*rounds)
+	}
+	per := (float64(after) - float64(before)) / sessions
+	if per > maxResidentWalSessionBytes {
+		t.Fatalf("a resident WAL-backed session holds %.0f bytes of live heap, ceiling %d", per, maxResidentWalSessionBytes)
+	}
+	t.Logf("live heap per resident WAL-backed session: %.0f bytes (ceiling %d)", per, maxResidentWalSessionBytes)
+	if err := m.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -3,6 +3,7 @@ package agents
 import (
 	"exptrain/internal/belief"
 	"exptrain/internal/dataset"
+	"exptrain/internal/fd"
 	"exptrain/internal/sampling"
 	"exptrain/internal/stats"
 )
@@ -21,10 +22,23 @@ type Learner struct {
 	// play, which tracks a drifting annotator more closely than plain
 	// averaging (Young 2004). Zero disables forgetting.
 	ForgetRate float64
-	// history remembers the last labeling incorporated for each pair so
-	// that revisions (an annotator correcting an earlier label, Yan et
-	// al. 2016) can reverse the old evidence exactly.
-	history map[dataset.Pair]belief.Labeling
+	// history remembers the marks of the last labeling incorporated for
+	// each pair so that revisions (an annotator correcting an earlier
+	// label, Yan et al. 2016) can reverse the old evidence exactly. The
+	// key is the labeling's pair, so the value leaves it out.
+	history map[dataset.Pair]marks
+}
+
+// marks is a labeling without its pair.
+type marks struct {
+	marked    fd.AttrSet
+	abstained bool
+}
+
+func marksOf(lp belief.Labeling) marks { return marks{lp.Marked, lp.Abstained} }
+
+func (m marks) labeling(p dataset.Pair) belief.Labeling {
+	return belief.Labeling{Pair: p, Marked: m.marked, Abstained: m.abstained}
 }
 
 // NewLearner assembles a learner from its prior belief, response
@@ -34,7 +48,7 @@ func NewLearner(prior *belief.Belief, sampler sampling.Sampler, rng *stats.RNG) 
 		belief:  prior,
 		sampler: sampler,
 		rng:     rng,
-		history: make(map[dataset.Pair]belief.Labeling),
+		history: make(map[dataset.Pair]marks),
 	}
 }
 
@@ -60,7 +74,7 @@ func (l *Learner) Incorporate(rel *dataset.Relation, labeled []belief.Labeling) 
 	}
 	l.belief.UpdateFromLabelings(rel, labeled, 1)
 	for _, lp := range labeled {
-		l.history[lp.Pair] = lp
+		l.history[lp.Pair] = marksOf(lp)
 	}
 }
 
@@ -72,13 +86,13 @@ func (l *Learner) Incorporate(rel *dataset.Relation, labeled []belief.Labeling) 
 func (l *Learner) Revise(rel *dataset.Relation, revised []belief.Labeling) {
 	for _, lp := range revised {
 		if old, ok := l.history[lp.Pair]; ok {
-			if old == lp {
+			if old == marksOf(lp) {
 				continue
 			}
-			l.belief.RemoveLabelings(rel, []belief.Labeling{old}, 1)
+			l.belief.RemoveLabelings(rel, []belief.Labeling{old.labeling(lp.Pair)}, 1)
 		}
 		l.belief.UpdateFromLabelings(rel, []belief.Labeling{lp}, 1)
-		l.history[lp.Pair] = lp
+		l.history[lp.Pair] = marksOf(lp)
 	}
 }
 
@@ -88,14 +102,17 @@ func (l *Learner) Revise(rel *dataset.Relation, revised []belief.Labeling) {
 // a pre-snapshot label still reverses the right evidence.
 func (l *Learner) RestoreHistory(labeled []belief.Labeling) {
 	for _, lp := range labeled {
-		l.history[lp.Pair] = lp
+		l.history[lp.Pair] = marksOf(lp)
 	}
 }
 
 // LabelHistory returns the learner's last-seen labeling for a pair.
 func (l *Learner) LabelHistory(p dataset.Pair) (belief.Labeling, bool) {
-	lp, ok := l.history[p]
-	return lp, ok
+	m, ok := l.history[p]
+	if !ok {
+		return belief.Labeling{}, false
+	}
+	return m.labeling(p), true
 }
 
 // Belief exposes the learner's current belief.

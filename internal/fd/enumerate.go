@@ -83,23 +83,25 @@ func MustEnumerate(cfg SpaceConfig) []FD {
 	return fds
 }
 
-// Space is an indexed hypothesis space: a canonical list of FDs plus
-// O(1) FD→index lookup. Beliefs are vectors over a Space.
+// Space is an indexed hypothesis space: a canonical list of FDs, each
+// identified by its position. Beliefs are vectors over a Space. Every
+// resident session holds one, and only a few cold paths (user-specified
+// priors, the user-study fit) look an FD up by value, so there is no
+// FD→index map: Index scans.
 type Space struct {
-	fds   []FD
-	index map[FD]int
+	fds []FD
 }
 
 // NewSpace builds a Space from an FD list, rejecting duplicates.
 func NewSpace(fds []FD) (*Space, error) {
-	s := &Space{fds: append([]FD(nil), fds...), index: make(map[FD]int, len(fds))}
-	for i, f := range s.fds {
-		if _, dup := s.index[f]; dup {
+	seen := make(map[FD]struct{}, len(fds))
+	for _, f := range fds {
+		if _, dup := seen[f]; dup {
 			return nil, fmt.Errorf("fd: duplicate FD %v in space", f)
 		}
-		s.index[f] = i
+		seen[f] = struct{}{}
 	}
-	return s, nil
+	return &Space{fds: append([]FD(nil), fds...)}, nil
 }
 
 // MustNewSpace is NewSpace that panics on error.
@@ -120,15 +122,20 @@ func (s *Space) FD(i int) FD { return s.fds[i] }
 // FDs returns a copy of the hypothesis list.
 func (s *Space) FDs() []FD { return append([]FD(nil), s.fds...) }
 
-// Index returns the position of f and whether it is in the space.
+// Index returns the position of f and whether it is in the space, in
+// O(Size).
 func (s *Space) Index(f FD) (int, bool) {
-	i, ok := s.index[f]
-	return i, ok
+	for i, g := range s.fds {
+		if g == f {
+			return i, true
+		}
+	}
+	return -1, false
 }
 
 // Contains reports whether f is in the space.
 func (s *Space) Contains(f FD) bool {
-	_, ok := s.index[f]
+	_, ok := s.Index(f)
 	return ok
 }
 

@@ -3,6 +3,7 @@ package wal
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -49,8 +50,10 @@ type Store struct {
 	// tail holds each session's committed-but-unfolded round deltas,
 	// sorted by round, latest write winning a round collision (a retried
 	// append after an ambiguous crash legitimately revisits a round);
-	// guarded by mu.
-	tail map[string][]*persist.RoundDelta
+	// guarded by mu. A fold keeps only the last learner and RNG state it
+	// applies, so only the newest delta carrying each keeps it (see
+	// tailDelta).
+	tail map[string][]tailDelta
 	// water is each session's snapshot watermark: the inner store holds
 	// at least this many rounds, so lower deltas are prunable; guarded
 	// by mu.
@@ -79,7 +82,7 @@ func OpenStore(inner persist.Store, dir string, cfg StoreConfig) (*Store, Recove
 		inner: inner,
 		log:   l,
 		cfg:   cfg,
-		tail:  make(map[string][]*persist.RoundDelta),
+		tail:  make(map[string][]tailDelta),
 		water: make(map[string]int),
 		kick:  make(chan struct{}, 1),
 		quit:  make(chan struct{}),
@@ -98,20 +101,55 @@ func OpenStore(inner persist.Store, dir string, cfg StoreConfig) (*Store, Recove
 	return s, rec, nil
 }
 
+// tailDelta is one committed round delta of a session's tail. A fold
+// sets the snapshot's learner and RNG state from the last applied delta
+// that carries them, and applies every delta after an applied one, so
+// once a newer delta of the session carries a learner, an older one's
+// is dead weight: the tail swaps the older delta for a shallow copy
+// without it (and likewise the RNG state). Every delta the service
+// records carries both, so a tail holds one belief however many rounds
+// await folding. A delta handed to AppendRounds is never modified —
+// replicas share it. learnerLen remembers how many learner parameters
+// the delta was appended with (-1 for none), so the fold still rejects
+// a round whose belief does not fit the session's.
+type tailDelta struct {
+	*persist.RoundDelta
+	learnerLen int
+}
+
 // insertTailLocked merges one delta into its session's sorted tail,
-// replacing any existing record for the same round (latest wins).
-// Caller holds s.mu (or has exclusive access during open).
+// replacing any existing record for the same round (latest wins), and
+// keeps the learner and RNG state of the newest deltas carrying them
+// only. Caller holds s.mu (or has exclusive access during open).
 func (s *Store) insertTailLocked(d *persist.RoundDelta) {
+	e := tailDelta{RoundDelta: d, learnerLen: -1}
+	if d.Learner != nil {
+		e.learnerLen = len(d.Learner)
+	}
 	tail := s.tail[d.Session]
 	i := sort.Search(len(tail), func(i int) bool { return tail[i].Round >= d.Round })
 	if i < len(tail) && tail[i].Round == d.Round {
-		tail[i] = d
-		return
+		tail[i] = e
+	} else {
+		tail = slices.Insert(tail, i, e)
+		s.tail[d.Session] = tail
 	}
-	tail = append(tail, nil)
-	copy(tail[i+1:], tail[i:])
-	tail[i] = d
-	s.tail[d.Session] = tail
+	learner, rng := false, false
+	for j := len(tail) - 1; j >= 0; j-- {
+		t := tail[j].RoundDelta
+		if (learner && t.Learner != nil) || (rng && t.LearnerRNG != nil) {
+			c := *t
+			if learner {
+				c.Learner = nil
+			}
+			if rng {
+				c.LearnerRNG = nil
+			}
+			tail[j].RoundDelta = &c
+		}
+		learner = learner || t.Learner != nil
+		rng = rng || t.LearnerRNG != nil
+	}
 }
 
 // Log returns the underlying write-ahead log (for tests and fault
@@ -168,13 +206,26 @@ func (s *Store) AppendRounds(ctx context.Context, deltas []*persist.RoundDelta) 
 }
 
 // foldTail applies a session's committed tail onto a snapshot, in
-// round order. Caller passes a snapshot it owns.
+// round order. Caller passes a snapshot it owns. Only the newest
+// learner in the tail is copied; n tracks the length the snapshot's
+// learner would have after each applied delta, so a delta whose own
+// learner was dropped is still checked against it as ApplyDelta checks
+// a whole one.
 func (s *Store) foldTail(snap *persist.Snapshot, id string) error {
 	s.mu.Lock()
-	tail := append([]*persist.RoundDelta(nil), s.tail[id]...)
+	tail := append([]tailDelta(nil), s.tail[id]...)
 	s.mu.Unlock()
-	for _, d := range tail {
-		if _, err := persist.ApplyDelta(snap, d); err != nil {
+	n := len(snap.Learner)
+	for i := range tail {
+		d := &tail[i]
+		if d.Round == len(snap.History) && d.learnerLen >= 0 {
+			if n > 0 && d.learnerLen != n {
+				return fmt.Errorf("replaying wal for %q: %w: round delta %d carries %d learner parameters, snapshot has %d",
+					id, persist.ErrCorrupt, d.Round, d.learnerLen, n)
+			}
+			n = d.learnerLen
+		}
+		if _, err := persist.ApplyDelta(snap, d.RoundDelta); err != nil {
 			return fmt.Errorf("replaying wal for %q: %w", id, err)
 		}
 	}
@@ -214,7 +265,7 @@ func (s *Store) Put(ctx context.Context, id string, snap *persist.Snapshot) erro
 	case i >= len(tail):
 		delete(s.tail, id)
 	case i > 0:
-		s.tail[id] = append([]*persist.RoundDelta(nil), tail[i:]...)
+		s.tail[id] = append([]tailDelta(nil), tail[i:]...)
 	}
 	s.mu.Unlock()
 	// Best-effort: the snapshot is durable, so a lost mark only costs

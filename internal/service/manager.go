@@ -645,12 +645,10 @@ func (m *Manager) Repairs(ctx context.Context, id string, tau float64) ([]Repair
 	}
 	b := e.sess.Belief()
 	var believed []repair.BelievedFD
-	for _, f := range b.BelievedFDs(tau) {
-		i, ok := b.Space().Index(f)
-		if !ok {
-			continue
+	for i := 0; i < b.Space().Size(); i++ {
+		if c := b.Confidence(i); c >= tau {
+			believed = append(believed, repair.BelievedFD{FD: b.Space().FD(i), Confidence: c})
 		}
-		believed = append(believed, repair.BelievedFD{FD: f, Confidence: b.Confidence(i)})
 	}
 	rel := e.sess.Relation()
 	suggestions, err := repair.Suggest(rel, believed, repair.Config{})

@@ -38,7 +38,7 @@ type walRecorder struct {
 	// observer must exist before the session).
 	rng func() [4]uint64
 	// learner is the belief captured at the round's BeliefUpdated,
-	// consumed by the following RoundScored.
+	// consumed (and released) by the following RoundScored.
 	learner []persist.BetaJSON
 	// pending holds recorded deltas awaiting a durable append, in round
 	// order. Deltas survive a failed append (restore) until a full
@@ -78,6 +78,7 @@ func (w *walRecorder) RoundScored(t int, rec game.IterationRecord) {
 		Interaction: persist.FromRound(r),
 		Learner:     w.learner,
 	}
+	w.learner = nil // the delta holds it now
 	if w.rng != nil {
 		st := w.rng()
 		delta.LearnerRNG = append([]uint64(nil), st[:]...)
