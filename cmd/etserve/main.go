@@ -149,7 +149,6 @@ func run(cfg config) error {
 type app struct {
 	addr     net.Addr
 	mgr      *service.Manager
-	store    persist.Store
 	srv      *http.Server
 	serveErr chan error
 	// walStores are the per-directory write-ahead logs to close on
@@ -338,7 +337,6 @@ func start(cfg config) (*app, error) {
 	a := &app{
 		addr:      ln.Addr(),
 		mgr:       mgr,
-		store:     store,
 		srv:       srv,
 		serveErr:  make(chan error, 1),
 		walStores: walStores,
@@ -386,13 +384,8 @@ func (a *app) stopSweeper() {
 func (a *app) shutdown(ctx context.Context) error {
 	a.stopSweeper()
 	mgrErr := a.mgr.Shutdown(ctx)
-	// A replicating store acks writes at quorum and finishes the
-	// stragglers in the background; wait them out so every replica is
-	// as converged as the dying process can make it.
-	if f, ok := a.store.(interface{ Flush() }); ok {
-		f.Flush()
-	}
-	// The drain above checkpointed and appended everything it could;
+	// The drain above checkpointed and appended everything it could, and
+	// every store write (on every replica) finished inside its call;
 	// closing the logs now fsyncs any tail batch before the process
 	// exits.
 	closeAll(a.walStores)

@@ -30,7 +30,7 @@ func goldenConfigs() map[string]Config {
 			Iterations:   8,
 			Runs:         2,
 			BaseSeed:     7,
-			Methods: append(sampling.Methods(), sampling.MethodQBC, sampling.MethodEpsilonGreedy),
+			Methods:      append(sampling.Methods(), sampling.MethodQBC, sampling.MethodEpsilonGreedy),
 		},
 		"hospital_dataest": {
 			Dataset:      "Hospital",

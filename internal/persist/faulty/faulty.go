@@ -14,7 +14,6 @@ import (
 	"math/rand/v2"
 	"os"
 	"sync"
-	"time"
 
 	"exptrain/internal/persist"
 	"exptrain/internal/persist/wal"
@@ -78,9 +77,6 @@ type Config struct {
 	// context.Canceled — the nasty real-world case where a caller cannot
 	// know whether its write landed.
 	AmbiguousCancelRate float64
-	// MaxLatency injects a seeded uniform latency in [0, MaxLatency)
-	// before each operation (0 = off). The sleep respects ctx.
-	MaxLatency time.Duration
 	// TornWrites, when the inner store is a *persist.DirStore, turns
 	// injected Put failures into simulated crashes partway through the
 	// commit protocol: the put aborts before a seeded step, and a crash
@@ -177,9 +173,8 @@ func (s *Store) ClearFaults() {
 
 // plan is one operation's drawn decisions.
 type plan struct {
-	fail    bool
-	cancel  bool
-	latency time.Duration
+	fail   bool
+	cancel bool
 	// crash parameters, meaningful when fail && TornWrites on a DirStore.
 	crashStep persist.PutStep
 	keep      float64
@@ -210,9 +205,6 @@ func (s *Store) draw(op Op) plan {
 	defer s.mu.Unlock()
 	s.ops++
 	var p plan
-	if s.cfg.MaxLatency > 0 {
-		p.latency = time.Duration(s.rng.Float64() * float64(s.cfg.MaxLatency))
-	}
 	if s.cfg.FailRate > 0 && s.rng.Float64() < s.cfg.FailRate {
 		p.fail = true
 	}
@@ -243,21 +235,6 @@ func (s *Store) draw(op Op) plan {
 	return p
 }
 
-// sleep waits out injected latency, honoring ctx.
-func (s *Store) sleep(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		return nil
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
-}
-
 // fault builds the injected error for op.
 func (s *Store) fault(op Op, id string) error {
 	s.mu.Lock()
@@ -269,9 +246,6 @@ func (s *Store) fault(op Op, id string) error {
 // Put implements persist.Store.
 func (s *Store) Put(ctx context.Context, id string, snap *persist.Snapshot) error {
 	p := s.draw(OpPut)
-	if err := s.sleep(ctx, p.latency); err != nil {
-		return err
-	}
 	if p.torn {
 		return s.tornPut(ctx, id, snap, p)
 	}
@@ -313,9 +287,6 @@ func (s *Store) tornPut(ctx context.Context, id string, snap *persist.Snapshot, 
 // Get implements persist.Store.
 func (s *Store) Get(ctx context.Context, id string) (*persist.Snapshot, error) {
 	p := s.draw(OpGet)
-	if err := s.sleep(ctx, p.latency); err != nil {
-		return nil, err
-	}
 	if p.fail {
 		return nil, s.fault(OpGet, id)
 	}
@@ -329,9 +300,6 @@ func (s *Store) Get(ctx context.Context, id string) (*persist.Snapshot, error) {
 // Delete implements persist.Store.
 func (s *Store) Delete(ctx context.Context, id string) error {
 	p := s.draw(OpDelete)
-	if err := s.sleep(ctx, p.latency); err != nil {
-		return err
-	}
 	if p.fail {
 		return s.fault(OpDelete, id)
 	}
@@ -345,9 +313,6 @@ func (s *Store) Delete(ctx context.Context, id string) error {
 // List implements persist.Store.
 func (s *Store) List(ctx context.Context) ([]string, error) {
 	p := s.draw(OpList)
-	if err := s.sleep(ctx, p.latency); err != nil {
-		return nil, err
-	}
 	if p.fail {
 		return nil, s.fault(OpList, "*")
 	}

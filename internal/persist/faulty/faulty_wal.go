@@ -32,9 +32,6 @@ func (s *Store) AppendRounds(ctx context.Context, deltas []*persist.RoundDelta) 
 		return fmt.Errorf("faulty: inner store takes no round appends")
 	}
 	p := s.draw(OpAppend)
-	if err := s.sleep(ctx, p.latency); err != nil {
-		return err
-	}
 	if p.walTorn {
 		return s.tornAppend(ctx, deltas, p)
 	}
@@ -69,6 +66,7 @@ func (s *Store) tornAppend(ctx context.Context, deltas []*persist.RoundDelta, p 
 		}
 		return crashErr
 	})
+	//etlint:ignore lockorder CHA widens the fold's inner.Put inside AppendRounds to every module Store, including this wrapper; the *wal.Store here sits over a snapshot store, never over a faulty.Store, so the fold cannot re-take putMu
 	err := s.wal.AppendRounds(ctx, deltas) //etlint:ignore chanlock putMu only serializes this wrapper's crash plans; the wal committer goroutine drains the append queue without ever taking it, so the receive always resolves
 	s.wal.Log().SetCrashHook(nil)
 	return err

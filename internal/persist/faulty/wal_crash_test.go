@@ -225,7 +225,6 @@ func TestCrashPointPropertyWalReplicated(t *testing.T) {
 					if _, err := ms.Scan(ctx); err != nil {
 						t.Fatalf("Scan: %v", err)
 					}
-					ms.Flush()
 					for i, ws := range walStores {
 						got, err := ws.Get(ctx, "s")
 						if err != nil {

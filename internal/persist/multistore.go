@@ -12,9 +12,9 @@ import (
 // writes and read-repair, so losing any single backing store (one disk,
 // one replica directory) loses no session:
 //
-//   - Put writes to every replica concurrently and acks as soon as W
-//     replicas confirm (default W = majority). Stragglers finish in the
-//     background; Flush waits them out.
+//   - Put writes to every replica concurrently, waits for every replica
+//     to answer, and succeeds when at least W confirmed (default W =
+//     majority).
 //   - Get reads every replica, requires a read quorum of N-W+1 answers
 //     (so any read intersects any committed write), returns the
 //     freshest intact snapshot (most recorded rounds), and
@@ -31,13 +31,18 @@ import (
 // single-store protocol gives, lifted to the replica set. Freshness
 // ordering relies on a session's snapshot only ever growing its round
 // history, which is how the service uses the store.
+//
+// Every write finishes on every replica inside the call that made it,
+// and a caller never overlaps two writes (Put, AppendRounds, Delete) of
+// one id: a replica that took two writes of one id at once could keep
+// the older one. The service's entry lock serializes each session's
+// checkpoints and appends, so it keeps this rule.
 type MultiStore struct {
 	replicas []Store
 	w        int
 
 	mu    sync.Mutex
 	stats []ReplicaStats // per replica; guarded by mu
-	wg    sync.WaitGroup // in-flight background (post-ack) writes
 }
 
 // ReplicaStats counts one replica's operations, failures, and repairs.
@@ -105,12 +110,8 @@ func (s *MultiStore) note(i int, err error, repaired bool) {
 	s.mu.Unlock()
 }
 
-// Flush waits for background (post-ack) replica writes to finish. Call
-// it before inspecting replicas directly, and at process shutdown.
-func (s *MultiStore) Flush() { s.wg.Wait() }
-
 // Put implements Store: the snapshot is written to every replica
-// concurrently and the call returns once W replicas acked (see
+// concurrently and the call succeeds when W replicas acked (see
 // quorumWrite). A Put that misses its quorum does not count as
 // committed — though replicas that did take the write keep it, which is
 // exactly the ambiguity the old-or-new read path resolves.
@@ -144,7 +145,7 @@ func (s *MultiStore) RoundAppender() RoundAppender {
 
 // AppendRounds implements RoundAppender across the replica set with
 // the same quorum discipline as Put: every replica's log takes the
-// deltas concurrently and the call acks once W replicas fsynced. A
+// deltas concurrently and the call succeeds when W replicas fsynced. A
 // replica that missed the append heals through the ordinary read path
 // — its next Get folds a shorter tail, loses the freshness race, and
 // read-repair rewrites it with the winner.
@@ -176,37 +177,41 @@ func (s *MultiStore) AppendRounds(ctx context.Context, deltas []*RoundDelta) err
 	return nil
 }
 
-// quorumWrite runs write against every replica concurrently and
-// returns nil once W replicas acked. Replicas still in flight at ack
-// time complete in the background (Flush waits for them). Once more
-// than N-W replicas fail the quorum is out of reach: the error counts
-// the acks and joins the replica errors, and the caller prefixes what
-// it wrote.
+// each runs op against every replica concurrently and returns once
+// every replica answered: no replica operation outlives the call that
+// issued it.
+func (s *MultiStore) each(op func(i int, r Store)) {
+	var wg sync.WaitGroup
+	for i, r := range s.replicas {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			op(i, r)
+		}()
+	}
+	wg.Wait()
+}
+
+// quorumWrite runs write against every replica, waits for all N
+// answers, and returns nil when at least W replicas acked. A write
+// waits for its slowest replica, as Get, Delete and List do, so a late
+// replica write can never land over a newer one. Below W acks the
+// error counts the acks and joins the replica errors, and the caller
+// prefixes what it wrote.
 func (s *MultiStore) quorumWrite(write func(r Store) error) error {
 	n := len(s.replicas)
-	type result struct {
-		i   int
-		err error
-	}
-	results := make(chan result, n)
-	s.wg.Add(n)
-	for i, r := range s.replicas {
-		go func(i int, r Store) {
-			defer s.wg.Done()
-			err := write(r)
-			s.note(i, err, false)
-			results <- result{i, err}
-		}(i, r)
-	}
-	acks, fails := 0, 0
+	results := make([]error, n)
+	s.each(func(i int, r Store) {
+		results[i] = write(r)
+		s.note(i, results[i], false)
+	})
+	acks := 0
 	var errs []error
-	for acks < s.w && fails <= n-s.w {
-		res := <-results
-		if res.err == nil {
+	for i, err := range results {
+		if err == nil {
 			acks++
 		} else {
-			fails++
-			errs = append(errs, fmt.Errorf("replica %d: %w", res.i, res.err))
+			errs = append(errs, fmt.Errorf("replica %d: %w", i, err))
 		}
 	}
 	if acks >= s.w {
@@ -231,17 +236,11 @@ func definitive(err error) bool {
 // readAll fetches id from every replica concurrently.
 func (s *MultiStore) readAll(ctx context.Context, id string) []readResult {
 	reads := make([]readResult, len(s.replicas))
-	var wg sync.WaitGroup
-	for i, r := range s.replicas {
-		wg.Add(1)
-		go func(i int, r Store) {
-			defer wg.Done()
-			snap, err := r.Get(ctx, id)
-			s.note(i, err, false)
-			reads[i] = readResult{snap, err}
-		}(i, r)
-	}
-	wg.Wait()
+	s.each(func(i int, r Store) {
+		snap, err := r.Get(ctx, id)
+		s.note(i, err, false)
+		reads[i] = readResult{snap, err}
+	})
 	return reads
 }
 
@@ -348,20 +347,11 @@ func (s *MultiStore) Delete(ctx context.Context, id string) error {
 	if err := ValidateID(id); err != nil {
 		return err
 	}
-	var (
-		wg      sync.WaitGroup
-		deleted = make([]error, len(s.replicas))
-	)
-	for i, r := range s.replicas {
-		wg.Add(1)
-		go func(i int, r Store) {
-			defer wg.Done()
-			err := r.Delete(ctx, id)
-			s.note(i, err, false)
-			deleted[i] = err
-		}(i, r)
-	}
-	wg.Wait()
+	deleted := make([]error, len(s.replicas))
+	s.each(func(i int, r Store) {
+		deleted[i] = r.Delete(ctx, id)
+		s.note(i, deleted[i], false)
+	})
 	notFound, ok := 0, 0
 	var errs []error
 	for i, err := range deleted {
@@ -395,17 +385,11 @@ func (s *MultiStore) List(ctx context.Context) ([]string, error) {
 		err error
 	}
 	lists := make([]listing, len(s.replicas))
-	var wg sync.WaitGroup
-	for i, r := range s.replicas {
-		wg.Add(1)
-		go func(i int, r Store) {
-			defer wg.Done()
-			ids, err := r.List(ctx)
-			s.note(i, err, false)
-			lists[i] = listing{ids, err}
-		}(i, r)
-	}
-	wg.Wait()
+	s.each(func(i int, r Store) {
+		ids, err := r.List(ctx)
+		s.note(i, err, false)
+		lists[i] = listing{ids, err}
+	})
 	seen := make(map[string]struct{})
 	failures := 0
 	var errs []error

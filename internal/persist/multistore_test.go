@@ -7,7 +7,9 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // twoSnapshots builds an "old" and a strictly fresher "new" snapshot of
@@ -85,7 +87,6 @@ func TestMultiStoreRoundTripAllReplicas(t *testing.T) {
 	if err := ms.Put(ctx, "sess-1", newSnap); err != nil {
 		t.Fatal(err)
 	}
-	ms.Flush() // wait out post-ack straggler writes
 	for i, mem := range mems {
 		got, err := mem.Get(ctx, "sess-1")
 		if err != nil {
@@ -134,7 +135,6 @@ func TestMultiStorePutToleratesMinorityFailure(t *testing.T) {
 	if err := ms.Put(ctx, "sess-1", newSnap); err != nil {
 		t.Fatalf("put with one dead replica: %v", err)
 	}
-	ms.Flush()
 	for i, mem := range mems {
 		if got, err := mem.Get(ctx, "sess-1"); err != nil || encode(t, got) != newBytes {
 			t.Fatalf("healthy replica %d: %v", i, err)
@@ -160,6 +160,95 @@ func TestMultiStorePutFailsBelowQuorum(t *testing.T) {
 	_, newSnap, _, _ := twoSnapshots(t)
 	if err := ms.Put(ctx, "sess-1", newSnap); !errors.Is(err, boom) {
 		t.Fatalf("put below quorum = %v, want the replica error", err)
+	}
+}
+
+// gatedStore is a MemStore replica that fails every operation while
+// failing is set and, when hold is non-nil, keeps its first Put waiting
+// until hold fires, closing landed once that Put returned.
+type gatedStore struct {
+	mem     *MemStore
+	failing atomic.Bool
+	hold    <-chan time.Time
+	puts    atomic.Int64
+	landed  chan struct{}
+}
+
+var errGated = errors.New("replica down")
+
+func (g *gatedStore) Put(ctx context.Context, id string, snap *Snapshot) error {
+	if g.failing.Load() {
+		return errGated
+	}
+	if g.puts.Add(1) == 1 && g.hold != nil {
+		<-g.hold
+		defer close(g.landed)
+	}
+	return g.mem.Put(ctx, id, snap)
+}
+
+func (g *gatedStore) Get(ctx context.Context, id string) (*Snapshot, error) {
+	if g.failing.Load() {
+		return nil, errGated
+	}
+	return g.mem.Get(ctx, id)
+}
+
+func (g *gatedStore) Delete(ctx context.Context, id string) error {
+	if g.failing.Load() {
+		return errGated
+	}
+	return g.mem.Delete(ctx, id)
+}
+
+func (g *gatedStore) List(ctx context.Context) ([]string, error) {
+	if g.failing.Load() {
+		return nil, errGated
+	}
+	return g.mem.List(ctx)
+}
+
+// TestMultiStorePutWaitsForEveryReplica: a slow replica's write
+// finishes inside the Put that issued it, so it can never land over a
+// newer committed write. Were the Put to return at its quorum and leave
+// replica 2's first write straggling, that write would overwrite the
+// second Put's snapshot there, and once replica 0 died a read quorum of
+// replicas 1 and 2 would hand back the first Put's round only.
+func TestMultiStorePutWaitsForEveryReplica(t *testing.T) {
+	ctx := context.Background()
+	oldSnap, newSnap, _, _ := twoSnapshots(t)
+	reps := make([]*gatedStore, 3)
+	stores := make([]Store, 3)
+	for i := range reps {
+		reps[i] = &gatedStore{mem: NewMemStore()}
+		stores[i] = reps[i]
+	}
+	reps[2].hold = time.NewTimer(200 * time.Millisecond).C
+	reps[2].landed = make(chan struct{})
+	ms, err := NewMultiStore(stores, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ms.Put(ctx, "sess-1", oldSnap); err != nil {
+		t.Fatal(err)
+	}
+	reps[1].failing.Store(true)
+	if err := ms.Put(ctx, "sess-1", newSnap); err != nil {
+		t.Fatalf("put with replica 1 down: %v", err)
+	}
+	reps[1].failing.Store(false)
+	select {
+	case <-reps[2].landed:
+	case <-time.After(time.Second):
+		t.Fatal("replica 2's held Put never returned")
+	}
+	reps[0].failing.Store(true)
+	got, err := ms.Get(ctx, "sess-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := len(newSnap.History); len(got.History) != want {
+		t.Fatalf("Get read %d round(s), want the committed %d", len(got.History), want)
 	}
 }
 

@@ -14,10 +14,10 @@ import (
 type StoreConfig struct {
 	// Wal configures the underlying log.
 	Wal Config
-	// CompactEvery triggers background compaction of a session once this
-	// many committed rounds await folding into its snapshot (default 64).
-	// Compaction cost is one Get+Put per session, amortized over
-	// CompactEvery O(space)-sized appends.
+	// CompactEvery folds a session's tail into a fresh snapshot once this
+	// many committed rounds await folding (default 64). The fold runs in
+	// the append that fills the tail; its cost is one Get+Put per
+	// session, amortized over CompactEvery O(space)-sized appends.
 	CompactEvery int
 }
 
@@ -32,8 +32,9 @@ func (c StoreConfig) withDefaults() StoreConfig {
 // inner snapshot store. Reads fold the committed log suffix over the
 // inner snapshot (snapshot + replay); AppendRounds is the cheap
 // durability path — one group-committed log record per round instead of
-// a full snapshot rewrite — and a background compactor folds long
-// tails into fresh snapshots so dead log segments can be dropped.
+// a full snapshot rewrite — and the append that fills a session's tail
+// to CompactEvery folds it into a fresh snapshot so dead log segments
+// can be dropped.
 //
 // The commit contract composes from the layers' own: the inner store's
 // five-step Put protocol makes each snapshot old-or-new, the log's
@@ -41,6 +42,12 @@ func (c StoreConfig) withDefaults() StoreConfig {
 // records, and ApplyDelta's gap check turns a lost committed round into
 // ErrCorrupt instead of silently fabricated history (under replication
 // the multistore then repairs from a peer).
+//
+// Every write finishes inside the call that made it, and a caller never
+// overlaps two writes (Put, AppendRounds, Delete) of one id: a fold's
+// snapshot Put and a checkpoint's could otherwise land in either order,
+// and the older one would win. The service's entry lock serializes each
+// session's checkpoints and appends, so it keeps this rule.
 type Store struct {
 	inner persist.Store
 	log   *Log
@@ -60,12 +67,6 @@ type Store struct {
 	water map[string]int
 	// closed rejects work once Close begins; guarded by mu.
 	closed bool
-
-	// kick wakes the compactor (capacity 1, non-blocking sends).
-	kick chan struct{}
-	// quit asks the compactor to exit.
-	quit chan struct{}
-	wg   sync.WaitGroup
 }
 
 // OpenStore opens (or creates) the write-ahead log in dir over the
@@ -84,8 +85,6 @@ func OpenStore(inner persist.Store, dir string, cfg StoreConfig) (*Store, Recove
 		cfg:   cfg,
 		tail:  make(map[string][]tailDelta),
 		water: make(map[string]int),
-		kick:  make(chan struct{}, 1),
-		quit:  make(chan struct{}),
 	}
 	for sess, through := range rec.Marks {
 		s.water[sess] = through
@@ -94,10 +93,8 @@ func OpenStore(inner persist.Store, dir string, cfg StoreConfig) (*Store, Recove
 		if d.Round < s.water[d.Session] {
 			continue // already folded into a snapshot before the crash
 		}
-		s.insertTailLocked(d) // no concurrency yet: the compactor isn't running
+		s.insertTailLocked(d) // no concurrency yet: the store isn't shared
 	}
-	s.wg.Add(1)
-	go s.compactor()
 	return s, rec, nil
 }
 
@@ -161,6 +158,11 @@ func (s *Store) RoundAppender() persist.RoundAppender { return s }
 
 // AppendRounds implements persist.RoundAppender: the deltas ride one
 // group commit and, once fsynced, become visible to Get's replay fold.
+// Each appended session whose tail reached CompactEvery is then folded
+// into a fresh inner snapshot before the call returns, and the log drops
+// the sealed segments the folds retired. The fold is best-effort: the
+// rounds are already durable, a failed fold leaves the tail for reads to
+// replay, and the session's next append retries it.
 func (s *Store) AppendRounds(ctx context.Context, deltas []*persist.RoundDelta) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -185,22 +187,22 @@ func (s *Store) AppendRounds(ctx context.Context, deltas []*persist.RoundDelta) 
 	if err := s.log.Append(deltas); err != nil {
 		return err
 	}
-	lag := 0
+	var due []string
 	s.mu.Lock()
 	for _, d := range deltas {
 		if d.Round >= s.water[d.Session] {
 			s.insertTailLocked(d)
 		}
-		if n := len(s.tail[d.Session]); n > lag {
-			lag = n
+		if len(s.tail[d.Session]) >= s.cfg.CompactEvery && !slices.Contains(due, d.Session) {
+			due = append(due, d.Session)
 		}
 	}
 	s.mu.Unlock()
-	if lag >= s.cfg.CompactEvery {
-		select {
-		case s.kick <- struct{}{}:
-		default:
-		}
+	for _, id := range due {
+		_ = s.compactSession(ctx, id)
+	}
+	if len(due) > 0 {
+		_, _ = s.log.Compact() // best-effort too: the next fold retries
 	}
 	return nil
 }
@@ -356,46 +358,6 @@ func (s *Store) compactSession(ctx context.Context, id string) error {
 	return s.Put(ctx, id, snap) // prunes the tail and marks the log
 }
 
-// compactor is the background folding goroutine: when a session's
-// committed tail grows past CompactEvery, fold it into a fresh inner
-// snapshot and let the log drop dead segments. Failures are tolerated
-// — the tail stays, reads still fold it, and the next append re-kicks.
-func (s *Store) compactor() {
-	defer s.wg.Done()
-	//etlint:ignore ctxflow the compactor is detached by design: folding committed rounds into snapshots is the store's own housekeeping, owned by no request
-	ctx := context.Background()
-	for {
-		select {
-		case <-s.quit:
-			return
-		case <-s.kick:
-		}
-		s.mu.Lock()
-		var due []string
-		for id, tail := range s.tail {
-			if len(tail) >= s.cfg.CompactEvery {
-				due = append(due, id)
-			}
-		}
-		s.mu.Unlock()
-		sort.Strings(due)
-		for _, id := range due {
-			select {
-			case <-s.quit:
-				return
-			default:
-			}
-			_ = s.compactSession(ctx, id)
-		}
-		if len(due) > 0 {
-			_ = s.log.Rotate() // seal the folded rounds' segment...
-			if _, err := s.log.Compact(); err != nil {
-				continue // ...and drop what the folds retired
-			}
-		}
-	}
-}
-
 // WalStats implements persist.WalStatter: the log's counters plus the
 // committed-but-unfolded tail (the replay work a recovery would redo).
 func (s *Store) WalStats() (persist.WalStats, bool) {
@@ -408,18 +370,15 @@ func (s *Store) WalStats() (persist.WalStats, bool) {
 	return st, true
 }
 
-// Close stops the compactor and flushes and closes the log. The inner
-// store is left untouched (callers own it).
+// Close flushes and closes the log. The inner store is left untouched
+// (callers own it).
 func (s *Store) Close() error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		s.wg.Wait()
 		return nil
 	}
 	s.closed = true
 	s.mu.Unlock()
-	close(s.quit)
-	s.wg.Wait()
 	return s.log.Close()
 }

@@ -208,8 +208,8 @@ func newTailRun(t *testing.T, seed uint64) *tailRun {
 	return r
 }
 
-// tailStoreConfig keeps the background compactor idle, so every fold
-// into the inner store is a script step.
+// tailStoreConfig keeps appends from folding, so every fold into the
+// inner store is a script step.
 var tailStoreConfig = StoreConfig{CompactEvery: 1 << 20}
 
 func (r *tailRun) learner(n int) []persist.BetaJSON {
@@ -283,13 +283,13 @@ func (r *tailRun) appendRounds(deltas ...*persist.RoundDelta) {
 	r.o.appendRounds(deltas)
 }
 
-// compact folds one session through the compactor's path and checks the
-// inner store received exactly the oracle's fold.
+// compact folds one session through the append's fold path and checks
+// the inner store received exactly the oracle's fold.
 func (r *tailRun) compact(i int) {
 	id := tailSessions[i].id
 	want, wantErr := r.o.get(r.ctx, r.inner, id)
 	if len(r.o.tail[id]) == 0 {
-		want, wantErr = nil, nil // nothing to fold: the compactor does no Get
+		want, wantErr = nil, nil // nothing to fold: compactSession does no Get
 	}
 	err := r.s.compactSession(r.ctx, id)
 	r.sameError("compactSession("+id+")", err, wantErr)

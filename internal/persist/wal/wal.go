@@ -13,8 +13,8 @@
 // checksum — the bytes a dying kernel half-flushed — so replay sees
 // every committed record and nothing else. Recovery is snapshot +
 // replay: wal.Store folds the committed suffix over the inner store's
-// snapshots on every read, and background compaction folds long tails
-// into fresh snapshots so the log can drop dead segments.
+// snapshots on every read, and the append that fills a session's tail
+// folds it into a fresh snapshot so the log can drop dead segments.
 package wal
 
 import (
@@ -180,7 +180,7 @@ type CrashHook func(step AppendStep, segPath string, synced, size int64) error
 
 // Config shapes a log.
 type Config struct {
-	// MaxSegmentBytes rotates the active segment once it exceeds this
+	// MaxSegmentBytes seals the active segment once it exceeds this
 	// (default 4 MiB). Compaction can only drop sealed segments, so the
 	// bound is also the compaction granularity.
 	MaxSegmentBytes int64
@@ -216,15 +216,13 @@ type segInfo struct {
 	frontier map[string]int
 }
 
-// commitReq is one queued append (or rotation request) awaiting the
-// group committer.
+// commitReq is one queued append awaiting the group committer.
 type commitReq struct {
 	buf     []byte // encoded frames
 	records int    // round records in buf
 	// frontier and marks are the metadata updates the commit applies.
 	frontier map[string]int
 	marks    map[string]int
-	rotate   bool // seal the active segment instead of writing
 	done     chan error
 }
 
@@ -561,16 +559,13 @@ func (l *Log) takeBatch() (batch []*commitReq, bytes int) {
 	defer l.mu.Unlock()
 	for len(l.pending) > 0 {
 		req := l.pending[0]
-		if len(batch) > 0 && (bytes+len(req.buf) > l.cfg.MaxBatchBytes || req.rotate) {
+		if len(batch) > 0 && bytes+len(req.buf) > l.cfg.MaxBatchBytes {
 			break
 		}
 		l.pending = l.pending[1:]
 		l.pendingRecords -= req.records
 		batch = append(batch, req)
 		bytes += len(req.buf)
-		if req.rotate {
-			break // a rotation request commits alone
-		}
 	}
 	if len(l.pending) == 0 {
 		l.pending = nil // release the drained backing array
@@ -625,9 +620,6 @@ func (l *Log) commit(batch []*commitReq, bytes int) {
 	synced, size := l.synced, l.segSize
 	l.mu.Unlock()
 
-	if len(batch) == 1 && batch[0].rotate {
-		rotate = true
-	}
 	if rotate {
 		if err := l.rotate(); err != nil {
 			l.poison(err)
@@ -638,10 +630,6 @@ func (l *Log) commit(batch []*commitReq, bytes int) {
 		path = segPath(l.dir, l.segIdx)
 		synced, size = l.synced, l.segSize
 		l.mu.Unlock()
-	}
-	if len(batch) == 1 && batch[0].rotate {
-		ack(batch, nil)
-		return
 	}
 
 	if hook != nil {
@@ -747,13 +735,6 @@ func (l *Log) rotate() error {
 	}
 	l.seg = f
 	return nil
-}
-
-// Rotate seals the active segment so compaction can consider its
-// records. It rides the committer queue like any append.
-func (l *Log) Rotate() error {
-	req := &commitReq{rotate: true, done: make(chan error, 1)}
-	return l.enqueue(req)
 }
 
 // Compact deletes sealed segments whose every recorded round is below

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -41,7 +42,7 @@ func testSnap(t *testing.T, rounds int) *persist.Snapshot {
 	learner := belief.New(space, stats.NewBeta(1, 1))
 	history := make([][]belief.Labeling, rounds)
 	for i := range history {
-		history[i] = []belief.Labeling{{Pair: dataset.NewPair(0, i + 1), Marked: fd.NewAttrSet(1)}}
+		history[i] = []belief.Labeling{{Pair: dataset.NewPair(0, i+1), Marked: fd.NewAttrSet(1)}}
 	}
 	snap, err := persist.NewSnapshot(schema, space, trainer, learner, history)
 	if err != nil {
@@ -164,34 +165,40 @@ func TestWalCorruptRecordSurfaces(t *testing.T) {
 	}
 }
 
-// TestWalRotateAndCompact checks the retention story: segments seal on
-// rotation, and Compact drops exactly the sealed segments whose every
-// recorded round sits below its session's snapshot watermark.
+// TestWalRotateAndCompact checks the retention story: segments seal
+// once they reach MaxSegmentBytes, and Compact drops exactly the sealed
+// segments whose every recorded round sits below its session's
+// snapshot watermark.
 func TestWalRotateAndCompact(t *testing.T) {
 	dir := t.TempDir()
-	l, _, err := Open(dir, Config{})
+	// Every round frame is over 100 bytes and a mark frame under 100, so
+	// each round append seals the segment before it, and so does the
+	// first mark after a round; a mark after a mark does not.
+	l, _, err := Open(dir, Config{MaxSegmentBytes: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	if err := l.Append([]*persist.RoundDelta{mkDelta("a", 0), mkDelta("b", 0)}); err != nil {
-		t.Fatal(err)
+	segments := func(want int) {
+		t.Helper()
+		if got := l.Stats().Segments; got != want {
+			t.Fatalf("Segments = %d, want %d", got, want)
+		}
 	}
-	if err := l.Rotate(); err != nil {
+	if err := l.Append([]*persist.RoundDelta{mkDelta("a", 0), mkDelta("b", 0)}); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Append([]*persist.RoundDelta{mkDelta("a", 1)}); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Rotate(); err != nil {
-		t.Fatal(err)
-	}
+	segments(2) // [a0 b0] sealed, [a1] active
 
 	// Only session a is folded: the first segment still carries b's
 	// round, so it must survive.
 	if err := l.Mark("a", 2); err != nil {
 		t.Fatal(err)
 	}
+	segments(3) // [a1] sealed too, the mark active
 	dropped, err := l.Compact()
 	if err != nil {
 		t.Fatal(err)
@@ -202,6 +209,7 @@ func TestWalRotateAndCompact(t *testing.T) {
 	if err := l.Mark("b", 1); err != nil {
 		t.Fatal(err)
 	}
+	segments(2) // both marks share the active segment
 	if dropped, err = l.Compact(); err != nil || dropped != 1 {
 		t.Fatalf("Compact after folding b dropped %d (err %v), want the remaining sealed segment", dropped, err)
 	}
@@ -525,10 +533,10 @@ func TestWalStoreDeleteRetiresRounds(t *testing.T) {
 	}
 }
 
-// TestWalStoreBackgroundCompaction checks the fold loop: once a
-// session's committed tail passes CompactEvery, the compactor folds it
-// into a fresh inner snapshot and the log drops the retired segments.
-func TestWalStoreBackgroundCompaction(t *testing.T) {
+// TestWalStoreFoldsInAppend checks the fold: the append that fills a
+// session's committed tail to CompactEvery folds it into a fresh inner
+// snapshot before it returns, and the log drops the retired segments.
+func TestWalStoreFoldsInAppend(t *testing.T) {
 	ctx := context.Background()
 	inner := persist.NewMemStore()
 	s, _, err := OpenStore(inner, t.TempDir(), StoreConfig{
@@ -542,37 +550,111 @@ func TestWalStoreBackgroundCompaction(t *testing.T) {
 	if err := s.Put(ctx, "s", testSnap(t, 1)); err != nil {
 		t.Fatal(err)
 	}
+	sealed := false
 	for r := 1; r <= 12; r++ {
 		if err := s.AppendRounds(ctx, []*persist.RoundDelta{mkDelta("s", r)}); err != nil {
 			t.Fatal(err)
 		}
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
 		snap, err := inner.Get(ctx, "s")
 		if err != nil {
 			t.Fatal(err)
 		}
 		st, _ := s.WalStats()
-		// Terminal state: at least one fold landed, the lag is back
-		// under the trigger, and fold + tail still account for every
-		// round (1 genesis + 12 appended). The last few appends may
-		// legitimately stay unfolded — nothing re-kicks below the
-		// trigger until the next append or Scan.
-		if len(snap.History) > 1 && st.CompactionLag < 4 &&
-			len(snap.History)+st.CompactionLag == 13 {
-			break
+		// Rounds 4, 8 and 12 fill the tail: each of those appends folds
+		// it, and fold + tail account for every round (1 genesis + r).
+		if want := 1 + r - r%4; len(snap.History) != want || st.CompactionLag != r%4 {
+			t.Fatalf("after round %d: inner history %d, lag %d; want %d and %d",
+				r, len(snap.History), st.CompactionLag, want, r%4)
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("compactor never folded: inner history %d, lag %d", len(snap.History), st.CompactionLag)
+		// A fold retires every sealed segment: each holds folded rounds
+		// and marks only.
+		if r%4 == 0 && st.Segments != 1 {
+			t.Fatalf("after the fold at round %d: Segments = %d, want the active one only", r, st.Segments)
 		}
-		time.Sleep(5 * time.Millisecond)
+		sealed = sealed || st.Segments > 1
 	}
-	// The folded rounds must also be prunable from disk.
-	if _, err := s.Scan(ctx); err != nil {
+	if !sealed {
+		t.Fatal("no segment sealed between folds; the test checks no drop")
+	}
+}
+
+// heldPutStore is an inner MemStore whose first Put of a snapshot with
+// rounds rounds waits until hold fires: it closes arrived on getting
+// there and landed once that Put returned.
+type heldPutStore struct {
+	*persist.MemStore
+	rounds  int
+	hold    <-chan time.Time
+	held    atomic.Bool
+	arrived chan struct{}
+	landed  chan struct{}
+}
+
+func (h *heldPutStore) Put(ctx context.Context, id string, snap *persist.Snapshot) error {
+	if len(snap.History) == h.rounds && h.held.CompareAndSwap(false, true) {
+		close(h.arrived)
+		<-h.hold
+		defer close(h.landed)
+	}
+	return h.MemStore.Put(ctx, id, snap)
+}
+
+// TestWalStoreFoldLandsBeforeCheckpoint: the fold's snapshot Put
+// finishes inside the append that filled the tail, so it can never
+// land over a later checkpoint. Were the fold to run after the append
+// returned, a slow inner Put of the 4-round fold would overwrite the
+// 5-round snapshot a park checkpointed meanwhile, and the checkpoint's
+// prune would already have dropped round 4 from the tail.
+func TestWalStoreFoldLandsBeforeCheckpoint(t *testing.T) {
+	ctx := context.Background()
+	inner := &heldPutStore{
+		MemStore: persist.NewMemStore(),
+		rounds:   4,
+		hold:     time.NewTimer(200 * time.Millisecond).C,
+		arrived:  make(chan struct{}),
+		landed:   make(chan struct{}),
+	}
+	s, _, err := OpenStore(inner, t.TempDir(), StoreConfig{CompactEvery: 4})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if st, _ := s.WalStats(); st.CompactionLag != 0 {
-		t.Fatalf("CompactionLag after Scan = %d, want 0", st.CompactionLag)
+	defer s.Close()
+	if err := s.Put(ctx, "s", testSnap(t, 0)); err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < 4; r++ {
+		if err := s.AppendRounds(ctx, []*persist.RoundDelta{mkDelta("s", r)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	select {
+	case <-inner.arrived:
+	case <-time.After(time.Second):
+		t.Fatal("the fold's Put never reached the inner store")
+	}
+	if err := s.AppendRounds(ctx, []*persist.RoundDelta{mkDelta("s", 4)}); err != nil {
+		t.Fatal(err)
+	}
+	park, err := s.Get(ctx, "s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(park.History) != 5 {
+		t.Fatalf("Get before the checkpoint read %d rounds, want 5", len(park.History))
+	}
+	if err := s.Put(ctx, "s", park); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-inner.landed:
+	case <-time.After(time.Second):
+		t.Fatal("the fold's held Put never returned")
+	}
+	got, err := s.Get(ctx, "s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.History) != 5 {
+		t.Fatalf("Get after the checkpoint read %d rounds, want 5", len(got.History))
 	}
 }

@@ -304,7 +304,6 @@ func TestChaosReplicaLoss(t *testing.T) {
 	if err := m.Shutdown(ctx); err != nil {
 		t.Fatalf("Shutdown on a bare quorum: %v", err)
 	}
-	ms.Flush()
 	h := m.Health()
 	if h.Live != 0 || h.Degraded != 0 || h.Parked != sessions {
 		t.Fatalf("Health after drain = %+v, want all %d sessions parked and none degraded", h, sessions)

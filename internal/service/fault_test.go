@@ -353,7 +353,6 @@ func TestManagerHealth(t *testing.T) {
 	if _, err := mr.Snapshot(ctx, info.ID); err != nil {
 		t.Fatal(err)
 	}
-	ms.Flush()
 	hr := mr.Health()
 	if len(hr.Replicas) != 2 || hr.Replicas[0].Ops == 0 {
 		t.Fatalf("replicated store stats missing from health: %+v", hr.Replicas)

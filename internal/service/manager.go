@@ -215,9 +215,9 @@ type Manager struct {
 	seq uint64
 	// live holds resident sessions; guarded by mu.
 	live map[string]*entry
-	// parked maps evicted sessions to their spec (snapshot in store);
-	// guarded by mu.
-	parked map[string]Spec
+	// parked maps evicted sessions to their spec and round count
+	// (snapshot in store); guarded by mu.
+	parked map[string]parkedSession
 	// draining rejects new work during Shutdown; guarded by mu.
 	draining bool
 	// degraded marks live session ids whose last checkpoint exhausted
@@ -261,7 +261,7 @@ func NewManager(opts Options) *Manager {
 		appender:    persist.AppenderOf(opts.Store),
 		now:         time.Now,
 		live:        make(map[string]*entry),
-		parked:      make(map[string]Spec),
+		parked:      make(map[string]parkedSession),
 		degraded:    make(map[string]bool),
 		rrng:        stats.NewRNG(opts.RetrySeed),
 		pools:       make(map[string]*labelPool),
@@ -443,15 +443,16 @@ func (m *Manager) register(ctx context.Context, spec Spec, snap *persist.Snapsho
 }
 
 // Get returns a session's state. A parked session is reported from its
-// parked metadata without resuming it.
+// parked metadata without resuming it: its id, method, k and round
+// count.
 func (m *Manager) Get(ctx context.Context, id string) (Info, error) {
 	if err := ctx.Err(); err != nil {
 		return Info{}, err
 	}
 	m.mu.Lock()
-	if spec, ok := m.parked[id]; ok {
+	if p, ok := m.parked[id]; ok {
 		m.mu.Unlock()
-		return Info{ID: id, Method: spec.Method.Resolve(), K: spec.K, Parked: true}, nil
+		return Info{ID: id, Method: p.spec.Method.Resolve(), K: p.spec.K, Rounds: p.rounds, Parked: true}, nil
 	}
 	m.mu.Unlock()
 	e, err := m.acquire(ctx, id)
@@ -474,8 +475,8 @@ func (m *Manager) List(ctx context.Context) ([]Info, error) {
 		// race with in-flight rounds.
 		out = append(out, Info{ID: e.id, Method: e.spec.Method.Resolve(), K: e.spec.K, Degraded: m.degraded[e.id]})
 	}
-	for id, spec := range m.parked {
-		out = append(out, Info{ID: id, Method: spec.Method.Resolve(), K: spec.K, Parked: true})
+	for id, p := range m.parked {
+		out = append(out, Info{ID: id, Method: p.spec.Method.Resolve(), K: p.spec.K, Parked: true})
 	}
 	m.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })

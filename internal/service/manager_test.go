@@ -168,7 +168,7 @@ func TestManagerEvictAndTransparentResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Parked {
+	if !got.Parked || got.Rounds != 1 {
 		t.Fatalf("Get after evict: %+v", got)
 	}
 	// Accessing the session resumes it transparently with history and
@@ -414,7 +414,7 @@ func TestManagerConcurrentSessions(t *testing.T) {
 				errCh <- fmt.Errorf("worker %d get: %w", w, err)
 				return
 			}
-			if !got.Parked && got.Rounds != 3 {
+			if got.Rounds != 3 {
 				errCh <- fmt.Errorf("worker %d: rounds = %d, want 3", w, got.Rounds)
 			}
 		}(w)

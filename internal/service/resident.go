@@ -35,6 +35,14 @@ type entry struct {
 	gone bool
 }
 
+// parkedSession is what the manager keeps of an evicted session: the
+// spec it resumes from and the rounds its checkpoint holds, so Get can
+// report the count without resuming it.
+type parkedSession struct {
+	spec   Spec
+	rounds int
+}
+
 // install registers a built entry, making room first if needed.
 func (m *Manager) install(ctx context.Context, e *entry) error {
 	for {
@@ -114,7 +122,7 @@ func (m *Manager) evict(ctx context.Context, e *entry) error {
 	e.gone = true
 	m.mu.Lock()
 	delete(m.live, e.id)
-	m.parked[e.id] = e.spec
+	m.parked[e.id] = parkedSession{spec: e.spec, rounds: e.sess.Rounds()}
 	m.mu.Unlock()
 	return nil
 }
@@ -183,7 +191,7 @@ func (m *Manager) acquire(ctx context.Context, id string) (*entry, error) {
 			}
 			return e, nil
 		}
-		spec, ok := m.parked[id]
+		p, ok := m.parked[id]
 		if !ok {
 			m.mu.Unlock()
 			return nil, fmt.Errorf("%w: %q", ErrSessionNotFound, id)
@@ -191,7 +199,7 @@ func (m *Manager) acquire(ctx context.Context, id string) (*entry, error) {
 		// Unpark: insert a locked placeholder so concurrent requests for
 		// the same id queue on its lock instead of double-resuming, then
 		// do the store read and replay without holding the manager lock.
-		e := &entry{id: id, spec: spec, lastUsed: m.now()}
+		e := &entry{id: id, spec: p.spec, lastUsed: m.now()}
 		e.mu.Lock() //etlint:ignore lockorder freshly allocated placeholder locked before publication in m.live; nothing else can hold it, so the entry→manager edge of the order can't close a cycle
 		delete(m.parked, id)
 		m.live[id] = e
@@ -202,7 +210,7 @@ func (m *Manager) acquire(ctx context.Context, id string) (*entry, error) {
 			// Over capacity after insertion: make room. Failure rolls the
 			// placeholder back to parked.
 			if err := m.makeRoomFor(ctx, e); err != nil {
-				m.unparkFailed(e)
+				m.unparkFailed(e, p)
 				return nil, err
 			}
 		}
@@ -219,7 +227,7 @@ func (m *Manager) acquire(ctx context.Context, id string) (*entry, error) {
 			}
 			var sess *game.Session
 			var rs *roundStats
-			sess, rs, err = buildSession(spec, snap, wrec)
+			sess, rs, err = buildSession(p.spec, snap, wrec)
 			if err == nil {
 				e.sess = sess
 				e.stats = rs
@@ -228,7 +236,7 @@ func (m *Manager) acquire(ctx context.Context, id string) (*entry, error) {
 				return e, nil
 			}
 		}
-		m.unparkFailed(e)
+		m.unparkFailed(e, p)
 		return nil, fmt.Errorf("service: resuming parked session %q: %w", id, err)
 	}
 }
@@ -253,13 +261,13 @@ func (m *Manager) makeRoomFor(ctx context.Context, keep *entry) error {
 	}
 }
 
-// unparkFailed rolls a placeholder back to parked after a failed
-// resume; the snapshot is still in the store.
-func (m *Manager) unparkFailed(e *entry) {
+// unparkFailed rolls a placeholder back to parked, as p, after a
+// failed resume; the snapshot is still in the store.
+func (m *Manager) unparkFailed(e *entry, p parkedSession) {
 	e.gone = true
 	m.mu.Lock()
 	delete(m.live, e.id)
-	m.parked[e.id] = e.spec
+	m.parked[e.id] = p
 	m.mu.Unlock()
 	e.mu.Unlock()
 }

@@ -26,9 +26,9 @@ type walRecorder struct {
 	game.NopObserver
 	// id is the session id stamped into every recorded delta. Set once
 	// when the entry is built, before any round flows; it must not
-	// change afterwards — a quorum append can return at W acks while a
-	// straggler replica still reads the delta, so deltas are immutable
-	// once handed to an append.
+	// change afterwards — every replica's WAL tail keeps the pointer of
+	// an appended delta, so deltas are immutable once handed to an
+	// append.
 	id string
 	// eval mirrors the session spec: deltas carry detection scores only
 	// when the session scores them (matching Snapshot's serialization).
@@ -140,8 +140,7 @@ func (m *Manager) flushWal(ctx context.Context, e *entry) error {
 		return nil
 	}
 	// Deltas carry their session id from record time and are never
-	// mutated here: a quorum append can return while a straggler replica
-	// still reads them.
+	// mutated here: every replica's WAL tail keeps the pointer.
 	if err := m.storeRetry(ctx, "appending rounds for "+e.id, func(ctx context.Context) error {
 		return m.appender.AppendRounds(ctx, deltas)
 	}); err != nil {

@@ -51,7 +51,7 @@ func walPlayRound(ctx context.Context, m *Manager, id string) error {
 	for i, p := range pairs {
 		labeled[i] = belief.Labeling{Pair: dataset.NewPair(p.A, p.B)}
 	}
-	info, err := m.Get(ctx, id) // live after Next: Rounds is the round being played
+	info, err := m.Get(ctx, id) // Rounds is the round being played, live or parked
 	if err != nil {
 		return err
 	}
@@ -430,7 +430,6 @@ func TestChaosWalReplicaLoss(t *testing.T) {
 
 	// The crash: no Shutdown, no parting checkpoints — the logs and the
 	// last snapshots are all that survive the process.
-	ms.Flush()
 	for _, ws := range walStores {
 		if err := ws.Close(); err != nil {
 			t.Fatal(err)
@@ -462,7 +461,6 @@ func TestChaosWalReplicaLoss(t *testing.T) {
 	if _, err := ms2.Scan(ctx); err != nil {
 		t.Fatalf("reconciling scan: %v", err)
 	}
-	ms2.Flush()
 	total := phase1 + phase2
 	for sess, id := range ids {
 		snap, err := ms2.Get(ctx, id)
