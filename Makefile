@@ -125,8 +125,10 @@ walbench:
 # invariants (both single-store and quorum MultiStore), the
 # degraded-mode manager tests, the sweep-yields-to-requests test, the
 # no-append-before-base and labelpool crash-without-shutdown WAL tests,
-# the two late-write races (a slow replica's Put, a WAL fold's Put) that
-# must not land over a newer snapshot, the evict and concurrent manager
+# the late writes (a slow replica's Put, a WAL fold's Put, a resume
+# read's repair Put) that must not land over a newer snapshot, the
+# restart that must not reuse a stored session id, the compaction that
+# must keep a session's newest mark, the evict and concurrent manager
 # tests that read a parked session's round count, the 64-session
 # flaky-store workloads (interactive and labelpool), and the replicated
 # and WAL replica-loss workloads that kill a full replica mid-run
@@ -134,7 +136,7 @@ walbench:
 # sessions).
 chaos:
 	ET_CHAOS=1 $(GO) test -race -count=1 \
-		-run 'TestCrashPointProperty|TestTornWritesNeverCorrupt|TestFault|TestManagerEvictFailure|TestManagerUnparkFailed|TestManagerSweepContinues|TestManagerShutdownKeeps|TestManagerSweepYields|TestManagerNoAppendBeforeBase|TestMultiStorePutWaitsForEveryReplica|TestWalStoreFoldLandsBeforeCheckpoint|TestManagerEvictAndTransparentResume|TestManagerConcurrentSessions|TestServerFaultSurface|TestChaos|TestLabelpoolChaos|TestLabelpoolWalCrash' \
+		-run 'TestCrashPointProperty|TestTornWritesNeverCorrupt|TestFault|TestManagerEvictFailure|TestManagerUnparkFailed|TestManagerSweepContinues|TestManagerShutdownKeeps|TestManagerSweepYields|TestManagerNoAppendBeforeBase|TestMultiStorePutWaitsForEveryReplica|TestWalStoreFoldLandsBeforeCheckpoint|TestManagerResumeReadsUnderSourceLock|TestManagerRestartNeverReusesID|TestWalCompactKeepsNewestMark|TestManagerEvictAndTransparentResume|TestManagerConcurrentSessions|TestServerFaultSurface|TestChaos|TestLabelpoolChaos|TestLabelpoolWalCrash' \
 		./internal/persist/... ./internal/service/...
 
 # Corpus-smoke each native fuzz target for FUZZTIME. Failing inputs

@@ -40,9 +40,10 @@ const maxResidentSessionBytes = 400 << 10
 // OMDB-24, K = 2 and the service's 147-hypothesis space after 40 rounds
 // — the session, its manager entry and the log's committed tail of 40
 // round deltas, of which only the newest keeps the learner's belief
-// (~69 KB measured). With every delta in the tail keeping its own
-// 147-Beta copy a session held ~181 KB.
-const maxResidentWalSessionBytes = 96 << 10
+// (~55 KB measured). A second per-round copy of the rendered round
+// views and a five-event trace per round held ~68 KB, and every delta
+// in the tail keeping its own 147-Beta copy ~181 KB.
+const maxResidentWalSessionBytes = 64 << 10
 
 // serviceSpace is the hypothesis space the session service builds by
 // default: every FD with at most two LHS attributes (147 over OMDB's

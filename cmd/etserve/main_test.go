@@ -300,13 +300,19 @@ func TestWalServe(t *testing.T) {
 		_ = app.shutdown(ctx)
 	}()
 	base = "http://" + app.addr.String()
+	var resumed struct {
+		ID string `json:"id"`
+	}
 	post("/v1/sessions", map[string]any{
 		"resume": info.ID, "dataset": "OMDB", "rows": 60, "method": "StochasticUS", "k": 4, "seed": 9,
-	}, nil)
+	}, &resumed)
+	if resumed.ID == info.ID {
+		t.Fatalf("resumed session reuses the stored id %s", info.ID)
+	}
 	var series struct {
 		Rounds []json.RawMessage `json:"rounds"`
 	}
-	resp, err = http.Get(base + fmt.Sprintf("/v1/sessions/%s/rounds", info.ID))
+	resp, err = http.Get(base + fmt.Sprintf("/v1/sessions/%s/rounds", resumed.ID))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +323,7 @@ func TestWalServe(t *testing.T) {
 	if len(series.Rounds) != 2 {
 		t.Fatalf("recovered %d rounds from the WAL, want 2", len(series.Rounds))
 	}
-	if got := playRound(info.ID, 2); got != 3 {
+	if got := playRound(resumed.ID, 2); got != 3 {
 		t.Fatalf("rounds = %d after post-recovery submit, want 3", got)
 	}
 }

@@ -99,25 +99,6 @@ func TestObserverEventOrderInRun(t *testing.T) {
 	}
 }
 
-func TestMultiObserver(t *testing.T) {
-	a, b := &eventTrace{}, &eventTrace{}
-	// nil and zero inputs collapse to the no-op.
-	if _, ok := MultiObserver().(NopObserver); !ok {
-		t.Fatal("MultiObserver() should be NopObserver")
-	}
-	if _, ok := MultiObserver(nil, nil).(NopObserver); !ok {
-		t.Fatal("MultiObserver(nil, nil) should be NopObserver")
-	}
-	if got := MultiObserver(a); got != Observer(a) {
-		t.Fatal("single observer should be returned as-is")
-	}
-	m := MultiObserver(a, nil, b)
-	m.RoundStarted(3)
-	if len(a.events) != 1 || len(b.events) != 1 || a.events[0] != "started:3" {
-		t.Fatalf("fan-out failed: a=%v b=%v", a.events, b.events)
-	}
-}
-
 func TestSessionRevisionSubmission(t *testing.T) {
 	rel, space := sessionFixture(t)
 	s, err := NewSession(SessionConfig{Relation: rel, Space: space, K: 4, Seed: 11})

@@ -55,56 +55,3 @@ func (NopObserver) BeliefUpdated(int, *belief.Belief) {}
 
 // RoundScored implements Observer.
 func (NopObserver) RoundScored(int, IterationRecord) {}
-
-// multiObserver fans every event out to several observers in order.
-type multiObserver []Observer
-
-func (m multiObserver) RoundStarted(t int) {
-	for _, o := range m {
-		o.RoundStarted(t)
-	}
-}
-
-func (m multiObserver) PairsPresented(t int, pairs []dataset.Pair) {
-	for _, o := range m {
-		o.PairsPresented(t, pairs)
-	}
-}
-
-func (m multiObserver) RoundSubmitted(t int, labeled, revisions []belief.Labeling) {
-	for _, o := range m {
-		o.RoundSubmitted(t, labeled, revisions)
-	}
-}
-
-func (m multiObserver) BeliefUpdated(t int, b *belief.Belief) {
-	for _, o := range m {
-		o.BeliefUpdated(t, b)
-	}
-}
-
-func (m multiObserver) RoundScored(t int, rec IterationRecord) {
-	for _, o := range m {
-		o.RoundScored(t, rec)
-	}
-}
-
-// MultiObserver combines observers into one that forwards every event
-// to each non-nil observer in argument order. Zero or all-nil inputs
-// collapse to the no-op observer; a single observer is returned as-is.
-func MultiObserver(obs ...Observer) Observer {
-	var live []Observer
-	for _, o := range obs {
-		if o != nil {
-			live = append(live, o)
-		}
-	}
-	switch len(live) {
-	case 0:
-		return NopObserver{}
-	case 1:
-		return live[0]
-	default:
-		return multiObserver(live)
-	}
-}

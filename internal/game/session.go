@@ -338,6 +338,11 @@ func (s *Session) Records() []IterationRecord {
 	return append([]IterationRecord(nil), s.eng.records...)
 }
 
+// Record returns round t's record without copying the trajectory; t
+// must be below Rounds. Like Records, its slices are shared with the
+// engine and must not be mutated.
+func (s *Session) Record(t int) IterationRecord { return s.eng.records[t] }
+
 // Frequencies exposes the trainer's empirical label distribution Φ_t
 // over the session's submitted rounds.
 func (s *Session) Frequencies() *Frequencies { return s.eng.freqs }

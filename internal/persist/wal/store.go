@@ -48,6 +48,11 @@ func (c StoreConfig) withDefaults() StoreConfig {
 // snapshot Put and a checkpoint's could otherwise land in either order,
 // and the older one would win. The service's entry lock serializes each
 // session's checkpoints and appends, so it keeps this rule.
+//
+// An id is never re-created. Its watermark only rises, so a second
+// session stored under an old id would have its appended rounds sit
+// below the first one's watermark, where no read finds them. The
+// service mints every id past the ids the store already lists.
 type Store struct {
 	inner persist.Store
 	log   *Log

@@ -212,8 +212,13 @@ type segInfo struct {
 	path string
 	// frontier maps session id → one past the highest round the segment
 	// records for it. The segment is dead once every session's snapshot
-	// watermark reached its frontier.
+	// watermark reached its frontier and no mark it holds is needed.
 	frontier map[string]int
+	// marks holds the sessions the segment records a watermark for. The
+	// segment stays while an older kept segment holds rounds of one of
+	// them: dropping it would lose that session's mark, and a reopen
+	// would re-tail rounds already folded.
+	marks map[string]bool
 }
 
 // commitReq is one queued append awaiting the group committer.
@@ -248,9 +253,10 @@ type Log struct {
 	synced  int64
 	// sealed lists rotated segments oldest-first; guarded by mu.
 	sealed []segInfo
-	// frontier is the active segment's per-session round frontier;
-	// guarded by mu.
+	// frontier is the active segment's per-session round frontier, and
+	// segMarks the sessions it records marks for; guarded by mu.
 	frontier map[string]int
+	segMarks map[string]bool
 	// marks is the latest snapshot watermark per session; guarded by mu.
 	marks map[string]int
 	// crash is the fault-injection hook (nil in production); guarded by mu.
@@ -340,12 +346,13 @@ func Open(dir string, cfg Config) (*Log, RecoverResult, error) {
 		dir:      dir,
 		cfg:      cfg,
 		frontier: make(map[string]int),
+		segMarks: make(map[string]bool),
 		marks:    res.Marks,
 		kick:     make(chan struct{}, 1),
 		quit:     make(chan struct{}),
 	}
 	torn := false
-	for i, s := range segs {
+	for _, s := range segs {
 		if torn {
 			// Everything after a tear is unreachable by replay; drop it so
 			// the surviving log is self-consistent.
@@ -367,7 +374,7 @@ func Open(dir string, cfg Config) (*Log, RecoverResult, error) {
 				return nil, res, fmt.Errorf("wal: truncating torn tail: %w", terr)
 			}
 		}
-		info := segInfo{path: s.path, frontier: make(map[string]int)}
+		info := segInfo{path: s.path, frontier: make(map[string]int), marks: make(map[string]bool)}
 		for i := range recs {
 			r := &recs[i]
 			switch r.Kind {
@@ -378,15 +385,11 @@ func Open(dir string, cfg Config) (*Log, RecoverResult, error) {
 					info.frontier[d.Session] = d.Round + 1
 				}
 			case "mark":
+				info.marks[r.Session] = true
 				if r.Through > res.Marks[r.Session] {
 					res.Marks[r.Session] = r.Through
 				}
 			}
-		}
-		if tail == 0 && i < len(segs)-1 {
-			// A fully-torn non-final segment holds nothing; keep the file
-			// truncated to zero so indices stay monotone.
-			_ = info
 		}
 		l.sealed = append(l.sealed, info)
 		res.Segments++
@@ -683,6 +686,7 @@ func (l *Log) commit(batch []*commitReq, bytes int) {
 			}
 		}
 		for sess, through := range req.marks {
+			l.segMarks[sess] = true
 			if through > l.marks[sess] {
 				l.marks[sess] = through
 			}
@@ -717,11 +721,12 @@ func (l *Log) rotate() error {
 		return fmt.Errorf("wal: %w", err)
 	}
 	l.mu.Lock()
-	info := segInfo{path: segPath(l.dir, l.segIdx), frontier: l.frontier}
+	info := segInfo{path: segPath(l.dir, l.segIdx), frontier: l.frontier, marks: l.segMarks}
 	l.sealed = append(l.sealed, info)
 	l.segIdx++
 	nextPath := segPath(l.dir, l.segIdx)
 	l.frontier = make(map[string]int)
+	l.segMarks = make(map[string]bool)
 	l.segSize = 0
 	l.synced = 0
 	l.mu.Unlock()
@@ -740,11 +745,16 @@ func (l *Log) rotate() error {
 // Compact deletes sealed segments whose every recorded round is below
 // its session's snapshot watermark — the "fold committed runs into
 // snapshots, then drop the log prefix" half of compaction (wal.Store
-// does the folding). It returns how many segments were dropped.
+// does the folding). A segment holding a session's mark stays while an
+// older kept segment holds rounds of that session, so a reopen never
+// loses a mark over rounds it still replays. It returns how many
+// segments were dropped.
 func (l *Log) Compact() (dropped int, err error) {
 	l.mu.Lock()
 	var dead []segInfo
 	keep := l.sealed[:0]
+	// kept holds the sessions with rounds in a kept segment so far.
+	kept := make(map[string]bool)
 	for _, info := range l.sealed {
 		live := false
 		for sess, hi := range info.frontier {
@@ -753,8 +763,17 @@ func (l *Log) Compact() (dropped int, err error) {
 				break
 			}
 		}
+		for sess := range info.marks {
+			if kept[sess] {
+				live = true
+				break
+			}
+		}
 		if live {
 			keep = append(keep, info)
+			for sess := range info.frontier {
+				kept[sess] = true
+			}
 		} else {
 			dead = append(dead, info)
 		}

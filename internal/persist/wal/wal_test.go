@@ -230,6 +230,55 @@ func TestWalRotateAndCompact(t *testing.T) {
 	}
 }
 
+// TestWalCompactKeepsNewestMark: a sealed segment holding only a
+// session's mark must outlive the older kept segment that still holds
+// that session's folded rounds. Dropping it lost the mark, and the
+// reopen replayed the folded rounds into the tail.
+func TestWalCompactKeepsNewestMark(t *testing.T) {
+	dir := t.TempDir()
+	// Every commit seals the segment before it.
+	l, _, err := Open(dir, Config{MaxSegmentBytes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if err := l.Append([]*persist.RoundDelta{mkDelta("a", 0), mkDelta("b", 0)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Append([]*persist.RoundDelta{mkDelta("a", 1)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Mark("a", 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Append([]*persist.RoundDelta{mkDelta("c", 0)}); err != nil {
+		t.Fatal(err)
+	}
+	// Sealed: [a0 b0] (kept for b), [a1] (dead), [mark a]; active: [c0].
+	dropped, err := l.Compact()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dropped != 1 {
+		t.Fatalf("Compact dropped %d segments, want 1 (a's folded solo segment)", dropped)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, rec, err := OpenStore(persist.NewMemStore(), dir, StoreConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if rec.Marks["a"] != 2 {
+		t.Fatalf("Marks after reopen = %v, want a:2", rec.Marks)
+	}
+	// Only b0 and c0 await folding; a's rounds are below its mark.
+	if st, _ := s.WalStats(); st.CompactionLag != 2 {
+		t.Fatalf("CompactionLag after reopen = %d, want 2 (b0, c0)", st.CompactionLag)
+	}
+}
+
 // TestWalSegmentRotationBySize checks the automatic rotation bound:
 // appends past MaxSegmentBytes roll the active segment so no single
 // file grows without bound.

@@ -139,9 +139,10 @@ func TestManagerUnparkFailedConcurrentAcquires(t *testing.T) {
 // next sweep retries (and recovers) the degraded one.
 func TestManagerSweepContinuesPastFailures(t *testing.T) {
 	ctx := context.Background()
-	// MaxAttempts 1 disables retries so FailEveryN maps 1:1 onto sweep
-	// evictions: the 2nd Put fails, all others succeed.
-	fs := faulty.Wrap(persist.NewMemStore(), faulty.Config{Seed: 9, FailEveryN: 2})
+	// MaxAttempts 1 disables retries so FailEveryN maps 1:1 onto store
+	// operations: the List before the first mint is the 1st, so the
+	// sweeps' 2nd Put (the 3rd operation) fails and all others succeed.
+	fs := faulty.Wrap(persist.NewMemStore(), faulty.Config{Seed: 9, FailEveryN: 3})
 	m := NewManager(Options{
 		Store:   fs,
 		Retry:   RetryPolicy{MaxAttempts: 1, BaseDelay: time.Millisecond, MaxDelay: time.Millisecond},
@@ -440,5 +441,101 @@ func TestManagerSweepYieldsToRequests(t *testing.T) {
 	}
 	if live, parked := m.Counts(); live != n-1 || parked != 1 {
 		t.Fatalf("Counts = (%d, %d), want (%d, 1)", live, parked, n-1)
+	}
+}
+
+// repairGate is a replica that records the history length of every Put
+// it lands, in landing order, and holds the first Put after arm until
+// release is closed, announcing it on held.
+type repairGate struct {
+	persist.Store
+	armed   atomic.Bool
+	held    chan struct{}
+	release chan struct{}
+	mu      sync.Mutex
+	landed  []int
+}
+
+func (g *repairGate) Put(ctx context.Context, id string, snap *persist.Snapshot) error {
+	if g.armed.CompareAndSwap(true, false) {
+		close(g.held)
+		<-g.release
+	}
+	err := g.Store.Put(ctx, id, snap)
+	if err == nil {
+		g.mu.Lock()
+		g.landed = append(g.landed, len(snap.History))
+		g.mu.Unlock()
+	}
+	return err
+}
+
+// TestManagerResumeReadsUnderSourceLock: resuming from a session this
+// manager hosts reads its snapshot under the session's entry lock. Over
+// a replica set, that read repairs a replica missing the snapshot with
+// a Put of the winning copy; a checkpoint of the live session must
+// reach that replica only after the repair, or the older repaired copy
+// lands over the newer checkpoint.
+func TestManagerResumeReadsUnderSourceLock(t *testing.T) {
+	ctx := context.Background()
+	gate := &repairGate{Store: persist.NewMemStore(), held: make(chan struct{}), release: make(chan struct{})}
+	ms, err := persist.NewMultiStore([]persist.Store{persist.NewMemStore(), persist.NewMemStore(), gate}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewManager(Options{Store: ms, Retry: RetryPolicy{MaxAttempts: 1}})
+	src, err := m.Create(ctx, testSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	playRound(t, m, src.ID)
+	if _, err := m.Snapshot(ctx, src.ID); err != nil {
+		t.Fatal(err)
+	}
+	playRound(t, m, src.ID) // live: 2 rounds; stored: 1
+	// The gated replica loses its copy, so the next read repairs it.
+	if err := gate.Store.Delete(ctx, src.ID); err != nil {
+		t.Fatal(err)
+	}
+	gate.mu.Lock()
+	gate.landed = nil
+	gate.mu.Unlock()
+	gate.armed.Store(true)
+
+	resumed := make(chan error, 1)
+	go func() {
+		_, err := m.Resume(ctx, src.ID, testSpec())
+		resumed <- err
+	}()
+	<-gate.held // the repair Put of the 1-round copy is in flight
+	checkpointed := make(chan error, 1)
+	go func() {
+		_, err := m.Snapshot(ctx, src.ID)
+		checkpointed <- err
+	}()
+	select {
+	case err := <-checkpointed: // it did not wait for the repair
+		checkpointed <- err
+	case <-time.After(200 * time.Millisecond):
+	}
+	close(gate.release)
+	if err := <-resumed; err != nil {
+		t.Fatalf("resume: %v", err)
+	}
+	if err := <-checkpointed; err != nil {
+		t.Fatalf("checkpoint: %v", err)
+	}
+	gate.mu.Lock()
+	landed := append([]int(nil), gate.landed...)
+	gate.mu.Unlock()
+	if len(landed) != 2 || landed[0] != 1 || landed[1] != 2 {
+		t.Fatalf("gated replica landed Puts of %v rounds, want the repair's 1 then the checkpoint's 2", landed)
+	}
+	snap, err := gate.Store.Get(ctx, src.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(snap.History) != 2 {
+		t.Fatalf("gated replica holds %d rounds, want the checkpoint's 2", len(snap.History))
 	}
 }

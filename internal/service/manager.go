@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -211,8 +213,10 @@ type Manager struct {
 	now func() time.Time
 
 	mu sync.Mutex
-	// seq numbers sessions; guarded by mu.
-	seq uint64
+	// seq numbers sessions; guarded by mu. Once seeded is set it is
+	// past every sess-N id the store held before the first mint.
+	seq    uint64
+	seeded bool
 	// live holds resident sessions; guarded by mu.
 	live map[string]*entry
 	// parked maps evicted sessions to their spec and round count
@@ -271,35 +275,33 @@ func NewManager(opts Options) *Manager {
 }
 
 // buildSession constructs the game.Session for a spec, optionally
-// resuming from a snapshot, along with its stats-collecting observer.
-// When wrec is non-nil it is installed alongside the stats observer so
-// every scored round also yields a WAL delta. Everything is
-// deterministic in the spec (injection, split and pool all derive from
-// spec.Seed), so an evicted session unparks onto an identical world.
-func buildSession(spec Spec, snap *persist.Snapshot, wrec *walRecorder) (*game.Session, *roundStats, error) {
+// resuming from a snapshot. When wrec is non-nil it is installed as the
+// session's observer, so every scored round also yields a WAL delta.
+// Everything is deterministic in the spec (injection, split and pool
+// all derive from spec.Seed), so an evicted session unparks onto an
+// identical world.
+func buildSession(spec Spec, snap *persist.Snapshot, wrec *walRecorder) (*game.Session, error) {
 	rel, ds, err := spec.Source.materialize()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	sampler, err := sampling.New(spec.Method, spec.Gamma)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	rs := &roundStats{eval: spec.Eval}
 	cfg := game.SessionConfig{
 		Relation: rel,
 		Sampler:  sampler,
 		K:        spec.K,
 		Seed:     spec.Seed,
-		Observer: rs,
 	}
 	if wrec != nil {
 		wrec.eval = spec.Eval
-		cfg.Observer = game.MultiObserver(rs, wrec)
+		cfg.Observer = wrec
 	}
 	if spec.Eval {
 		if ds == nil {
-			return nil, nil, fmt.Errorf("service: eval needs a synthetic dataset source (no ground-truth FDs for CSV data)")
+			return nil, fmt.Errorf("service: eval needs a synthetic dataset source (no ground-truth FDs for CSV data)")
 		}
 		degree := spec.Degree
 		if degree == 0 {
@@ -312,7 +314,7 @@ func buildSession(spec Spec, snap *persist.Snapshot, wrec *walRecorder) (*game.S
 			Seed:       spec.Seed ^ 0xE44,
 		})
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		rel = injected.Rel
 		cfg.Relation = rel
@@ -330,14 +332,12 @@ func buildSession(spec Spec, snap *persist.Snapshot, wrec *walRecorder) (*game.S
 	if snap != nil {
 		sess, err := game.ResumeSession(snap, cfg)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		// Restored rounds replay without observer events; backfill them.
-		rs.prime(sess.Records())
 		if wrec != nil {
 			wrec.bind(sess)
 		}
-		return sess, rs, nil
+		return sess, nil
 	}
 	maxLHS := spec.MaxLHS
 	if maxLHS <= 0 {
@@ -349,30 +349,54 @@ func buildSession(spec Spec, snap *persist.Snapshot, wrec *walRecorder) (*game.S
 		MaxFDs: spec.MaxFDs,
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	space, err := fd.NewSpace(fds)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	cfg.Space = space
 	sess, err := game.NewSession(cfg)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if wrec != nil {
 		wrec.bind(sess)
 	}
-	return sess, rs, nil
+	return sess, nil
 }
 
 // mintID draws the next session id, or ErrShuttingDown while draining.
-func (m *Manager) mintID() (string, error) {
+// Before the first mint it lists the store, under the retry policy, and
+// starts the sequence past every sess-N id there: a new session never
+// takes a stored session's id, so its base snapshot cannot overwrite
+// that session's, nor its appends sit below that session's watermark.
+// Creates racing the first mint may each list; the sequence keeps the
+// highest id any listing saw.
+func (m *Manager) mintID(ctx context.Context) (string, error) {
+	m.mu.Lock()
+	seeded := m.seeded
+	m.mu.Unlock()
+	var ids []string
+	if !seeded {
+		if err := m.storeRetry(ctx, "listing stored sessions", func(ctx context.Context) (err error) {
+			ids, err = m.store.List(ctx)
+			return err
+		}); err != nil {
+			return "", err
+		}
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.draining {
 		return "", ErrShuttingDown
 	}
+	for _, id := range ids {
+		if n, err := strconv.ParseUint(strings.TrimPrefix(id, "sess-"), 10, 64); err == nil && n > m.seq {
+			m.seq = n
+		}
+	}
+	m.seeded = true
 	m.seq++
 	return fmt.Sprintf("sess-%d", m.seq), nil
 }
@@ -391,20 +415,37 @@ func (m *Manager) Create(ctx context.Context, spec Spec) (Info, error) {
 // The snapshot's history is replayed against a relation rebuilt from
 // spec.Source, which must describe the same data. The new session gets
 // a new id.
+//
+// When this manager hosts the source session, live or parked, the
+// snapshot is read under that session's entry lock (acquire unparks a
+// parked one): a replicated store's read can Put the winning copy onto
+// a stale replica, and the entry lock is what keeps that write from
+// overlapping the session's own checkpoints and appends.
 func (m *Manager) Resume(ctx context.Context, snapshotID string, spec Spec) (Info, error) {
 	if err := ctx.Err(); err != nil {
 		return Info{}, err
 	}
-	var snap *persist.Snapshot
-	err := m.storeRetry(ctx, "loading snapshot "+snapshotID, func(ctx context.Context) error {
-		var gerr error
-		snap, gerr = m.store.Get(ctx, snapshotID)
-		return gerr
-	})
+	snap, err := m.loadSource(ctx, snapshotID)
 	if err != nil {
 		return Info{}, err
 	}
 	return m.register(ctx, spec, snap)
+}
+
+// loadSource reads a resume's source snapshot from the store, holding
+// the source's entry lock when this manager hosts it.
+func (m *Manager) loadSource(ctx context.Context, id string) (*persist.Snapshot, error) {
+	if e, err := m.acquire(ctx, id); err == nil {
+		defer e.mu.Unlock()
+	} else if !errors.Is(err, ErrSessionNotFound) {
+		return nil, err
+	}
+	var snap *persist.Snapshot
+	err := m.storeRetry(ctx, "loading snapshot "+id, func(ctx context.Context) (err error) {
+		snap, err = m.store.Get(ctx, id)
+		return err
+	})
+	return snap, err
 }
 
 // register builds a session (resumed from snap when it is non-nil)
@@ -419,18 +460,18 @@ func (m *Manager) register(ctx context.Context, spec Spec, snap *persist.Snapsho
 	if m.appender != nil {
 		wrec = &walRecorder{}
 	}
-	sess, rs, err := buildSession(spec, snap, wrec)
+	sess, err := buildSession(spec, snap, wrec)
 	if err != nil {
 		return Info{}, err
 	}
-	id, err := m.mintID()
+	id, err := m.mintID(ctx)
 	if err != nil {
 		return Info{}, err
 	}
 	if wrec != nil {
 		wrec.id = id // before any round flows; deltas are immutable after recording
 	}
-	e := &entry{id: id, spec: spec, sess: sess, stats: rs, wal: wrec}
+	e := &entry{id: id, spec: spec, sess: sess, wal: wrec}
 	if err := m.install(ctx, e); err != nil {
 		return Info{}, err
 	}
@@ -565,7 +606,7 @@ func labelsDigest(a, b []belief.Labeling) uint64 {
 // re-applying — and ErrRoundMismatch otherwise. Caller holds e.mu, and
 // round is below the session's current round.
 func replayErr(e *entry, round int, labeled []belief.Labeling) error {
-	rec := e.sess.Records()[round]
+	rec := e.sess.Record(round)
 	if labelsDigest(labeled, nil) == labelsDigest(rec.Labeled, rec.Revisions) {
 		return nil
 	}
@@ -704,7 +745,7 @@ func (m *Manager) Rounds(ctx context.Context, id string) ([]RoundView, error) {
 		return nil, err
 	}
 	defer e.mu.Unlock()
-	return append([]RoundView(nil), e.stats.rounds...), nil
+	return renderRounds(e, 0), nil
 }
 
 // Sweep parks every session idle for at least the manager's IdleTTL and

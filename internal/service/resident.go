@@ -19,7 +19,6 @@ type entry struct {
 	id       string
 	spec     Spec
 	sess     *game.Session
-	stats    *roundStats
 	lastUsed time.Time
 	// wal records per-round deltas for WAL-backed durability; nil when
 	// the store takes no appends. Its take/restore/clear run under mu.
@@ -226,11 +225,9 @@ func (m *Manager) acquire(ctx context.Context, id string) (*entry, error) {
 				wrec = &walRecorder{id: id}
 			}
 			var sess *game.Session
-			var rs *roundStats
-			sess, rs, err = buildSession(p.spec, snap, wrec)
+			sess, err = buildSession(p.spec, snap, wrec)
 			if err == nil {
 				e.sess = sess
-				e.stats = rs
 				e.wal = wrec
 				e.based = true // the snapshot we just resumed from is the base
 				return e, nil

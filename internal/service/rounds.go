@@ -1,11 +1,5 @@
 package service
 
-import (
-	"exptrain/internal/belief"
-	"exptrain/internal/dataset"
-	"exptrain/internal/game"
-)
-
 // DetectionView is a round's held-out error-detection score, rendered.
 type DetectionView struct {
 	Precision float64 `json:"precision"`
@@ -26,71 +20,34 @@ type RoundView struct {
 	Detection *DetectionView `json:"detection,omitempty"`
 }
 
-// roundStats is the per-session observer the manager installs on every
-// hosted session: it folds the engine's RoundScored events into the
-// rendered per-round series served by GET /sessions/{id}/rounds.
-//
-// No internal locking: the engine serializes events per session, and
-// every read goes through the entry lock that also guards the session
-// itself, so the entry mutex is the synchronization point.
-type roundStats struct {
-	game.NopObserver
-	eval   bool
-	rounds []RoundView
-	// events is the flat observer-event trace (kind, round) in emission
-	// order — the ordering contract made inspectable, exercised by the
-	// race tests.
-	events []statEvent
-}
-
-type statEvent struct {
-	kind  string
-	round int
-}
-
-func (s *roundStats) RoundStarted(t int) {
-	s.events = append(s.events, statEvent{"started", t})
-}
-
-func (s *roundStats) PairsPresented(t int, pairs []dataset.Pair) {
-	s.events = append(s.events, statEvent{"presented", t})
-}
-
-func (s *roundStats) RoundSubmitted(t int, labeled, revisions []belief.Labeling) {
-	s.events = append(s.events, statEvent{"submitted", t})
-}
-
-func (s *roundStats) BeliefUpdated(t int, b *belief.Belief) {
-	s.events = append(s.events, statEvent{"updated", t})
-}
-
-func (s *roundStats) RoundScored(t int, rec game.IterationRecord) {
-	s.events = append(s.events, statEvent{"scored", t})
-	s.rounds = append(s.rounds, s.render(t, rec))
-}
-
-func (s *roundStats) render(t int, rec game.IterationRecord) RoundView {
-	v := RoundView{
-		Round:   t,
-		Labeled: len(rec.Labeled),
-		Revised: len(rec.Revisions),
-		MAE:     rec.MAE,
-		Payoff:  rec.TrainerPayoff,
+// renderRounds renders the session's rounds from index from on, one
+// view per submitted round, from the records the session itself keeps:
+// rounds restored from a snapshot and rounds played live take the same
+// path. Detection is rendered only for sessions created with eval. Nil
+// when no round is at or past from. Caller holds e.mu.
+func renderRounds(e *entry, from int) []RoundView {
+	n := e.sess.Rounds()
+	if from >= n {
+		return nil
 	}
-	if s.eval {
-		v.Detection = &DetectionView{
-			Precision: rec.Detection.Precision,
-			Recall:    rec.Detection.Recall,
-			F1:        rec.Detection.F1,
+	out := make([]RoundView, 0, n-from)
+	for t := from; t < n; t++ {
+		rec := e.sess.Record(t)
+		v := RoundView{
+			Round:   t,
+			Labeled: len(rec.Labeled),
+			Revised: len(rec.Revisions),
+			MAE:     rec.MAE,
+			Payoff:  rec.TrainerPayoff,
 		}
+		if e.spec.Eval {
+			v.Detection = &DetectionView{
+				Precision: rec.Detection.Precision,
+				Recall:    rec.Detection.Recall,
+				F1:        rec.Detection.F1,
+			}
+		}
+		out = append(out, v)
 	}
-	return v
-}
-
-// prime backfills views for rounds restored from a snapshot, which are
-// replayed without observer events.
-func (s *roundStats) prime(records []game.IterationRecord) {
-	for t, rec := range records {
-		s.rounds = append(s.rounds, s.render(t, rec))
-	}
+	return out
 }

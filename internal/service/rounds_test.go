@@ -5,12 +5,16 @@ import (
 	"context"
 	"errors"
 	"net/http"
+	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 
 	"exptrain/internal/belief"
 	"exptrain/internal/dataset"
 	"exptrain/internal/game"
+	"exptrain/internal/persist"
+	"exptrain/internal/persist/wal"
 	"exptrain/internal/sampling"
 )
 
@@ -196,14 +200,29 @@ func TestServerRoundsEndpoint(t *testing.T) {
 }
 
 // TestObserverOrderedUnderConcurrentAccess hammers one session from
-// many goroutines and then checks the per-session observer's event
-// trace: the engine contract says events arrive in strict protocol
-// order with round indices increasing and never repeated, no matter how
-// requests interleave. Under -race this also proves the entry-lock
-// serialization is what protects the observer.
+// many goroutines over a write-ahead log on disk and then checks what
+// the service records: the engine contract says events arrive in strict
+// protocol order with round indices increasing and never repeated, no
+// matter how requests interleave. The WAL recorder, the one observer the
+// service installs, turns those events into round deltas, so a dropped,
+// duplicated or reordered event shows as a store snapshot whose history
+// or learner differs from the live session's (the fold rejects a gap),
+// and the rendered views must read 0..n-1 in order. Under -race this
+// also proves the entry-lock serialization is what protects the
+// observer.
 func TestObserverOrderedUnderConcurrentAccess(t *testing.T) {
-	m := NewManager(Options{})
 	ctx := context.Background()
+	dir := t.TempDir()
+	snaps, err := persist.NewDirStore(filepath.Join(dir, "snapshots"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws, _, err := wal.OpenStore(snaps, filepath.Join(dir, "wal"), wal.StoreConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ws.Close()
+	m := NewManager(Options{Store: ws})
 	info, err := m.Create(ctx, datasetSpec(34))
 	if err != nil {
 		t.Fatal(err)
@@ -263,36 +282,24 @@ func TestObserverOrderedUnderConcurrentAccess(t *testing.T) {
 	e := m.live[info.ID]
 	m.mu.Unlock()
 	e.mu.Lock()
-	events := append([]statEvent(nil), e.stats.events...)
 	rounds := e.sess.Rounds()
-	pending := e.sess.PendingCount() > 0
+	learner := persist.BeliefToJSON(e.sess.Belief())
 	e.mu.Unlock()
 
 	if rounds == 0 {
 		t.Fatal("concurrent drivers completed no rounds")
 	}
-	// The trace must be exactly round-by-round protocol order —
-	// started, presented, submitted, updated, scored for t = 0, 1, ... —
-	// with at most one trailing started+presented for an unsubmitted
-	// round. Anything else means an event was dropped, duplicated or
-	// reordered by the interleaving.
-	want := make([]statEvent, 0, 5*rounds+2)
-	for r := 0; r < rounds; r++ {
-		want = append(want,
-			statEvent{"started", r}, statEvent{"presented", r},
-			statEvent{"submitted", r}, statEvent{"updated", r}, statEvent{"scored", r})
+	// Every submit acked after its round's append, so the store holds
+	// exactly the live session's rounds and its post-round belief.
+	snap, err := m.store.Get(ctx, info.ID)
+	if err != nil {
+		t.Fatalf("store get: %v", err)
 	}
-	if pending {
-		want = append(want, statEvent{"started", rounds}, statEvent{"presented", rounds})
+	if len(snap.History) != rounds {
+		t.Fatalf("store holds %d rounds, live session %d", len(snap.History), rounds)
 	}
-	if len(events) != len(want) {
-		t.Fatalf("observer saw %d events, want %d (rounds=%d pending=%v)",
-			len(events), len(want), rounds, pending)
-	}
-	for i := range want {
-		if events[i] != want[i] {
-			t.Fatalf("event %d = %+v, want %+v", i, events[i], want[i])
-		}
+	if !reflect.DeepEqual(snap.Learner, learner) {
+		t.Fatal("stored learner differs from the live session's belief")
 	}
 	views, err := m.Rounds(ctx, info.ID)
 	if err != nil {

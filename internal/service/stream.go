@@ -48,14 +48,9 @@ func (m *Manager) StreamChunk(ctx context.Context, id string, from int) (StreamC
 	}
 	defer e.mu.Unlock()
 	c := StreamChunk{
-		Total:     len(e.stats.rounds),
+		Rounds:    renderRounds(e, max(from, 0)),
+		Total:     e.sess.Rounds(),
 		Remaining: e.sess.RemainingPairs(),
-	}
-	if from < 0 {
-		from = 0
-	}
-	if from < c.Total {
-		c.Rounds = append([]RoundView(nil), e.stats.rounds[from:]...)
 	}
 	if pending := e.sess.Pending(); len(pending) > 0 {
 		c.Pending = renderPairs(e.sess.Relation(), pending)

@@ -14,12 +14,11 @@ import (
 // records — one per scored round, carrying the round's interaction plus
 // the learner's post-round belief and sampler RNG state — which the
 // manager then group-commits through the store's RoundAppender
-// (flushWal). It is installed alongside roundStats via MultiObserver
-// only when the store supports appends.
+// (flushWal). It is the one observer the manager installs, and only
+// when the store supports appends.
 //
-// Like roundStats it has no internal locking: the engine serializes
-// events per session and every take/restore/clear happens under the
-// entry lock. The one exception is n, an atomic mirror of the pending
+// It has no internal locking: the engine serializes events per session
+// and every take/restore/clear happens under the entry lock. The one exception is n, an atomic mirror of the pending
 // count so health reporting can read the un-appended backlog
 // without touching entry locks.
 type walRecorder struct {

@@ -176,6 +176,76 @@ func TestManagerWalSubmitDurability(t *testing.T) {
 	}
 }
 
+// TestManagerRestartNeverReusesID: a process that reopens the store
+// mints ids past every stored one. A second process's new session must
+// neither overwrite the first process's session of the same id nor
+// append rounds below that session's WAL watermark, where a store read
+// never finds them.
+func TestManagerRestartNeverReusesID(t *testing.T) {
+	ctx := context.Background()
+	storeDir, walDir := t.TempDir(), t.TempDir()
+	open := func() *wal.Store {
+		t.Helper()
+		dir, err := persist.NewDirStore(storeDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws, _, err := wal.OpenStore(dir, walDir, wal.StoreConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ws
+	}
+
+	ws := open()
+	m := NewManager(Options{Store: ws})
+	old, err := m.Create(ctx, datasetSpec(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < 3; r++ {
+		if err := walPlayRound(ctx, m, old.ID); err != nil {
+			t.Fatalf("round %d: %v", r, err)
+		}
+	}
+	if err := m.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := ws.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	ws = open()
+	defer ws.Close()
+	m = NewManager(Options{Store: ws})
+	fresh, err := m.Create(ctx, datasetSpec(6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fresh.ID == old.ID {
+		t.Fatalf("new session reuses the stored id %s", old.ID)
+	}
+	for r := 0; r < 2; r++ {
+		if err := walPlayRound(ctx, m, fresh.ID); err != nil {
+			t.Fatalf("round %d: %v", r, err)
+		}
+	}
+	resumed, err := m.Resume(ctx, old.ID, datasetSpec(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resumed.Rounds != 3 {
+		t.Fatalf("resumed %s with %d rounds, want 3", old.ID, resumed.Rounds)
+	}
+	snap, err := ws.Get(ctx, fresh.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(snap.History) != 2 {
+		t.Fatalf("store reads %d rounds of %s, want the 2 it acked", len(snap.History), fresh.ID)
+	}
+}
+
 // TestManagerNoAppendBeforeBase: while a session's base snapshot has not
 // landed, its rounds must not reach the log — a delta with no snapshot
 // under it is unreadable after a crash and pins compaction lag forever.

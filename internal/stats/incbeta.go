@@ -75,8 +75,12 @@ func betacf(a, b, x float64) float64 {
 }
 
 // Quantile returns the p-quantile of the Beta distribution (the inverse
-// CDF), found by bisection on the monotone CDF. p outside [0, 1]
-// panics.
+// CDF), found by bisection on the monotone CDF down to two adjacent
+// floats: it returns whichever of them has the CDF nearer p. A bracket
+// of fixed width in x would miss p by far more than the CDF's own error
+// in a steep tail (a small α near 0, a small β near 1). Every step
+// halves the bracket, so the loop ends within ~1100 steps even when the
+// quantile is subnormal. p outside [0, 1] panics.
 func (b Beta) Quantile(p float64) float64 {
 	if p < 0 || p > 1 {
 		panic("stats: Beta quantile probability out of [0,1]")
@@ -88,18 +92,22 @@ func (b Beta) Quantile(p float64) float64 {
 		return 1
 	}
 	lo, hi := 0.0, 1.0
-	for i := 0; i < 200; i++ {
-		mid := (lo + hi) / 2
-		if b.CDF(mid) < p {
-			lo = mid
-		} else {
-			hi = mid
-		}
-		if hi-lo < 1e-13 {
+	clo, chi := 0.0, 1.0
+	for {
+		mid := lo + (hi-lo)/2
+		if mid == lo || mid == hi { // the bracket is two adjacent floats
 			break
 		}
+		if c := b.CDF(mid); c < p {
+			lo, clo = mid, c
+		} else {
+			hi, chi = mid, c
+		}
 	}
-	return (lo + hi) / 2
+	if p-clo < chi-p {
+		return lo
+	}
+	return hi
 }
 
 // CredibleInterval returns the central credible interval covering the

@@ -77,6 +77,15 @@ func TestBetaCDFMatchesSampling(t *testing.T) {
 	}
 }
 
+// TestBetaQuantileInvertsCDF checks that x = Quantile(p) inverts the
+// CDF: |CDF(x) − p| < 1e-9, or p lies within 1e-9 of the CDF bracket at
+// x's two float neighbours. The second arm is needed near x = 1 with a
+// small β, where one float step moves the CDF by more than 1e-9 (about
+// 2.8e-8 at α = 30, β = 0.3, p = 0.999), so no float meets the first.
+// The fixed cases are recorded draws a quantile that stops bisecting at
+// a fixed width in x fails (α = 0.3, β = 25.8, p = 0.01282 returned
+// x ≈ 1.35e-8 with the CDF 3.7e-9 off); the draws are otherwise fresh
+// every run.
 func TestBetaQuantileInvertsCDF(t *testing.T) {
 	f := func(aRaw, bRaw, pRaw uint16) bool {
 		alpha := 0.3 + float64(aRaw%300)/10
@@ -84,7 +93,16 @@ func TestBetaQuantileInvertsCDF(t *testing.T) {
 		p := 0.001 + 0.998*float64(pRaw)/65535
 		b := NewBeta(alpha, beta)
 		x := b.Quantile(p)
-		return math.Abs(b.CDF(x)-p) < 1e-9
+		if math.Abs(b.CDF(x)-p) < 1e-9 {
+			return true
+		}
+		lo, hi := b.CDF(math.Nextafter(x, 0)), b.CDF(math.Nextafter(x, 1))
+		return p > math.Min(lo, hi)-1e-9 && p < math.Max(lo, hi)+1e-9
+	}
+	for _, c := range [][3]uint16{{0x9024, 0xea33, 0x308}} {
+		if !f(c[0], c[1], c[2]) {
+			t.Errorf("Quantile does not invert the CDF at recorded input %#x", c)
+		}
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
