@@ -7,7 +7,8 @@ BENCHES := FullGame G1 Discovery GameScaling SessionRound SessionRoundService Se
 FUZZTIME ?= 5s
 # Package:Target pairs for `make fuzz` (go test -fuzz takes one target
 # per invocation).
-FUZZERS := ./internal/sampling:FuzzParseMethod \
+FUZZERS := ./internal/dataset:FuzzRelationOps \
+           ./internal/sampling:FuzzParseMethod \
            ./internal/sampling:FuzzAgreeClasses \
            ./internal/sampling:FuzzClassSelect \
            ./internal/sampling:FuzzPoolBuild \
@@ -127,6 +128,7 @@ walbench:
 # no-append-before-base and labelpool crash-without-shutdown WAL tests,
 # the late writes (a slow replica's Put, a WAL fold's Put, a resume
 # read's repair Put) that must not land over a newer snapshot, the
+# resume that must read a parked source without unparking it, the
 # restart that must not reuse a stored session id, the compaction that
 # must keep a session's newest mark, the evict and concurrent manager
 # tests that read a parked session's round count, the 64-session
@@ -136,7 +138,7 @@ walbench:
 # sessions).
 chaos:
 	ET_CHAOS=1 $(GO) test -race -count=1 \
-		-run 'TestCrashPointProperty|TestTornWritesNeverCorrupt|TestFault|TestManagerEvictFailure|TestManagerUnparkFailed|TestManagerSweepContinues|TestManagerShutdownKeeps|TestManagerSweepYields|TestManagerNoAppendBeforeBase|TestMultiStorePutWaitsForEveryReplica|TestWalStoreFoldLandsBeforeCheckpoint|TestManagerResumeReadsUnderSourceLock|TestManagerRestartNeverReusesID|TestWalCompactKeepsNewestMark|TestManagerEvictAndTransparentResume|TestManagerConcurrentSessions|TestServerFaultSurface|TestChaos|TestLabelpoolChaos|TestLabelpoolWalCrash' \
+		-run 'TestCrashPointProperty|TestTornWritesNeverCorrupt|TestFault|TestManagerEvictFailure|TestManagerUnparkFailed|TestManagerSweepContinues|TestManagerShutdownKeeps|TestManagerSweepYields|TestManagerNoAppendBeforeBase|TestMultiStorePutWaitsForEveryReplica|TestWalStoreFoldLandsBeforeCheckpoint|TestManagerResumeReadsUnderSourceLock|TestManagerResumeKeepsParkedSourceParked|TestManagerRestartNeverReusesID|TestWalCompactKeepsNewestMark|TestManagerEvictAndTransparentResume|TestManagerConcurrentSessions|TestServerFaultSurface|TestChaos|TestLabelpoolChaos|TestLabelpoolWalCrash' \
 		./internal/persist/... ./internal/service/...
 
 # Corpus-smoke each native fuzz target for FUZZTIME. Failing inputs

@@ -30,20 +30,23 @@ const maxAllocsPerRound = 200
 // maxResidentSessionBytes caps the live heap one resident
 // OMDB-240 session holds after 48 rounds over the service-default
 // 147-hypothesis space — relation, pool and its agree-set class table,
-// beliefs and trajectory. A per-pair violation memo held ~2.2 MiB, and
-// a pool paying 28 bytes per position (a dataset.Pair, a position
-// list, a class id per position) held ~433 KiB.
-const maxResidentSessionBytes = 400 << 10
+// beliefs and trajectory (~229 KB measured). A per-pair violation memo
+// held ~2.2 MiB, a pool paying 28 bytes per position (a dataset.Pair, a
+// position list, a class id per position) ~433 KiB, and second copies
+// of the session's facts — the learner's per-pair label map and the
+// relation's string tuples beside its codes — ~306 KB.
+const maxResidentSessionBytes = 272 << 10
 
 // maxResidentWalSessionBytes caps the live heap one resident session
 // of etperf's durable shape holds when its store is a write-ahead log:
 // OMDB-24, K = 2 and the service's 147-hypothesis space after 40 rounds
 // — the session, its manager entry and the log's committed tail of 40
 // round deltas, of which only the newest keeps the learner's belief
-// (~55 KB measured). A second per-round copy of the rendered round
-// views and a five-event trace per round held ~68 KB, and every delta
-// in the tail keeping its own 147-Beta copy ~181 KB.
-const maxResidentWalSessionBytes = 64 << 10
+// (~46 KB measured). A second per-round copy of the rendered round
+// views and a five-event trace per round held ~68 KB, every delta in
+// the tail keeping its own 147-Beta copy ~181 KB, and the learner's
+// per-pair label map with the relation's string tuples ~55 KB.
+const maxResidentWalSessionBytes = 52 << 10
 
 // serviceSpace is the hypothesis space the session service builds by
 // default: every FD with at most two LHS attributes (147 over OMDB's

@@ -3,7 +3,6 @@ package agents
 import (
 	"exptrain/internal/belief"
 	"exptrain/internal/dataset"
-	"exptrain/internal/fd"
 	"exptrain/internal/sampling"
 	"exptrain/internal/stats"
 )
@@ -22,23 +21,6 @@ type Learner struct {
 	// play, which tracks a drifting annotator more closely than plain
 	// averaging (Young 2004). Zero disables forgetting.
 	ForgetRate float64
-	// history remembers the marks of the last labeling incorporated for
-	// each pair so that revisions (an annotator correcting an earlier
-	// label, Yan et al. 2016) can reverse the old evidence exactly. The
-	// key is the labeling's pair, so the value leaves it out.
-	history map[dataset.Pair]marks
-}
-
-// marks is a labeling without its pair.
-type marks struct {
-	marked    fd.AttrSet
-	abstained bool
-}
-
-func marksOf(lp belief.Labeling) marks { return marks{lp.Marked, lp.Abstained} }
-
-func (m marks) labeling(p dataset.Pair) belief.Labeling {
-	return belief.Labeling{Pair: p, Marked: m.marked, Abstained: m.abstained}
 }
 
 // NewLearner assembles a learner from its prior belief, response
@@ -48,7 +30,6 @@ func NewLearner(prior *belief.Belief, sampler sampling.Sampler, rng *stats.RNG) 
 		belief:  prior,
 		sampler: sampler,
 		rng:     rng,
-		history: make(map[dataset.Pair]marks),
 	}
 }
 
@@ -73,46 +54,27 @@ func (l *Learner) Incorporate(rel *dataset.Relation, labeled []belief.Labeling) 
 		l.belief.Decay(1 - l.ForgetRate)
 	}
 	l.belief.UpdateFromLabelings(rel, labeled, 1)
-	for _, lp := range labeled {
-		l.history[lp.Pair] = marksOf(lp)
-	}
 }
 
 // Revise handles an annotator correcting earlier labels (the relabeling
-// setting of Yan et al. 2016): for each revised pair the previous
-// labeling's evidence is reversed exactly — the conjugate update is
-// additive, so subtraction undoes it — and the new labeling is applied.
-// Pairs never labeled before are incorporated normally.
-func (l *Learner) Revise(rel *dataset.Relation, revised []belief.Labeling) {
-	for _, lp := range revised {
-		if old, ok := l.history[lp.Pair]; ok {
-			if old == marksOf(lp) {
+// setting of Yan et al. 2016). The learner keeps no label memory — the
+// caller's round records hold every labeling — so prev[i] is the
+// labeling revised[i] replaces, the pair's newest one, or nil when the
+// pair was never labeled. A replaced labeling's evidence is reversed
+// exactly — the conjugate update is additive, so subtraction undoes it
+// — and the new labeling is applied; a revision identical to the
+// labeling it replaces is a no-op, and one with nothing to replace is
+// incorporated normally.
+func (l *Learner) Revise(rel *dataset.Relation, revised []belief.Labeling, prev []*belief.Labeling) {
+	for i, lp := range revised {
+		if old := prev[i]; old != nil {
+			if old.Marked == lp.Marked && old.Abstained == lp.Abstained {
 				continue
 			}
-			l.belief.RemoveLabelings(rel, []belief.Labeling{old.labeling(lp.Pair)}, 1)
+			l.belief.RemoveLabelings(rel, []belief.Labeling{*old}, 1)
 		}
 		l.belief.UpdateFromLabelings(rel, []belief.Labeling{lp}, 1)
-		l.history[lp.Pair] = marksOf(lp)
 	}
-}
-
-// RestoreHistory reseeds the labeling memory without touching the
-// belief — used when a session is rebuilt from a snapshot whose belief
-// already contains the labelings' evidence, so that a later revision of
-// a pre-snapshot label still reverses the right evidence.
-func (l *Learner) RestoreHistory(labeled []belief.Labeling) {
-	for _, lp := range labeled {
-		l.history[lp.Pair] = marksOf(lp)
-	}
-}
-
-// LabelHistory returns the learner's last-seen labeling for a pair.
-func (l *Learner) LabelHistory(p dataset.Pair) (belief.Labeling, bool) {
-	m, ok := l.history[p]
-	if !ok {
-		return belief.Labeling{}, false
-	}
-	return m.labeling(p), true
 }
 
 // Belief exposes the learner's current belief.

@@ -141,21 +141,17 @@ func TestLearnerReviseReversesOldEvidence(t *testing.T) {
 
 	// Incorporate a clean labeling (β evidence), then revise to dirty
 	// (no evidence): the belief must return to baseline.
-	l.Incorporate(rel, []belief.Labeling{{Pair: viol}})
+	clean := belief.Labeling{Pair: viol}
+	l.Incorporate(rel, []belief.Labeling{clean})
 	afterClean := l.Belief().Dist(idx)
 	if afterClean.Beta != baseline.Beta+1 {
 		t.Fatalf("clean violation did not add β: %+v", afterClean)
 	}
-	l.Revise(rel, []belief.Labeling{{Pair: viol, Marked: fd.NewAttrSet(target.RHS)}})
+	l.Revise(rel, []belief.Labeling{{Pair: viol, Marked: fd.NewAttrSet(target.RHS)}}, []*belief.Labeling{&clean})
 	restored := l.Belief().Dist(idx)
 	if restored.Alpha != baseline.Alpha || restored.Beta != baseline.Beta {
 		t.Fatalf("revision did not restore baseline: Beta(%v,%v) vs Beta(%v,%v)",
 			restored.Alpha, restored.Beta, baseline.Alpha, baseline.Beta)
-	}
-	// History reflects the latest labeling.
-	lp, ok := l.LabelHistory(viol)
-	if !ok || !lp.Dirty() {
-		t.Fatalf("history = %+v, %v", lp, ok)
 	}
 }
 
@@ -165,7 +161,7 @@ func TestLearnerReviseIdenticalIsNoop(t *testing.T) {
 	lp := belief.Labeling{Pair: dataset.NewPair(0, 3)}
 	l.Incorporate(rel, []belief.Labeling{lp})
 	snapshot := l.Belief().Confidences()
-	l.Revise(rel, []belief.Labeling{lp})
+	l.Revise(rel, []belief.Labeling{lp}, []*belief.Labeling{&lp})
 	for i, v := range l.Belief().Confidences() {
 		if v != snapshot[i] {
 			t.Fatal("identical revision changed the belief")
@@ -177,7 +173,7 @@ func TestLearnerReviseUnseenPairIncorporates(t *testing.T) {
 	rel, space := fixture()
 	l := NewLearner(belief.New(space, stats.NewBeta(2, 2)), sampling.Random{}, stats.NewRNG(1))
 	before := l.Belief().Confidences()
-	l.Revise(rel, []belief.Labeling{{Pair: dataset.NewPair(0, 3)}})
+	l.Revise(rel, []belief.Labeling{{Pair: dataset.NewPair(0, 3)}}, []*belief.Labeling{nil})
 	moved := false
 	for i, v := range l.Belief().Confidences() {
 		if v != before[i] {
@@ -236,13 +232,27 @@ func TestGameWithRelabelingTrainer(t *testing.T) {
 	rt := NewRelabelingTrainer(NewFPTrainer(prior, nil))
 	learner := NewLearner(belief.New(space, stats.NewBeta(1, 1)), sampling.Random{}, rng)
 
+	// last is the caller's memory of each pair's newest labeling, which
+	// Revise reverses.
+	last := make(map[dataset.Pair]belief.Labeling)
 	pairs := dataset.AllPairs(rel.NumRows())
 	for round := 0; round < 6; round++ {
 		batch := pairs[round*5 : round*5+5]
 		rt.Observe(rel, batch)
 		labeled := rt.Label(rel, batch)
 		learner.Incorporate(rel, labeled)
-		learner.Revise(rel, rt.Revisions(rel))
+		for _, lp := range labeled {
+			last[lp.Pair] = lp
+		}
+		revised := rt.Revisions(rel)
+		prev := make([]*belief.Labeling, len(revised))
+		for i, lp := range revised {
+			if old, ok := last[lp.Pair]; ok {
+				prev[i] = &old
+			}
+			last[lp.Pair] = lp
+		}
+		learner.Revise(rel, revised, prev)
 	}
 	// Beliefs must remain valid Betas throughout.
 	for i := 0; i < learner.Belief().Size(); i++ {

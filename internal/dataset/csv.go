@@ -58,7 +58,11 @@ func (r *Relation) WriteCSV(w io.Writer) error {
 	if err := cw.Write(r.schema.names); err != nil {
 		return fmt.Errorf("dataset: writing CSV header: %w", err)
 	}
-	for i, t := range r.rows {
+	t := make(Tuple, len(r.cols))
+	for i := 0; i < r.NumRows(); i++ {
+		for j, c := range r.cols {
+			t[j] = c.vals[c.codes[i]]
+		}
 		if err := cw.Write(t); err != nil {
 			return fmt.Errorf("dataset: writing CSV row %d: %w", i, err)
 		}

@@ -5,18 +5,19 @@
 // (§C.1 holds out 30% of every dataset for F1 measurement).
 //
 // Functional dependencies only ever compare cell values for equality, so
-// cells are stored as strings; numeric data keeps its textual form. This
-// matches how FD discovery systems (TANE, CORDS) treat relations.
+// values are strings; numeric data keeps its textual form. This matches
+// how FD discovery systems (TANE, CORDS) treat relations.
 //
-// Alongside the string cells every relation maintains a dictionary
-// encoding: each column interns its values to dense int32 codes
-// (first-seen order) kept in sync through Append, SetValue, Subset,
-// Clone and Project. Two cells of a column are equal iff their codes
-// are equal, so the FD hot paths (partitioning, pair classification,
-// minority detection) run on integer compares and counting arrays
-// instead of string concatenation and string-keyed maps. Mutations bump
-// a version counter that downstream caches (fd.PLICache) use for
-// invalidation.
+// A relation stores each cell once, as a dictionary code: each column
+// interns its values to dense int32 codes (first-seen order) and keeps
+// one copy of each distinct value, so a cell's string is decoded on
+// read (Value, Row). Append, SetValue, Subset, Clone and Project keep
+// the codes dense and first-seen. Two cells of a column are equal iff
+// their codes are equal, so the FD hot paths (partitioning, pair
+// classification, minority detection) run on integer compares and
+// counting arrays instead of string concatenation and string-keyed
+// maps. Mutations bump a version counter that downstream caches
+// (fd.PLICache) use for invalidation.
 package dataset
 
 import (
@@ -111,10 +112,10 @@ type Tuple []string
 // Clone returns a deep copy of the tuple.
 func (t Tuple) Clone() Tuple { return append(Tuple(nil), t...) }
 
-// column is the dictionary encoding of one attribute: codes[i] is the
-// dense int32 code of rows[i]'s value, vals decodes codes back to
-// strings, and index interns new values. Codes are assigned in
-// first-seen order and are local to one relation.
+// column is one attribute's cells: codes[i] is the dense int32 code of
+// row i's value, vals decodes codes back to strings, and index interns
+// new values. Codes are assigned in first-seen order and are local to
+// one relation.
 type column struct {
 	index map[string]int32
 	vals  []string
@@ -135,6 +136,31 @@ func (c *column) intern(v string) int32 {
 	c.index[v] = code
 	c.vals = append(c.vals, v)
 	return code
+}
+
+// recoded returns a column over cells, given as codes of c, renumbered
+// densely in first-seen order: the codes interning the cells' values
+// one by one into a fresh column assigns. It rewrites cells in place and
+// keeps it as the new column's codes.
+func (c *column) recoded(cells []int32) *column {
+	out := newColumn()
+	remap := make([]int32, len(c.vals))
+	for code := range remap {
+		remap[code] = -1
+	}
+	for i, code := range cells {
+		nc := remap[code]
+		if nc < 0 {
+			nc = int32(len(out.vals))
+			remap[code] = nc
+			v := c.vals[code]
+			out.index[v] = nc
+			out.vals = append(out.vals, v)
+		}
+		cells[i] = nc
+	}
+	out.codes = cells
+	return out
 }
 
 func (c *column) clone() *column {
@@ -171,10 +197,9 @@ const maxJournal = 4096
 
 // Relation is a schema plus rows. Rows are identified by their index,
 // which the game, sampling, and error-generation layers use as stable
-// tuple IDs.
+// tuple IDs. The cells live in the columns, one code each.
 type Relation struct {
 	schema *Schema
-	rows   []Tuple
 	cols   []*column
 	// version counts mutations (Append/SetValue); partition caches use
 	// it to detect staleness.
@@ -200,15 +225,16 @@ func New(schema *Schema) *Relation {
 // Schema returns the relation's schema.
 func (r *Relation) Schema() *Schema { return r.schema }
 
-// NumRows returns the number of tuples.
-func (r *Relation) NumRows() int { return len(r.rows) }
+// NumRows returns the number of tuples. A schema has at least one
+// attribute, so the first column counts them.
+func (r *Relation) NumRows() int { return len(r.cols[0].codes) }
 
-// Append adds a tuple, validating its arity.
+// Append adds a tuple, validating its arity. The relation keeps the
+// tuple's values, not the tuple.
 func (r *Relation) Append(t Tuple) error {
 	if len(t) != r.schema.Arity() {
 		return fmt.Errorf("dataset: tuple arity %d does not match schema arity %d", len(t), r.schema.Arity())
 	}
-	r.rows = append(r.rows, t)
 	for j, v := range t {
 		c := r.cols[j]
 		c.codes = append(c.codes, c.intern(v))
@@ -228,14 +254,21 @@ func (r *Relation) MustAppend(t Tuple) {
 	}
 }
 
-// Row returns the tuple at index i. The returned slice is the live row;
-// it must be treated as read-only — writes must go through SetValue so
-// the dictionary encoding stays in sync (Clone the tuple to scribble on
-// it).
-func (r *Relation) Row(i int) Tuple { return r.rows[i] }
+// Row returns a fresh decoded copy of the tuple at index i; writing to
+// it leaves the relation unchanged (cells change through SetValue).
+func (r *Relation) Row(i int) Tuple {
+	t := make(Tuple, len(r.cols))
+	for j, c := range r.cols {
+		t[j] = c.vals[c.codes[i]]
+	}
+	return t
+}
 
 // Value returns the cell at row i, attribute position j.
-func (r *Relation) Value(i, j int) string { return r.rows[i][j] }
+func (r *Relation) Value(i, j int) string {
+	c := r.cols[j]
+	return c.vals[c.codes[i]]
+}
 
 // SetValue overwrites one cell; used by the error generator and the
 // revision path. It is the only sanctioned cell-mutation path: it keeps
@@ -245,7 +278,6 @@ func (r *Relation) Value(i, j int) string { return r.rows[i][j] }
 func (r *Relation) SetValue(i, j int, v string) {
 	c := r.cols[j]
 	old := c.codes[i]
-	r.rows[i][j] = v
 	nc := c.intern(v)
 	c.codes[i] = nc
 	r.version++
@@ -300,10 +332,7 @@ func (r *Relation) DeltasSince(v uint64) ([]CellDelta, bool) {
 // dictionaries are copied too, so the two relations can diverge (and be
 // mutated from different goroutines) independently.
 func (r *Relation) Clone() *Relation {
-	c := &Relation{schema: r.schema, rows: make([]Tuple, len(r.rows)), cols: make([]*column, len(r.cols))}
-	for i, t := range r.rows {
-		c.rows[i] = t.Clone()
-	}
+	c := &Relation{schema: r.schema, cols: make([]*column, len(r.cols))}
 	for j, col := range r.cols {
 		c.cols[j] = col.clone()
 	}
@@ -325,7 +354,7 @@ func (r *Relation) ProjectKey(row int, attrs []int) string {
 		if k > 0 {
 			b.WriteByte(0x1f)
 		}
-		b.WriteString(r.rows[row][a])
+		b.WriteString(r.Value(row, a))
 	}
 	return b.String()
 }
@@ -363,7 +392,8 @@ func (r *Relation) EqualOn(i, j int, attrs []int) bool {
 // given order), copying every row's projection. It errors on unknown
 // attribute names. The user-study scenarios present participants with a
 // projection of the full dataset (Table 2 lists per-scenario attribute
-// subsets).
+// subsets). Like Subset, it renumbers each column's codes densely over
+// the values its rows hold.
 func (r *Relation) Project(names ...string) (*Relation, error) {
 	schema, err := NewSchema(names...)
 	if err != nil {
@@ -377,26 +407,31 @@ func (r *Relation) Project(names ...string) (*Relation, error) {
 		}
 		attrs[i] = j
 	}
-	out := New(schema)
-	for i := 0; i < r.NumRows(); i++ {
-		t := make(Tuple, len(attrs))
-		for k, a := range attrs {
-			t[k] = r.rows[i][a]
-		}
-		out.MustAppend(t)
+	out := &Relation{schema: schema, cols: make([]*column, len(attrs))}
+	for k, a := range attrs {
+		c := r.cols[a]
+		out.cols[k] = c.recoded(append([]int32(nil), c.codes...))
 	}
+	out.version = uint64(r.NumRows()) // as if appended row by row
+	out.journalStart = out.version
 	return out, nil
 }
 
 // Subset returns a new relation holding copies of the rows at the given
-// indices, in the given order. The subset re-interns its values, so its
-// codes are dense over the rows it actually holds.
+// indices, in the given order. Its codes are dense over the rows it
+// actually holds, numbered in first-seen order, as appending the rows
+// one by one would number them.
 func (r *Relation) Subset(rowIdx []int) *Relation {
-	sub := New(r.schema)
-	sub.rows = make([]Tuple, 0, len(rowIdx))
-	for _, i := range rowIdx {
-		sub.MustAppend(r.rows[i].Clone())
+	sub := &Relation{schema: r.schema, cols: make([]*column, len(r.cols))}
+	for j, c := range r.cols {
+		cells := make([]int32, len(rowIdx))
+		for k, i := range rowIdx {
+			cells[k] = c.codes[i]
+		}
+		sub.cols[j] = c.recoded(cells)
 	}
+	sub.version = uint64(len(rowIdx)) // as if appended row by row
+	sub.journalStart = sub.version
 	return sub
 }
 

@@ -74,19 +74,68 @@ func (e *roundEngine) believedModel() []fd.FD {
 	return e.learner.Belief().BelievedFDs(e.believedTau)
 }
 
+// previous finds the labeling each revision replaces: the pair's
+// newest labeling, or nil when the pair was never labeled. Newest first
+// is an earlier revision of the same pair in this call, then this
+// round's labeled, then each earlier record's revisions and labelings,
+// newest record first — so a pair revised twice in one call sees its
+// first revision. One backward pass over the records, stopping once
+// every pair is found, serves all the revisions; a round without
+// revisions makes none. The returned pointers alias labeled, revisions
+// and the records' labelings, which are never modified.
+func (e *roundEngine) previous(labeled, revisions []belief.Labeling) []*belief.Labeling {
+	if len(revisions) == 0 {
+		return nil
+	}
+	prev := make([]*belief.Labeling, len(revisions))
+	// open maps each revised pair to the revision whose previous
+	// labeling the pass has yet to meet: walking back through the call,
+	// an earlier revision of the pair is the previous one of the later,
+	// and the pair's first revision looks further back.
+	open := make(map[dataset.Pair]int, len(revisions))
+	for i := len(revisions) - 1; i >= 0; i-- {
+		if j, ok := open[revisions[i].Pair]; ok {
+			prev[j] = &revisions[i]
+		}
+		open[revisions[i].Pair] = i
+	}
+	found := func(ls []belief.Labeling) bool {
+		for k := len(ls) - 1; k >= 0; k-- {
+			if i, ok := open[ls[k].Pair]; ok {
+				prev[i] = &ls[k]
+				delete(open, ls[k].Pair)
+				if len(open) == 0 {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	if found(labeled) {
+		return prev
+	}
+	for t := len(e.records) - 1; t >= 0; t-- {
+		if found(e.records[t].Revisions) || found(e.records[t].Labeled) {
+			break
+		}
+	}
+	return prev
+}
+
 // step completes one interaction: the annotator's labelings (and any
 // revisions of earlier labels) are folded into the learner's belief —
-// revisions through the exact-reversal path — then the round is
-// measured (MAE and trainer payoff against the annotator-side belief,
-// optional held-out detection score), recorded in the action
-// frequencies, and appended to the trajectory. Observer events fire in
-// protocol order around each phase.
-func (e *roundEngine) step(presented []dataset.Pair, labeled, revisions []belief.Labeling) IterationRecord {
+// revisions through the exact-reversal path, each against prev, the
+// labeling it replaces (previous) — then the round is measured (MAE and
+// trainer payoff against the annotator-side belief, optional held-out
+// detection score), recorded in the action frequencies, and appended
+// to the trajectory. Observer events fire in protocol order around
+// each phase.
+func (e *roundEngine) step(presented []dataset.Pair, labeled, revisions []belief.Labeling, prev []*belief.Labeling) IterationRecord {
 	t := e.round()
 	e.obs.RoundSubmitted(t, labeled, revisions)
 	e.learner.Incorporate(e.rel, labeled)
 	if len(revisions) > 0 {
-		e.learner.Revise(e.rel, revisions)
+		e.learner.Revise(e.rel, revisions, prev)
 	}
 	e.obs.BeliefUpdated(t, e.learner.Belief())
 
@@ -111,16 +160,13 @@ func (e *roundEngine) step(presented []dataset.Pair, labeled, revisions []belief
 }
 
 // restore reloads a previously recorded trajectory (a resumed
-// snapshot): records are appended as-is, the action frequencies are
-// replayed, and the learner's labeling history is reseeded so future
-// revisions of pre-snapshot labels reverse the right evidence. No
-// belief updates happen — the snapshot's belief already contains the
-// rounds' evidence.
+// snapshot): records are appended as-is and the action frequencies are
+// replayed. The records are all a later revision of a pre-snapshot
+// label needs (previous). No belief updates happen — the snapshot's
+// belief already contains the rounds' evidence.
 func (e *roundEngine) restore(records []IterationRecord) {
 	for _, rec := range records {
 		e.freqs.Record(rec.Labeled)
-		e.learner.RestoreHistory(rec.Labeled)
-		e.learner.RestoreHistory(rec.Revisions)
 	}
 	e.records = append(e.records, records...)
 }

@@ -140,9 +140,9 @@ func TestSessionRevisionSubmission(t *testing.T) {
 	if len(recs[1].Labeled) != len(second) {
 		t.Fatalf("round 2 labeled %d pairs, want %d", len(recs[1].Labeled), len(second))
 	}
-	// The learner's memory now holds the corrected label.
-	if got, ok := s.eng.learner.LabelHistory(first[0]); !ok || got != revised {
-		t.Fatalf("LabelHistory(%v) = %v, %v", first[0], got, ok)
+	// The records now hold the corrected label as the pair's newest.
+	if prev := s.eng.previous(nil, []belief.Labeling{{Pair: first[0]}}); prev[0] == nil || *prev[0] != revised {
+		t.Fatalf("previous(%v) = %v", first[0], prev[0])
 	}
 	// Belief actually moved from the post-round-1 state (reversal plus
 	// new evidence).
@@ -282,8 +282,8 @@ func TestSessionResumeKeepsRecords(t *testing.T) {
 		}
 	}
 	// A post-resume revision of a pre-snapshot label goes through the
-	// exact-reversal path (RestoreHistory reseeded the memory) instead
-	// of erroring as an unknown pair.
+	// exact-reversal path (the restored records hold its labeling)
+	// instead of erroring as an unknown pair.
 	target := orig[0].Labeled[0]
 	if _, err := resumed.Next(); err != nil {
 		t.Fatal(err)

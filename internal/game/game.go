@@ -195,7 +195,7 @@ func RunContext(ctx context.Context, rel *dataset.Relation, trainer agents.Train
 		if rl, ok := trainer.(agents.Relabeler); ok {
 			revisions = rl.Revisions(rel)
 		}
-		s.finishRound(labeled, revisions)
+		s.finishRound(labeled, revisions, s.eng.previous(labeled, revisions))
 	}
 	return &Result{Iterations: s.eng.records, Frequencies: s.eng.freqs}, nil
 }

@@ -207,20 +207,32 @@ func (s *Session) SubmitContext(ctx context.Context, labeled []belief.Labeling) 
 		allowed[p] = struct{}{}
 	}
 	var fresh, revisions []belief.Labeling
-	for _, lp := range labeled {
-		if _, dup := seen[lp.Pair]; dup {
-			return fmt.Errorf("game: duplicate labeling for pair %v", lp.Pair)
+	dup := -1
+	for i, lp := range labeled {
+		if _, ok := seen[lp.Pair]; ok {
+			dup = i
+			break
 		}
 		seen[lp.Pair] = struct{}{}
 		if _, ok := allowed[lp.Pair]; ok {
 			fresh = append(fresh, lp)
-			continue
-		}
-		if _, before := s.eng.learner.LabelHistory(lp.Pair); before {
+		} else {
 			revisions = append(revisions, lp)
-			continue
 		}
-		return fmt.Errorf("game: labeling for pair %v which was neither presented this round nor labeled before", lp.Pair)
+	}
+	// Every labeling before the first duplicate that is not pending must
+	// revise a pair an earlier round labeled; the first that does not
+	// comes before the duplicate, so it is the error. A pending pair is
+	// never in an earlier record, so the round's own labelings cannot
+	// hold a revision's previous labeling.
+	prev := s.eng.previous(nil, revisions)
+	for i, p := range prev {
+		if p == nil {
+			return fmt.Errorf("game: labeling for pair %v which was neither presented this round nor labeled before", revisions[i].Pair)
+		}
+	}
+	if dup >= 0 {
+		return fmt.Errorf("game: duplicate labeling for pair %v", labeled[dup].Pair)
 	}
 	full := fresh
 	for _, p := range s.pending {
@@ -228,7 +240,7 @@ func (s *Session) SubmitContext(ctx context.Context, labeled []belief.Labeling) 
 			full = append(full, belief.Labeling{Pair: p, Abstained: true})
 		}
 	}
-	s.finishRound(full, revisions)
+	s.finishRound(full, revisions, prev)
 	return nil
 }
 
@@ -267,10 +279,11 @@ func (s *Session) SubmitBatch(ctx context.Context, batch [][]belief.Labeling) (a
 
 // finishRound runs the shared engine step for the pending round and
 // clears it. Callers own validation: Submit splits user input into
-// fresh labels and revisions; the Run driver passes the simulated
-// trainer's output directly.
-func (s *Session) finishRound(labeled, revisions []belief.Labeling) IterationRecord {
-	rec := s.eng.step(s.pending, labeled, revisions)
+// fresh labels and revisions and finds the labelings the revisions
+// replace; the Run driver passes the simulated trainer's output
+// directly.
+func (s *Session) finishRound(labeled, revisions []belief.Labeling, prev []*belief.Labeling) IterationRecord {
+	rec := s.eng.step(s.pending, labeled, revisions, prev)
 	s.pending = nil
 	return rec
 }

@@ -539,3 +539,105 @@ func TestManagerResumeReadsUnderSourceLock(t *testing.T) {
 		t.Fatalf("gated replica holds %d rounds, want the checkpoint's 2", len(snap.History))
 	}
 }
+
+// TestManagerResumeKeepsParkedSourceParked: resuming from a parked
+// session reads its snapshot without unparking it. The source stays
+// parked, no other session is evicted to make room for it, and a
+// request that would unpark it waits until the read (with the replica
+// repair Put it makes) is done.
+func TestManagerResumeKeepsParkedSourceParked(t *testing.T) {
+	ctx := context.Background()
+	m := NewManager(Options{})
+	src, err := m.Create(ctx, testSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	playRound(t, m, src.ID)
+	if err := m.Evict(ctx, src.ID); err != nil {
+		t.Fatal(err)
+	}
+	if h := m.Health(); h.Live != 0 || h.Parked != 1 {
+		t.Fatalf("before the resume: live=%d parked=%d, want 0 and 1", h.Live, h.Parked)
+	}
+	if _, err := m.Resume(ctx, src.ID, testSpec()); err != nil {
+		t.Fatal(err)
+	}
+	if h := m.Health(); h.Live != 1 || h.Parked != 1 {
+		t.Fatalf("after the resume: live=%d parked=%d, want 1 and 1 (the source stays parked)", h.Live, h.Parked)
+	}
+
+	// At MaxSessions, the resumed session takes the one free slot: the
+	// other live session is not evicted for the source.
+	full := NewManager(Options{MaxSessions: 2})
+	src, err = full.Create(ctx, testSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	playRound(t, full, src.ID)
+	other, err := full.Create(ctx, testSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := full.Evict(ctx, src.ID); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := full.Resume(ctx, src.ID, testSpec()); err != nil {
+		t.Fatal(err)
+	}
+	if info, err := full.Get(ctx, other.ID); err != nil || info.Parked {
+		t.Fatalf("the other session: %+v, %v; want it live", info, err)
+	}
+	if h := full.Health(); h.Live != 2 || h.Parked != 1 {
+		t.Fatalf("at capacity: live=%d parked=%d, want 2 and 1", h.Live, h.Parked)
+	}
+
+	// Over a replica set, the read repairs a replica that lost the
+	// snapshot; a request for the parked source waits for that Put.
+	gate := &repairGate{Store: persist.NewMemStore(), held: make(chan struct{}), release: make(chan struct{})}
+	ms, err := persist.NewMultiStore([]persist.Store{persist.NewMemStore(), persist.NewMemStore(), gate}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rm := NewManager(Options{Store: ms, Retry: RetryPolicy{MaxAttempts: 1}})
+	src, err = rm.Create(ctx, testSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	playRound(t, rm, src.ID)
+	if err := rm.Evict(ctx, src.ID); err != nil {
+		t.Fatal(err)
+	}
+	if err := gate.Store.Delete(ctx, src.ID); err != nil {
+		t.Fatal(err)
+	}
+	gate.armed.Store(true)
+	resumed := make(chan error, 1)
+	go func() {
+		_, err := rm.Resume(ctx, src.ID, testSpec())
+		resumed <- err
+	}()
+	<-gate.held // the repair Put is in flight
+	unparked := make(chan error, 1)
+	go func() {
+		_, err := rm.Next(ctx, src.ID)
+		unparked <- err
+	}()
+	select {
+	case err := <-unparked:
+		t.Fatalf("the source unparked (err %v) while the resume's read was in flight", err)
+	case <-time.After(200 * time.Millisecond):
+	}
+	if info, err := rm.Get(ctx, src.ID); err != nil || !info.Parked || info.Rounds != 1 {
+		t.Fatalf("source during the read: %+v, %v; want parked with 1 round", info, err)
+	}
+	close(gate.release)
+	if err := <-resumed; err != nil {
+		t.Fatalf("resume: %v", err)
+	}
+	if err := <-unparked; err != nil {
+		t.Fatalf("next on the source after the read: %v", err)
+	}
+	if h := rm.Health(); h.Live != 2 || h.Parked != 0 {
+		t.Fatalf("after both: live=%d parked=%d, want 2 and 0", h.Live, h.Parked)
+	}
+}

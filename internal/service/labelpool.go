@@ -1,10 +1,14 @@
 package service
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 
 	"exptrain/internal/belief"
@@ -64,11 +68,40 @@ type Ticket struct {
 // older ones age out FIFO and then poll as ErrTicketNotFound.
 const ticketHistory = 256
 
-// poolItem is one queued submission with its ticket.
+// poolItem is one queued submission with its ticket's sequence number.
 type poolItem struct {
-	round    int
-	labeled  []belief.Labeling
-	ticketID string
+	round   int
+	labeled []belief.Labeling
+	ticket  uint64
+}
+
+// ticketRec is one remembered ticket, stored by value: the ticket with
+// id "t<seq>" for round, in state, with err's reason once it failed.
+type ticketRec struct {
+	seq   uint64
+	round int
+	state TicketState
+	err   string
+}
+
+// ticket renders the record as the receipt clients see.
+func (r *ticketRec) ticket() Ticket {
+	return Ticket{ID: "t" + strconv.FormatUint(r.seq, 10), Round: r.round, State: r.state, Error: r.err}
+}
+
+// parseTicketID returns the sequence number a ticket id names. Ids are
+// minted canonical — "t" and the number in decimal, without sign or
+// leading zeros — and any other spelling names no ticket.
+func parseTicketID(id string) (uint64, bool) {
+	digits, ok := strings.CutPrefix(id, "t")
+	if !ok {
+		return 0, false
+	}
+	seq, err := strconv.ParseUint(digits, 10, 64)
+	if err != nil || strconv.FormatUint(seq, 10) != digits {
+		return 0, false
+	}
+	return seq, true
 }
 
 // labelPool is one session's admission queue. Only a holder of the
@@ -81,48 +114,48 @@ type labelPool struct {
 	// queue holds pending submissions sorted by round; guarded by mu.
 	// Between requests it holds only rounds waiting behind a gap.
 	queue []poolItem
-	// tickets indexes every remembered ticket; guarded by mu.
-	tickets map[string]*Ticket
-	// order is the tickets' FIFO eviction order; guarded by mu.
-	order []string
+	// tickets holds every remembered ticket in seq order, which is the
+	// order they were minted and the order they age out; guarded by mu.
+	tickets []ticketRec
 	// seq numbers tickets; guarded by mu.
 	seq uint64
 }
 
-// newTicketLocked mints a queued ticket, aging out old terminal ones.
-func (p *labelPool) newTicketLocked(round int) *Ticket {
+// newTicketLocked mints a queued ticket and returns its sequence
+// number, aging out the oldest terminal tickets beyond ticketHistory.
+func (p *labelPool) newTicketLocked(round int) uint64 {
 	p.seq++
-	t := &Ticket{ID: fmt.Sprintf("t%d", p.seq), Round: round, State: TicketQueued}
-	p.tickets[t.ID] = t
-	p.order = append(p.order, t.ID)
-	for len(p.order) > ticketHistory {
-		drop := -1
-		for i, id := range p.order {
-			if p.tickets[id].State != TicketQueued {
-				drop = i
-				break
-			}
-		}
+	p.tickets = append(p.tickets, ticketRec{seq: p.seq, round: round, state: TicketQueued})
+	for len(p.tickets) > ticketHistory {
+		drop := slices.IndexFunc(p.tickets, func(t ticketRec) bool { return t.state != TicketQueued })
 		if drop < 0 {
 			break // everything queued (bounded by MaxQueuedSubmissions)
 		}
-		delete(p.tickets, p.order[drop])
-		p.order = append(p.order[:drop], p.order[drop+1:]...)
+		p.tickets = slices.Delete(p.tickets, drop, drop+1)
 	}
-	return t
+	return p.seq
+}
+
+// ticketLocked finds a remembered ticket by its sequence number.
+func (p *labelPool) ticketLocked(seq uint64) (*ticketRec, bool) {
+	i, ok := slices.BinarySearchFunc(p.tickets, seq, func(t ticketRec, seq uint64) int { return cmp.Compare(t.seq, seq) })
+	if !ok {
+		return nil, false
+	}
+	return &p.tickets[i], true
 }
 
 // resolveLocked moves a ticket to its terminal state: applied when err
 // is nil, failed with err's reason otherwise.
-func (p *labelPool) resolveLocked(id string, err error) {
-	t, ok := p.tickets[id]
+func (p *labelPool) resolveLocked(seq uint64, err error) {
+	t, ok := p.ticketLocked(seq)
 	if !ok {
 		return
 	}
-	t.State = TicketApplied
+	t.state = TicketApplied
 	if err != nil {
-		t.State = TicketFailed
-		t.Error = err.Error()
+		t.state = TicketFailed
+		t.err = err.Error()
 	}
 }
 
@@ -134,7 +167,7 @@ func (m *Manager) poolFor(id string) *labelPool {
 	defer m.poolMu.Unlock()
 	p, ok := m.pools[id]
 	if !ok {
-		p = &labelPool{tickets: make(map[string]*Ticket)}
+		p = &labelPool{}
 		m.pools[id] = p
 	}
 	return p
@@ -194,10 +227,10 @@ func (m *Manager) EnqueueSubmissions(ctx context.Context, id string, subs []Subm
 		return nil, fmt.Errorf("%w: %d queued, batch of %d exceeds the bound of %d",
 			ErrSubmissionBacklog, len(p.queue), len(subs), m.opts.MaxQueuedSubmissions)
 	}
-	issued := make([]*Ticket, len(subs))
+	issued := make([]uint64, len(subs))
 	for i, s := range subs {
 		issued[i] = p.newTicketLocked(s.Round)
-		p.queue = append(p.queue, poolItem{round: s.Round, labeled: s.Labels, ticketID: issued[i].ID})
+		p.queue = append(p.queue, poolItem{round: s.Round, labeled: s.Labels, ticket: issued[i]})
 	}
 	sort.Slice(p.queue, func(i, j int) bool { return p.queue[i].round < p.queue[j].round })
 	p.mu.Unlock()
@@ -207,8 +240,12 @@ func (m *Manager) EnqueueSubmissions(ctx context.Context, id string, subs []Subm
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	out := make([]Ticket, len(issued))
-	for i, t := range issued {
-		out[i] = *t
+	for i, seq := range issued {
+		// Aging runs only when a ticket is minted and skips queued ones;
+		// only this request, under the entry lock, mints, and its
+		// tickets were all queued while it did.
+		t, _ := p.ticketLocked(seq)
+		out[i] = t.ticket()
 	}
 	return out, nil
 }
@@ -273,8 +310,8 @@ func (m *Manager) applyQueued(ctx context.Context, e *entry) {
 	}
 
 	type outcome struct {
-		ticketID string
-		err      error // nil: applied
+		ticket uint64
+		err    error // nil: applied
 	}
 	var done []outcome
 	var run, tail, rest []poolItem
@@ -282,7 +319,7 @@ func (m *Manager) applyQueued(ctx context.Context, e *entry) {
 	for _, it := range items { // sorted by round
 		switch {
 		case it.round < cur:
-			done = append(done, outcome{it.ticketID, replayErr(e, it.round, it.labeled)})
+			done = append(done, outcome{it.ticket, replayErr(e, it.round, it.labeled)})
 		case it.round == cur+len(run):
 			run = append(run, it)
 		default:
@@ -299,9 +336,9 @@ func (m *Manager) applyQueued(ctx context.Context, e *entry) {
 		for i, it := range run {
 			switch {
 			case i < applied:
-				done = append(done, outcome{it.ticketID, nil})
+				done = append(done, outcome{it.ticket, nil})
 			case i == applied || exhausted:
-				done = append(done, outcome{it.ticketID, err})
+				done = append(done, outcome{it.ticket, err})
 			default:
 				// A later round may still apply once the failed round
 				// is resubmitted.
@@ -311,7 +348,7 @@ func (m *Manager) applyQueued(ctx context.Context, e *entry) {
 		if exhausted {
 			// The session is complete: nothing queued can ever apply.
 			for _, it := range rest {
-				done = append(done, outcome{it.ticketID, err})
+				done = append(done, outcome{it.ticket, err})
 			}
 			rest = nil
 		}
@@ -321,7 +358,7 @@ func (m *Manager) applyQueued(ctx context.Context, e *entry) {
 	if p != nil {
 		p.mu.Lock()
 		for _, o := range done {
-			p.resolveLocked(o.ticketID, o.err)
+			p.resolveLocked(o.ticket, o.err)
 		}
 		p.queue = append(tail, rest...)
 		p.mu.Unlock()
@@ -340,13 +377,17 @@ func (m *Manager) Ticket(ctx context.Context, id, ticketID string) (Ticket, erro
 	if !ok {
 		return Ticket{}, fmt.Errorf("%w: session %q has no submission queue", ErrTicketNotFound, id)
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	t, ok := p.tickets[ticketID]
+	seq, ok := parseTicketID(ticketID)
 	if !ok {
 		return Ticket{}, fmt.Errorf("%w: %q", ErrTicketNotFound, ticketID)
 	}
-	return *t, nil
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	t, ok := p.ticketLocked(seq)
+	if !ok {
+		return Ticket{}, fmt.Errorf("%w: %q", ErrTicketNotFound, ticketID)
+	}
+	return t.ticket(), nil
 }
 
 // peekPool returns the session's labelpool without creating one.

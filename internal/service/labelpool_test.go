@@ -621,3 +621,52 @@ func TestLabelpoolChaosZeroLoss(t *testing.T) {
 		}
 	}
 }
+
+// TestLabelpoolTicketsAgeOut pins the ticket memory's bound: once more
+// than 256 tickets are held, minting one ages out the oldest terminal
+// ticket, never a queued one, and the aged-out id polls as
+// ErrTicketNotFound like an id never minted.
+func TestLabelpoolTicketsAgeOut(t *testing.T) {
+	m := NewManager(Options{})
+	ctx := context.Background()
+	info, err := m.Create(ctx, testSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// t1 waits behind a gap for the whole test.
+	if tks, err := m.EnqueueSubmissions(ctx, info.ID, abstainWindow(3, 4)); err != nil || tks[0].ID != "t1" || tks[0].State != TicketQueued {
+		t.Fatalf("gap enqueue: %+v, %v", tks, err)
+	}
+	// t2 applies round 0; t3 … t257 replay it, each applying as an
+	// identical replay: 256 terminal tickets.
+	for n := 2; n <= 257; n++ {
+		tks, err := m.EnqueueSubmissions(ctx, info.ID, abstainWindow(0, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := fmt.Sprintf("t%d", n); tks[0].ID != want || tks[0].State != TicketApplied {
+			t.Fatalf("ticket %+v, want %s applied", tks[0], want)
+		}
+		// Before t257 the pool holds at most 256 tickets: none aged out.
+		if n == 256 {
+			readTicket(t, m, info.ID, "t2")
+		}
+	}
+	if tk := readTicket(t, m, info.ID, "t1"); tk.State != TicketQueued || tk.Round != 3 {
+		t.Fatalf("the queued ticket aged out or changed: %+v", tk)
+	}
+	if _, err := m.Ticket(ctx, info.ID, "t2"); !errors.Is(err, ErrTicketNotFound) {
+		t.Fatalf("the oldest terminal ticket after the 257th: err = %v, want ErrTicketNotFound", err)
+	}
+	for _, id := range []string{"t3", "t257"} {
+		if tk := readTicket(t, m, info.ID, id); tk.State != TicketApplied || tk.Round != 0 {
+			t.Fatalf("%s = %+v, want applied for round 0", id, tk)
+		}
+	}
+	// Only canonical spellings of minted ids name tickets.
+	for _, id := range []string{"t01", "t", "t-1", "t+1", "x1", "T1", "t258", "t0", "t18446744073709551616", "t99999999999999999999999"} {
+		if tk, err := m.Ticket(ctx, info.ID, id); !errors.Is(err, ErrTicketNotFound) {
+			t.Errorf("Ticket(%q) = %+v, %v; want ErrTicketNotFound", id, tk, err)
+		}
+	}
+}

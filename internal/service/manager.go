@@ -416,11 +416,12 @@ func (m *Manager) Create(ctx context.Context, spec Spec) (Info, error) {
 // spec.Source, which must describe the same data. The new session gets
 // a new id.
 //
-// When this manager hosts the source session, live or parked, the
-// snapshot is read under that session's entry lock (acquire unparks a
-// parked one): a replicated store's read can Put the winning copy onto
-// a stale replica, and the entry lock is what keeps that write from
-// overlapping the session's own checkpoints and appends.
+// When this manager hosts the source session, the snapshot is read
+// while the source is held: a live source under its entry lock, a
+// parked one under a hold that makes unparking it wait (holdSource). A
+// replicated store's read can Put the winning copy onto a stale
+// replica, and the hold is what keeps that write from overlapping the
+// session's own checkpoints and appends.
 func (m *Manager) Resume(ctx context.Context, snapshotID string, spec Spec) (Info, error) {
 	if err := ctx.Err(); err != nil {
 		return Info{}, err
@@ -433,19 +434,73 @@ func (m *Manager) Resume(ctx context.Context, snapshotID string, spec Spec) (Inf
 }
 
 // loadSource reads a resume's source snapshot from the store, holding
-// the source's entry lock when this manager hosts it.
+// the source when this manager hosts it.
 func (m *Manager) loadSource(ctx context.Context, id string) (*persist.Snapshot, error) {
-	if e, err := m.acquire(ctx, id); err == nil {
-		defer e.mu.Unlock()
-	} else if !errors.Is(err, ErrSessionNotFound) {
+	release, err := m.holdSource(ctx, id)
+	if err != nil {
 		return nil, err
 	}
+	defer release()
 	var snap *persist.Snapshot
-	err := m.storeRetry(ctx, "loading snapshot "+id, func(ctx context.Context) (err error) {
+	err = m.storeRetry(ctx, "loading snapshot "+id, func(ctx context.Context) (err error) {
 		snap, err = m.store.Get(ctx, id)
 		return err
 	})
 	return snap, err
+}
+
+// holdSource holds session id for a resume's read of its snapshot and
+// returns the release. A live session is held by its entry lock. A
+// parked one stays parked — its session is not built and nothing is
+// evicted for it — and is held by its parked record's hold: unparking
+// it, or holding it again, waits until the release. An id this manager
+// does not host needs no hold.
+func (m *Manager) holdSource(ctx context.Context, id string) (release func(), err error) {
+	for {
+		m.mu.Lock()
+		e, live := m.live[id]
+		p, parked := m.parked[id]
+		switch {
+		case live:
+			m.mu.Unlock()
+			e.mu.Lock()
+			if !e.gone {
+				return e.mu.Unlock, nil
+			}
+			e.mu.Unlock() // parked while we waited: hold it parked
+		case parked && p.held != nil:
+			m.mu.Unlock()
+			if err := waitHeld(ctx, p.held); err != nil {
+				return nil, err
+			}
+		case parked:
+			done := make(chan struct{})
+			p.held = done
+			m.parked[id] = p
+			m.mu.Unlock()
+			return func() {
+				m.mu.Lock()
+				p := m.parked[id] // a held session is never unparked
+				p.held = nil
+				m.parked[id] = p
+				m.mu.Unlock()
+				close(done)
+			}, nil
+		default:
+			m.mu.Unlock()
+			return func() {}, nil
+		}
+	}
+}
+
+// waitHeld waits for a parked session's hold to be released.
+func waitHeld(ctx context.Context, held chan struct{}) error {
+	select {
+	case <-held:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
 }
 
 // register builds a session (resumed from snap when it is non-nil)
@@ -531,8 +586,8 @@ func renderPairs(rel *dataset.Relation, pairs []dataset.Pair) []PairView {
 	for i, p := range pairs {
 		out[i] = PairView{
 			A: p.A, B: p.B,
-			ATuple: append([]string(nil), rel.Row(p.A)...),
-			BTuple: append([]string(nil), rel.Row(p.B)...),
+			ATuple: rel.Row(p.A),
+			BTuple: rel.Row(p.B),
 		}
 	}
 	return out
@@ -737,15 +792,19 @@ func (m *Manager) Evict(ctx context.Context, id string) error {
 }
 
 // Rounds returns the session's per-round measurement series, one entry
-// per submitted round in order. Sessions created with eval include the
-// held-out detection score per round.
+// per submitted round in order — empty, not nil, before the first
+// round. Sessions created with eval include the held-out detection
+// score per round.
 func (m *Manager) Rounds(ctx context.Context, id string) ([]RoundView, error) {
 	e, err := m.acquire(ctx, id)
 	if err != nil {
 		return nil, err
 	}
 	defer e.mu.Unlock()
-	return renderRounds(e, 0), nil
+	if views := renderRounds(e, 0); views != nil {
+		return views, nil
+	}
+	return []RoundView{}, nil
 }
 
 // Sweep parks every session idle for at least the manager's IdleTTL and

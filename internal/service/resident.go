@@ -36,10 +36,13 @@ type entry struct {
 
 // parkedSession is what the manager keeps of an evicted session: the
 // spec it resumes from and the rounds its checkpoint holds, so Get can
-// report the count without resuming it.
+// report the count without resuming it. held is non-nil while a resume
+// reads the session's snapshot as its source (holdSource), and is
+// closed when the read is done; unparking waits for it.
 type parkedSession struct {
 	spec   Spec
 	rounds int
+	held   chan struct{}
 }
 
 // install registers a built entry, making room first if needed.
@@ -194,6 +197,14 @@ func (m *Manager) acquire(ctx context.Context, id string) (*entry, error) {
 		if !ok {
 			m.mu.Unlock()
 			return nil, fmt.Errorf("%w: %q", ErrSessionNotFound, id)
+		}
+		if p.held != nil {
+			// A resume is reading this session's snapshot: unpark after.
+			m.mu.Unlock()
+			if err := waitHeld(ctx, p.held); err != nil {
+				return nil, err
+			}
+			continue
 		}
 		// Unpark: insert a locked placeholder so concurrent requests for
 		// the same id queue on its lock instead of double-resuming, then

@@ -419,3 +419,25 @@ func TestServerGracefulShutdownLosesNoSubmittedRound(t *testing.T) {
 	}
 	c.expect(http.StatusServiceUnavailable, "POST", "/v1/sessions/"+ids[1]+"/next", nil, nil)
 }
+
+// TestServerRoundsEmptyBeforeFirstRound: a session with no submitted
+// round answers an empty series, which a client reads as a list, not
+// null.
+func TestServerRoundsEmptyBeforeFirstRound(t *testing.T) {
+	_, c, _ := newTestServer(t, Options{})
+	var info Info
+	c.expect(http.StatusCreated, "POST", "/v1/sessions",
+		CreateRequest{CSV: testCSV, Method: sampling.MethodRandom, K: 3, Seed: 7}, &info)
+	raw := c.expect(http.StatusOK, "GET", "/v1/sessions/"+info.ID+"/rounds", nil, nil)
+	if got, want := string(raw), "{\n  \"rounds\": []\n}\n"; got != want {
+		t.Fatalf("fresh session's rounds body = %q, want %q", got, want)
+	}
+	c.playHTTPRound(info.ID)
+	var body struct {
+		Rounds []RoundView `json:"rounds"`
+	}
+	c.expect(http.StatusOK, "GET", "/v1/sessions/"+info.ID+"/rounds", nil, &body)
+	if len(body.Rounds) != 1 {
+		t.Fatalf("after one round: %d views", len(body.Rounds))
+	}
+}
