@@ -22,11 +22,11 @@ FUZZERS := ./internal/dataset:FuzzRelationOps \
 
 # Package directories whose source size `make loc` reports.
 LOCDIRS := internal/service internal/persist internal/persist/wal \
-           internal/persist/faulty internal/lint cmd/etserve \
+           internal/persist/faulty internal/lint cmd/etserve cmd/etload \
            internal/fd internal/game internal/stats internal/sampling \
            internal/repair
 
-.PHONY: all build vet lint lintbench selectbench poolbench test race check verify bench benchbaseline benchcheck fuzz chaos loadsmoke walbench loc clean
+.PHONY: all build vet lint lintbench selectbench poolbench test race check verify bench benchbaseline benchcheck fuzz chaos loadsmoke loc clean
 
 all: build
 
@@ -82,44 +82,20 @@ check:
 # labelpool load smoke.
 verify: build vet lint test race chaos check loadsmoke
 
-# Labelpool + parking load smokes (~30s): etload plays the
-# request-per-round baseline and the batched labelpool pipeline against
-# an in-process server with a simulated 20ms client RTT, and benchjson
-# records the result as BENCH_Labelpool.json (throughput, per-request
-# p50/p99, and the pool-vs-baseline speedup). A second run plays 96
-# sessions × 3 rounds with a Sweep parking the whole fleet after every
-# round through a 10ms-latency store and records BENCH_Park.json,
-# including x-vs-serial-store: the mean number of store waits in
-# flight. These are smokes, not perf gates: they fail only when the
-# workload itself errors — numbers are recorded, never asserted, so a
-# loaded CI machine cannot flake them. `make benchcheck` does not gate
-# BENCH_Park.json: its store lets any number of calls overlap, which no
-# store etserve opens does.
+# Labelpool load smoke (~5s): etload plays the request-per-round
+# baseline and the batched labelpool pipeline against an in-process
+# server with a simulated 20ms client RTT (etload's labelled -net-delay
+# model), and benchjson records the result as BENCH_Labelpool.json
+# (throughput, per-request p50/p99, and the pool-vs-baseline speedup).
+# A smoke, not a perf gate: it fails only when the workload itself
+# errors — numbers are recorded, never asserted, so a loaded CI machine
+# cannot flake it.
 loadsmoke:
 	@echo "== etload labelpool smoke"
-	@$(GO) run ./cmd/etload -inproc -sessions 16 -rounds 8 -window 8 \
+	@$(GO) run ./cmd/etload -sessions 16 -rounds 8 -window 8 \
 		-rows 24 -k 2 -net-delay 20ms \
 		| $(GO) run ./cmd/benchjson > BENCH_Labelpool.json
 	@echo "   wrote BENCH_Labelpool.json"
-	@echo "== etload parking smoke"
-	@$(GO) run ./cmd/etload -park -sessions 96 -rounds 3 \
-		-rows 24 -k 3 -store-delay 10ms \
-		| $(GO) run ./cmd/benchjson > BENCH_Park.json
-	@echo "   wrote BENCH_Park.json"
-
-# WAL durability bench (~10s): etload plays the same 64-session submit
-# workload against a simulated 20ms-fsync disk twice — making every
-# submit durable with a full snapshot Put (serialized: one disk, one
-# fsync queue) versus riding the write-ahead log's group commit — and
-# benchjson records BENCH_WalCommit.json, including the
-# BenchmarkWalSpeedup x-vs-snapshot ratio that `make benchcheck`
-# gates: group commit must keep sustaining roughly an order of
-# magnitude more durable submits per second per disk.
-walbench:
-	@echo "== etload WAL group-commit bench"
-	@$(GO) run ./cmd/etload -wal -sessions 64 -rounds 4 -store-delay 20ms \
-		| $(GO) run ./cmd/benchjson > BENCH_WalCommit.json
-	@echo "   wrote BENCH_WalCommit.json"
 
 # Fault-injection suite under the race detector: crash-point property
 # tests for the snapshot commit protocol and the WAL append, torn-write
@@ -242,9 +218,6 @@ benchcheck:
 	@echo "== benchcheck pool construction (BenchmarkNewPool -benchtime 100x)"
 	@$(GO) test -run '^$$' -bench '^BenchmarkNewPool$$' -benchtime 100x -benchmem ./internal/sampling \
 		| $(GO) run ./cmd/benchjson -check BENCH_Pool.json
-	@echo "== benchcheck WAL group commit (etload -wal)"
-	@$(GO) run ./cmd/etload -wal -sessions 64 -rounds 4 -store-delay 20ms \
-		| $(GO) run ./cmd/benchjson -check BENCH_WalCommit.json
 	@echo "== benchcheck lint (BenchmarkLintModule)"
 	@$(GO) test -run '^$$' -bench '^BenchmarkLintModule$$' -benchtime 1x -benchmem ./internal/lint \
 		| $(GO) run ./cmd/benchjson -check BENCH_Lint.json

@@ -18,8 +18,8 @@
 // Two metric families are asserted. allocs/op is gated because it is
 // deterministic for a fixed code path, unlike ns/op which varies with
 // machine load, so the gate never flakes on timing noise. Ratio
-// metrics — any custom unit starting "x-vs-", e.g. the WAL group
-// commit's "x-vs-snapshot" speedup — are gated with a generous floor
+// metrics — any custom unit starting "x-vs-", e.g. the class
+// samplers' "x-vs-perpair" speedup — are gated with a generous floor
 // (the current ratio may fall to 60% of the baseline's) because a
 // ratio of two runs on the same machine cancels most load noise while
 // still catching a scaling property that collapsed. All other units are

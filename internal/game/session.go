@@ -249,10 +249,11 @@ func (s *Session) SubmitContext(ctx context.Context, labeled []belief.Labeling) 
 // already pending, which the first element then submits against) and
 // submits the element's labelings through the same validation and
 // engine step as Submit. It is the batch entry the service's labelpool
-// drains into, so per-round work — presentation, incorporation,
-// measurement, observer events — amortizes under the caller's single
-// lock acquisition while producing a trajectory bit-identical to the
-// same labelings submitted one Next/Submit cycle at a time.
+// applies queued runs through, so per-round work — presentation,
+// incorporation, measurement, observer events — amortizes under the
+// caller's single lock acquisition while producing a trajectory
+// bit-identical to the same labelings submitted one Next/Submit cycle
+// at a time.
 //
 // It returns how many elements were applied. On error the remaining
 // elements are untouched; a failure after a successful internal Next

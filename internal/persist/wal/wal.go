@@ -192,9 +192,6 @@ type Config struct {
 	// during the previous fsync — so there is no added latency deadline
 	// to tune.
 	MaxBatchBytes int
-	// SyncDelay adds artificial latency to every fsync, for benches and
-	// tests that model a slow disk (0 = none).
-	SyncDelay time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -665,9 +662,6 @@ func (l *Log) commit(batch []*commitReq, bytes int) {
 		}
 	}
 	t0 := time.Now()
-	if l.cfg.SyncDelay > 0 {
-		time.Sleep(l.cfg.SyncDelay)
-	}
 	if err := l.seg.Sync(); err != nil {
 		l.poison(fmt.Errorf("wal: %w", err))
 		ack(batch, fmt.Errorf("wal: %w", err))

@@ -335,17 +335,20 @@ func TestWalCloseRejectsAppends(t *testing.T) {
 // stays within MaxBatchBytes — the giant record commits alone, small
 // records never ride an unbounded pile-up — so no session's ack waits
 // behind more than one bounded batch. The crash hook doubles as a
-// passive batch observer (returning nil injects nothing).
+// passive batch observer and a slow disk (returning nil injects
+// nothing).
 func TestFaultGroupCommitFairness(t *testing.T) {
 	const maxBatch = 4 << 10
 	dir := t.TempDir()
-	l, _, err := Open(dir, Config{MaxBatchBytes: maxBatch, SyncDelay: 200 * time.Microsecond})
+	l, _, err := Open(dir, Config{MaxBatchBytes: maxBatch})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
 
-	// Record every batch's byte span between the write and sync steps.
+	// Record every batch's byte span between the write and sync steps,
+	// and hold each fsync 200µs so appends pile up behind it the way
+	// they do behind a slow disk.
 	var (
 		obsMu   sync.Mutex
 		batches []int64
@@ -353,12 +356,15 @@ func TestFaultGroupCommitFairness(t *testing.T) {
 	)
 	l.SetCrashHook(func(step AppendStep, _ string, _, size int64) error {
 		obsMu.Lock()
-		defer obsMu.Unlock()
 		switch step {
 		case StepAppendWrite:
 			preSize = size
 		case StepAppendSync:
 			batches = append(batches, size-preSize)
+		}
+		obsMu.Unlock()
+		if step == StepAppendSync {
+			time.Sleep(200 * time.Microsecond)
 		}
 		return nil
 	})

@@ -52,9 +52,10 @@ var (
 	// for that round (HTTP 409). The queued ticket stands; enqueue a
 	// replacement only after it fails.
 	ErrDuplicateRound = errors.New("service: a submission for that round is already queued")
-	// ErrSubmissionBacklog: the session's labelpool queue is at capacity
-	// (HTTP 429 + Retry-After). The drain is behind; wait for queued
-	// rounds to apply.
+	// ErrSubmissionBacklog: the batch does not fit beside the rounds
+	// queued behind a gap in the session's labelpool (HTTP 429 +
+	// Retry-After). The backlog clears when the missing round arrives,
+	// by enqueue or by direct submit.
 	ErrSubmissionBacklog = errors.New("service: submission queue is full")
 	// ErrTicketNotFound: the submission ticket id is unknown — never
 	// issued, or aged out of the per-session ticket history (HTTP 404).
@@ -182,7 +183,8 @@ func errorKind(err error) string {
 // retryAfterSeconds advises clients when to come back: quickly for a
 // draining or store-sick replica (a load balancer will have failed over
 // by then), with more patience for capacity pressure (a session must go
-// idle, or the drain must catch up, before room appears).
+// idle, or a missing round must arrive to clear a labelpool backlog,
+// before room appears).
 func retryAfterSeconds(status int) int {
 	switch status {
 	case http.StatusTooManyRequests:

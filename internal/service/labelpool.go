@@ -177,10 +177,13 @@ func (m *Manager) poolFor(id string) *labelPool {
 // session's labelpool, applies every queued round the batch completes
 // (applyQueued), and returns one ticket per submission: applied,
 // failed, or queued behind a gap. Validation is all-or-nothing: no
-// round may be negative (ErrBadRequest), no submission may collide
-// with a queued or in-batch round (ErrDuplicateRound), every labeling
-// must reference in-relation rows and in-schema attributes, and the
-// batch must fit the queue bound (ErrSubmissionBacklog). On any failure
+// round may be negative and no batch may exceed the queue bound
+// (ErrBadRequest — such a batch could never be admitted, so it is
+// refused before the session is touched, and a parked session stays
+// parked), no submission may collide with a queued or in-batch round
+// (ErrDuplicateRound), every labeling must reference in-relation rows
+// and in-schema attributes, and the batch must fit beside the rounds
+// already queued behind a gap (ErrSubmissionBacklog). On any failure
 // nothing is queued and no ticket is issued. A round behind the
 // session's current round is admitted and resolved under the
 // idempotency contract: an identical evidence replay of what that
@@ -190,6 +193,9 @@ func (m *Manager) poolFor(id string) *labelPool {
 func (m *Manager) EnqueueSubmissions(ctx context.Context, id string, subs []Submission) ([]Ticket, error) {
 	if len(subs) == 0 {
 		return nil, badRequest(errors.New("empty submission batch"))
+	}
+	if len(subs) > m.opts.MaxQueuedSubmissions {
+		return nil, badRequest(fmt.Errorf("batch of %d exceeds the queue bound of %d", len(subs), m.opts.MaxQueuedSubmissions))
 	}
 	for _, s := range subs {
 		if err := checkRound(s.Round); err != nil {

@@ -2,8 +2,10 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
 	"strings"
 	"sync"
 	"testing"
@@ -114,7 +116,7 @@ func TestLabelpoolEnqueueValidation(t *testing.T) {
 		{"duplicate pair", []Submission{{Round: 0, Labels: []belief.Labeling{
 			{Pair: dataset.NewPair(0, 1)}, {Pair: dataset.NewPair(0, 1), Abstained: true},
 		}}}, ErrBadRequest},
-		{"over capacity", abstainWindow(0, 4), ErrSubmissionBacklog},
+		{"larger than the queue bound", abstainWindow(0, 4), ErrBadRequest},
 		{"negative round", []Submission{{Round: 1}, {Round: -1}}, ErrBadRequest},
 	}
 	cases[1].subs = []Submission{{Round: 1}, {Round: 1}}
@@ -126,6 +128,22 @@ func TestLabelpoolEnqueueValidation(t *testing.T) {
 		if n := m.QueuedSubmissions(id); n != 0 {
 			t.Errorf("%s: %d submissions queued after all-or-nothing rejection", tc.name, n)
 		}
+	}
+
+	// Rounds queued behind a gap count against the bound: a batch that
+	// fits alone but not beside them is a backlog.
+	gapped, err := m.Create(ctx, testSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.EnqueueSubmissions(ctx, gapped.ID, abstainWindow(1, 3)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.EnqueueSubmissions(ctx, gapped.ID, abstainWindow(3, 5)); !errors.Is(err, ErrSubmissionBacklog) {
+		t.Fatalf("batch overflowing the gap's queue: err %v, want %v", err, ErrSubmissionBacklog)
+	}
+	if n := m.QueuedSubmissions(gapped.ID); n != 2 {
+		t.Fatalf("%d submissions queued after the backlog rejection, want the gap's 2", n)
 	}
 
 	// A stale round that is not an identical replay fails its ticket
@@ -141,6 +159,31 @@ func TestLabelpoolEnqueueValidation(t *testing.T) {
 	}
 	if _, err := m.EnqueueSubmissions(ctx, "sess-none", abstainWindow(1, 2)); !errors.Is(err, ErrSessionNotFound) {
 		t.Fatalf("unknown session: %v", err)
+	}
+}
+
+// TestLabelpoolOversizedBatchKeepsSessionParked: a batch larger than
+// the queue bound can never be admitted, so it answers 400 bad_request,
+// which a client does not retry, and it is refused before the session
+// is touched: a parked session stays parked.
+func TestLabelpoolOversizedBatchKeepsSessionParked(t *testing.T) {
+	m, c, _ := newTestServer(t, Options{MaxQueuedSubmissions: 3})
+	ctx := context.Background()
+	info, err := m.Create(ctx, testSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Evict(ctx, info.ID); err != nil {
+		t.Fatal(err)
+	}
+	batch := EnqueueRequest{Submissions: []SubmissionWire{{Round: 0}, {Round: 1}, {Round: 2}, {Round: 3}}}
+	raw := c.expect(http.StatusBadRequest, "POST", "/v1/sessions/"+info.ID+"/submissions", batch, nil)
+	var e APIError
+	if err := json.Unmarshal(raw, &e); err != nil || e.Kind != KindBadRequest {
+		t.Fatalf("oversized batch body %s (err %v), want kind %q", raw, err, KindBadRequest)
+	}
+	if live, parked := m.Counts(); live != 0 || parked != 1 {
+		t.Fatalf("after the oversized batch: live=%d parked=%d, want the session still parked", live, parked)
 	}
 }
 

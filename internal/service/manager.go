@@ -166,8 +166,9 @@ type Options struct {
 	// MaxQueuedSubmissions bounds each session's labelpool queue
 	// (default 64): the rounds one enqueue may carry plus those waiting
 	// behind a gap, and so the most one request applies besides its own
-	// round. Enqueueing beyond it fails with ErrSubmissionBacklog (HTTP
-	// 429 + Retry-After).
+	// round. A batch larger than the bound fails with ErrBadRequest; one
+	// that overflows it beside the queued rounds fails with
+	// ErrSubmissionBacklog (HTTP 429 + Retry-After).
 	MaxQueuedSubmissions int
 }
 

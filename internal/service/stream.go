@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -168,7 +169,9 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Resume cursor: rounds strictly after Last-Event-ID (the standard
-	// SSE reconnect header), or from 0.
+	// SSE reconnect header), or from 0. An id at or past the session's
+	// round count resumes at the live tip; the clamp keeps the largest
+	// id's successor from wrapping negative, which would replay from 0.
 	from := 0
 	if lei := r.Header.Get("Last-Event-ID"); lei != "" {
 		n, err := strconv.Atoi(lei)
@@ -176,7 +179,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			writeError(w, badRequest(fmt.Errorf("malformed Last-Event-ID %q", lei)))
 			return
 		}
-		from = n + 1
+		from = min(n, math.MaxInt-1) + 1
 	}
 
 	// Subscribe before the initial fetch: an event landing between the

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -316,5 +317,46 @@ func TestStreamErrors(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("malformed Last-Event-ID: status %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestStreamResumePastTip: a Last-Event-ID at or past the session's
+// round count resumes at the live tip — the next round applied is the
+// first round frame — up to the largest id, whose successor must not
+// wrap negative into a replay from round 0.
+func TestStreamResumePastTip(t *testing.T) {
+	m := NewManager(Options{})
+	ts := httptest.NewServer(NewServer(m, ServerOptions{}))
+	t.Cleanup(ts.Close)
+	ctx := context.Background()
+	info, err := m.Create(ctx, datasetSpec(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := info.ID
+	if _, err := m.EnqueueSubmissions(ctx, id, abstainWindow(0, 3)); err != nil {
+		t.Fatal(err)
+	}
+	tip := 3
+	for _, lei := range []int{tip, 7, math.MaxInt} {
+		resp, rd := dialStream(t, ts, id, lei)
+		t.Cleanup(func() { resp.Body.Close() }) // before ts.Close, which waits for open streams
+		if _, err := m.EnqueueSubmissions(ctx, id, abstainWindow(tip, tip+1)); err != nil {
+			t.Fatal(err)
+		}
+		for {
+			f, err := readFrame(rd)
+			if err != nil {
+				t.Fatalf("Last-Event-ID %d: %v", lei, err)
+			}
+			if f.Event == "round" {
+				if f.ID != tip {
+					t.Fatalf("Last-Event-ID %d: first round frame is round %d, want the live tip %d", lei, f.ID, tip)
+				}
+				break
+			}
+		}
+		resp.Body.Close()
+		tip++
 	}
 }

@@ -176,6 +176,98 @@ func TestManagerWalSubmitDurability(t *testing.T) {
 	}
 }
 
+// TestManagerWalGroupCommit is the group-commit claim on the stack
+// `etserve -store` serves from — a Manager over a WAL store over a
+// directory store, default configuration: submits that queue while an
+// fsync is in flight share the next one. The first submit's commit is
+// held at its fsync until every other session's submit has queued
+// behind it, so the n submits cost exactly two fsyncs, the second one
+// carrying n−1 round records. A committer that fsyncs each request on
+// its own takes n.
+func TestManagerWalGroupCommit(t *testing.T) {
+	const n = 8
+	ctx := context.Background()
+	dir, err := persist.NewDirStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws, _, err := wal.OpenStore(dir, t.TempDir(), wal.StoreConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ws.Close()
+	m := NewManager(Options{Store: ws})
+	ids := make([]string, n)
+	for i := range ids {
+		info, err := m.Create(ctx, datasetSpec(uint64(i+1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Next(ctx, info.ID); err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = info.ID
+	}
+
+	// Hold the first commit between its write and its fsync.
+	held, release := make(chan struct{}), make(chan struct{})
+	var first sync.Once
+	ws.Log().SetCrashHook(func(step wal.AppendStep, _ string, _, _ int64) error {
+		if step == wal.StepAppendSync {
+			first.Do(func() {
+				close(held)
+				<-release
+			})
+		}
+		return nil
+	})
+	before := ws.Log().Stats().Fsyncs
+
+	var wg sync.WaitGroup
+	errs := make(chan error, n)
+	submit := func(id string) {
+		defer wg.Done()
+		if _, err := m.Submit(ctx, id, 0, nil); err != nil {
+			errs <- fmt.Errorf("submit %s: %w", id, err)
+		}
+	}
+	wg.Add(1)
+	go submit(ids[0])
+	<-held
+	for _, id := range ids[1:] {
+		wg.Add(1)
+		go submit(id)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for ws.Log().Stats().Unflushed < n-1 {
+		select {
+		case err := <-errs:
+			close(release)
+			t.Fatal(err)
+		default:
+		}
+		if time.Now().After(deadline) {
+			close(release)
+			t.Fatalf("%d of %d submits queued behind the held fsync after 10s", ws.Log().Stats().Unflushed, n-1)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+
+	st := ws.Log().Stats()
+	if got := st.Fsyncs - before; got != 2 {
+		t.Fatalf("%d submits took %d fsyncs, want 2: the queued submits did not share one", n, got)
+	}
+	if st.BatchRecords != n-1 {
+		t.Fatalf("last batch held %d records, want %d", st.BatchRecords, n-1)
+	}
+}
+
 // TestManagerRestartNeverReusesID: a process that reopens the store
 // mints ids past every stored one. A second process's new session must
 // neither overwrite the first process's session of the same id nor

@@ -315,3 +315,42 @@ func TestFitByParticipant(t *testing.T) {
 		t.Errorf("FP wins only %d/%d participants", wins, len(fits))
 	}
 }
+
+// TestFitIdentifiesGeneratingModel is the identifiability result the
+// Figure 2 analysis rests on: the per-participant fit recovers the model
+// that generated each participant — FP fits every FP-generated
+// participant better, hypothesis testing every HT-generated one — so
+// "FP beats HT" measures the simulated population's mix rather than a
+// bias of the fit. Erratic participants have no right answer and are
+// not checked.
+func TestFitIdentifiesGeneratingModel(t *testing.T) {
+	counts := map[ModelKind]int{}
+	for seed := uint64(1); seed <= 3; seed++ {
+		study, err := Simulate(StudyConfig{Participants: 20, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fits, err := FitByParticipant(study)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range fits {
+			switch f.Kind {
+			case ModelFP:
+				if !f.FPWins() {
+					t.Errorf("seed %d participant %d: FP-generated, but the fit picks HT (FP MRR %.4f, HT MRR %.4f)", seed, f.ParticipantID, f.FPMRR, f.HTMRR)
+				}
+			case ModelHT:
+				if f.FPWins() {
+					t.Errorf("seed %d participant %d: HT-generated, but the fit picks FP (FP MRR %.4f, HT MRR %.4f)", seed, f.ParticipantID, f.FPMRR, f.HTMRR)
+				}
+			}
+			counts[f.Kind]++
+		}
+	}
+	// Both generating models must be present, or the test checks nothing.
+	if counts[ModelFP] == 0 || counts[ModelHT] == 0 {
+		t.Fatalf("participants per model %v: need FP- and HT-generated ones", counts)
+	}
+	t.Logf("participants per model: FP %d, HT %d, erratic %d", counts[ModelFP], counts[ModelHT], counts[ModelErratic])
+}
