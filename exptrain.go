@@ -160,8 +160,8 @@ const (
 // Sentinel errors of the public surface, re-exported so callers can
 // errors.Is against the facade alone.
 var (
-	// ErrRoundPending: TrainingSession.Next (or Snapshot) was called
-	// while a presented round is unsubmitted.
+	// ErrRoundPending: TrainingSession.Next was called while a
+	// presented round is unsubmitted.
 	ErrRoundPending = game.ErrRoundPending
 	// ErrNoRoundPending: TrainingSession.Submit was called with no round
 	// presented.

@@ -33,7 +33,7 @@ type Session struct {
 	k       int
 	pending []dataset.Pair
 	// pendingRNG is the learner's RNG position before the pending round
-	// was drawn; DiscardPending rewinds to it.
+	// was drawn; Snapshot captures it while a round is pending.
 	pendingRNG [4]uint64
 	// allowed and seen are Submit's validation scratch, cleared and
 	// reused every round so steady-state submission allocates nothing
@@ -310,26 +310,6 @@ func (s *Session) PendingCount() int { return len(s.pending) }
 // holds — an O(1) counter, no slice materialization.
 func (s *Session) RemainingPairs() int { return s.pool.RemainingCount() }
 
-// DiscardPending drops an unsubmitted round so the session can be
-// snapshotted, returning the discarded pairs (nil when idle). The
-// discard is draw-exact: the pairs go back to their places in the pool
-// and the learner's RNG rewinds to where it stood before the round was
-// drawn, so the next Next — here, or in a session resumed from a
-// snapshot taken now — presents the same pairs an uninterrupted session
-// would have.
-func (s *Session) DiscardPending() []dataset.Pair {
-	p := s.pending
-	if p == nil {
-		return nil
-	}
-	s.pending = nil
-	s.pool.Unshow(p)
-	// The state was captured from a live generator, so it is never the
-	// invalid all-zero state RestoreRNG rejects.
-	_ = s.eng.learner.RestoreRNG(s.pendingRNG)
-	return p
-}
-
 // Rounds returns how many rounds have been submitted.
 func (s *Session) Rounds() int { return s.eng.round() }
 
@@ -361,14 +341,15 @@ func (s *Session) Record(t int) IterationRecord { return s.eng.records[t] }
 // over the session's submitted rounds.
 func (s *Session) Frequencies() *Frequencies { return s.eng.freqs }
 
-// Snapshot checkpoints the session: learner belief plus the full
-// per-round records (labelings, revisions, MAE/payoff, detection), so
-// a resumed session keeps its history of scores. A pending unsubmitted
-// round is not captured; submit or discard it first.
+// Snapshot checkpoints the session as of its last submitted round:
+// learner belief plus the full per-round records (labelings, revisions,
+// MAE/payoff, detection), so a resumed session keeps its history of
+// scores. A pending unsubmitted round carries no annotator evidence and
+// is not captured: the snapshot holds the sampler RNG position from
+// before the round was drawn, so a session resumed from it presents the
+// same pairs again. The session itself is left as it was, round pending
+// and all.
 func (s *Session) Snapshot() (*persist.Snapshot, error) {
-	if s.pending != nil {
-		return nil, fmt.Errorf("cannot snapshot: %w", ErrRoundPending)
-	}
 	rounds := make([]persist.Round, len(s.eng.records))
 	for i, rec := range s.eng.records {
 		rounds[i] = persist.Round{
@@ -391,6 +372,9 @@ func (s *Session) Snapshot() (*persist.Snapshot, error) {
 	// pairs the live session would have — park/unpark churn cannot
 	// perturb a trajectory.
 	rng := s.eng.learner.RNGState()
+	if s.pending != nil {
+		rng = s.pendingRNG
+	}
 	snap.LearnerRNG = append([]uint64(nil), rng[:]...)
 	return snap, nil
 }

@@ -1,6 +1,7 @@
 package game
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"testing"
@@ -36,13 +37,9 @@ func TestSessionProtocol(t *testing.T) {
 	if len(pairs) != 5 {
 		t.Fatalf("presented %d pairs", len(pairs))
 	}
-	// Double Next is rejected with the sentinel, and so is snapshotting
-	// mid-round.
+	// Double Next is rejected with the sentinel.
 	if _, err := s.Next(); !errors.Is(err, ErrRoundPending) {
 		t.Fatalf("Next with a round pending: err = %v, want ErrRoundPending", err)
-	}
-	if _, err := s.Snapshot(); !errors.Is(err, ErrRoundPending) {
-		t.Fatalf("Snapshot with a round pending: err = %v, want ErrRoundPending", err)
 	}
 	// Labeling an unpresented pair is rejected.
 	other := dataset.NewPair(100, 101)
@@ -160,20 +157,6 @@ func TestSessionSnapshotResume(t *testing.T) {
 	}
 }
 
-func TestSessionSnapshotWithPendingRound(t *testing.T) {
-	rel, space := sessionFixture(t)
-	s, err := NewSession(SessionConfig{Relation: rel, Space: space, Seed: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Next(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Snapshot(); err == nil {
-		t.Fatal("snapshot with pending round should error")
-	}
-}
-
 func TestSessionValidation(t *testing.T) {
 	rel, space := sessionFixture(t)
 	if _, err := NewSession(SessionConfig{Space: space}); err == nil {
@@ -284,32 +267,11 @@ func TestSessionContextCancellation(t *testing.T) {
 	}
 }
 
-func TestSessionDiscardPending(t *testing.T) {
-	rel, space := sessionFixture(t)
-	s, err := NewSession(SessionConfig{Relation: rel, Space: space, K: 4, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pairs, err := s.Next()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if discarded := s.DiscardPending(); len(discarded) != len(pairs) {
-		t.Fatalf("DiscardPending = %d pairs, want %d", len(discarded), len(pairs))
-	}
-	if s.Pending() != nil {
-		t.Fatal("session still pending after DiscardPending")
-	}
-	if _, err := s.Snapshot(); err != nil {
-		t.Fatalf("Snapshot after DiscardPending: %v", err)
-	}
-}
-
-// TestSessionDiscardPendingIsDrawExact: discarding a presented round
-// rewinds the pool and the sampler RNG, so re-presenting it — in the
-// same session or in one resumed from a snapshot taken after the
-// discard — yields the pairs an uninterrupted session draws.
-func TestSessionDiscardPendingIsDrawExact(t *testing.T) {
+// TestSessionSnapshotWithPendingRound: a session with a round pending
+// snapshots as of its last submitted round and keeps the round pending,
+// and the snapshot is byte-identical to a twin's that never drew the
+// round.
+func TestSessionSnapshotWithPendingRound(t *testing.T) {
 	rel, space := sessionFixture(t)
 	newSession := func() *Session {
 		s, err := NewSession(SessionConfig{Relation: rel, Space: space, K: 4, Seed: 9})
@@ -318,19 +280,64 @@ func TestSessionDiscardPendingIsDrawExact(t *testing.T) {
 		}
 		return s
 	}
-	play := func(s *Session, discardAt int) [][]dataset.Pair {
+	s, twin := newSession(), newSession()
+	for _, sess := range []*Session{s, twin} {
+		pairs, err := sess.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sess.Submit([]belief.Labeling{{Pair: pairs[0], Marked: fd.NewAttrSet(1)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pairs, err := s.Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := s.Snapshot()
+	if err != nil {
+		t.Fatalf("Snapshot with a round pending: %v", err)
+	}
+	if got := s.Pending(); !equalPairs(got, pairs) {
+		t.Fatalf("Pending after Snapshot = %v, want the presented %v", got, pairs)
+	}
+	want, err := twin.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got, exp bytes.Buffer
+	if err := snap.Write(&got); err != nil {
+		t.Fatal(err)
+	}
+	if err := want.Write(&exp); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), exp.Bytes()) {
+		t.Fatalf("snapshot with a round pending differs from the twin's without it:\n got %.300s\nwant %.300s", got.Bytes(), exp.Bytes())
+	}
+}
+
+// TestSessionSnapshotPendingIsDrawExact: a snapshot taken with a round
+// pending resumes to re-present that round's pairs, so a session
+// resumed from it — mid-game, at any round — plays the pairs an
+// uninterrupted session draws.
+func TestSessionSnapshotPendingIsDrawExact(t *testing.T) {
+	rel, space := sessionFixture(t)
+	newSession := func() *Session {
+		s, err := NewSession(SessionConfig{Relation: rel, Space: space, K: 4, Seed: 9})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	play := func(s *Session, resumeAt int) [][]dataset.Pair {
 		var rounds [][]dataset.Pair
 		for r := 0; r < 4; r++ {
 			pairs, err := s.Next()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if r == discardAt {
-				remaining := s.RemainingPairs()
-				s.DiscardPending()
-				if got := s.RemainingPairs(); got != remaining+len(pairs) {
-					t.Fatalf("RemainingPairs after discard = %d, want %d", got, remaining+len(pairs))
-				}
+			if r == resumeAt {
 				snap, err := s.Snapshot()
 				if err != nil {
 					t.Fatal(err)
@@ -356,10 +363,12 @@ func TestSessionDiscardPendingIsDrawExact(t *testing.T) {
 		return rounds
 	}
 	want := play(newSession(), -1)
-	got := play(newSession(), 2)
-	for r := range want {
-		if !equalPairs(got[r], want[r]) {
-			t.Fatalf("round %d: discarded-and-resumed session presented %v, uninterrupted %v", r, got[r], want[r])
+	for at := 0; at < 4; at++ {
+		got := play(newSession(), at)
+		for r := range want {
+			if !equalPairs(got[r], want[r]) {
+				t.Fatalf("resumed at round %d: round %d presented %v, uninterrupted %v", at, r, got[r], want[r])
+			}
 		}
 	}
 }

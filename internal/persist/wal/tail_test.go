@@ -18,18 +18,25 @@ import (
 	"exptrain/internal/stats"
 )
 
-// oracleTail is the store's committed tail as it was before superseded
-// deltas dropped their learner: every delta kept whole (insert is the
-// former insertTailLocked) and folded with one ApplyDelta each. It keeps
-// its own watermarks and folds over the same inner store as the store
-// under test, so both must read the same snapshot.
+// oracleTail models what the log holds for each session past its
+// watermark: every committed delta kept whole, latest write winning a
+// round (insert), pruned below the watermark a Put raises. It keeps its
+// own watermarks, and its fold — one ApplyDelta per delta onto the
+// inner snapshot — is what the store's replay at open must produce.
+// unfolded holds the sessions whose last replay failed, with the error
+// their Get must answer until a Put.
 type oracleTail struct {
-	tail  map[string][]*persist.RoundDelta
-	water map[string]int
+	tail     map[string][]*persist.RoundDelta
+	water    map[string]int
+	unfolded map[string]error
 }
 
 func newOracleTail() *oracleTail {
-	return &oracleTail{tail: make(map[string][]*persist.RoundDelta), water: make(map[string]int)}
+	return &oracleTail{
+		tail:     make(map[string][]*persist.RoundDelta),
+		water:    make(map[string]int),
+		unfolded: make(map[string]error),
+	}
 }
 
 func (o *oracleTail) insert(d *persist.RoundDelta) {
@@ -45,9 +52,8 @@ func (o *oracleTail) insert(d *persist.RoundDelta) {
 	o.tail[d.Session] = tail
 }
 
-// appendRounds mirrors AppendRounds after a successful log append. The
-// oracle keeps deep copies, so nothing the store does to a delta can
-// reach it.
+// appendRounds mirrors a successful AppendRounds. The oracle keeps
+// deep copies, so nothing the store does to a delta can reach it.
 func (o *oracleTail) appendRounds(deltas []*persist.RoundDelta) {
 	for _, d := range deltas {
 		if d.Round >= o.water[d.Session] {
@@ -56,7 +62,8 @@ func (o *oracleTail) appendRounds(deltas []*persist.RoundDelta) {
 	}
 }
 
-func (o *oracleTail) get(ctx context.Context, inner persist.Store, id string) (*persist.Snapshot, error) {
+// fold applies a session's logged deltas onto its inner snapshot.
+func (o *oracleTail) fold(ctx context.Context, inner persist.Store, id string) (*persist.Snapshot, error) {
 	snap, err := inner.Get(ctx, id)
 	if err != nil {
 		return nil, err
@@ -69,8 +76,18 @@ func (o *oracleTail) get(ctx context.Context, inner persist.Store, id string) (*
 	return snap, nil
 }
 
+// get is what the store's Get must answer: the inner snapshot, or the
+// error the last replay met.
+func (o *oracleTail) get(ctx context.Context, inner persist.Store, id string) (*persist.Snapshot, error) {
+	if err := o.unfolded[id]; err != nil {
+		return nil, err
+	}
+	return inner.Get(ctx, id)
+}
+
 // put mirrors Put's watermark and prune once the inner Put landed.
 func (o *oracleTail) put(id string, through int) {
+	delete(o.unfolded, id)
 	if through > o.water[id] {
 		o.water[id] = through
 	}
@@ -86,22 +103,8 @@ func (o *oracleTail) put(id string, through int) {
 
 func (o *oracleTail) delete(id string) {
 	delete(o.tail, id)
+	delete(o.unfolded, id)
 	o.water[id] = deletedWatermark
-}
-
-// reopen rebuilds the tail from what OpenStore recovered, as OpenStore
-// does.
-func (o *oracleTail) reopen(rec RecoverResult) {
-	o.tail = make(map[string][]*persist.RoundDelta)
-	o.water = make(map[string]int)
-	for sess, through := range rec.Marks {
-		o.water[sess] = through
-	}
-	for _, d := range rec.Deltas {
-		if d.Round >= o.water[d.Session] {
-			o.insert(cloneDelta(d))
-		}
-	}
 }
 
 // cloneDelta deep-copies a delta, keeping nil slices nil.
@@ -135,7 +138,7 @@ func cloneDelta(d *persist.RoundDelta) *persist.RoundDelta {
 	return &c
 }
 
-// tailSessions are the sessions a tail script drives: the paper's
+// tailSessions are the sessions a replay script drives: the paper's
 // 38-hypothesis space and the service's 147-hypothesis one (every FD
 // with at most two LHS attributes over seven attributes).
 var tailSessions = []struct {
@@ -143,7 +146,7 @@ var tailSessions = []struct {
 	space int
 }{{"a", 38}, {"b", 147}, {"c", 147}}
 
-// scriptBytes feeds a tail script its choices; an exhausted script reads
+// scriptBytes feeds a replay script its choices; an exhausted script reads
 // zeros.
 type scriptBytes struct {
 	b []byte
@@ -177,9 +180,10 @@ type tailRun struct {
 	sent, copies []*persist.RoundDelta
 	// fill drives the values inside deltas and snapshots.
 	fill *stats.RNG
-	// folds counts Gets that folded a tail of two or more deltas, and
-	// misfits the Gets that failed on a learner of the wrong length.
-	folds, misfits int
+	// folds counts replays that folded two or more deltas, and misfits
+	// and gaps the replays that failed on a learner of the wrong length
+	// and on a missing round.
+	folds, misfits, gaps int
 }
 
 func newTailRun(t *testing.T, seed uint64) *tailRun {
@@ -201,16 +205,12 @@ func newTailRun(t *testing.T, seed uint64) *tailRun {
 		t.Fatalf("the seven-attribute space has %d hypotheses, want 147", r.spaces[147].Size())
 	}
 	var err error
-	if r.s, _, err = OpenStore(r.inner, r.dir, tailStoreConfig); err != nil {
+	if r.s, _, err = OpenStore(r.inner, r.dir, StoreConfig{}); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { r.s.Close() })
 	return r
 }
-
-// tailStoreConfig keeps appends from folding, so every fold into the
-// inner store is a script step.
-var tailStoreConfig = StoreConfig{CompactEvery: 1 << 20}
 
 func (r *tailRun) learner(n int) []persist.BetaJSON {
 	out := make([]persist.BetaJSON, n)
@@ -283,62 +283,48 @@ func (r *tailRun) appendRounds(deltas ...*persist.RoundDelta) {
 	r.o.appendRounds(deltas)
 }
 
-// compact folds one session through the append's fold path and checks
-// the inner store received exactly the oracle's fold.
-func (r *tailRun) compact(i int) {
-	id := tailSessions[i].id
-	want, wantErr := r.o.get(r.ctx, r.inner, id)
-	if len(r.o.tail[id]) == 0 {
-		want, wantErr = nil, nil // nothing to fold: compactSession does no Get
+// reopen closes the store and opens it again over the same log and
+// inner store: the replay must leave every session's inner snapshot
+// equal to the oracle's fold, or keep the fold's error for Get.
+func (r *tailRun) reopen() {
+	r.t.Helper()
+	if err := r.s.Close(); err != nil {
+		r.t.Fatalf("Close: %v", err)
 	}
-	err := r.s.compactSession(r.ctx, id)
-	r.sameError("compactSession("+id+")", err, wantErr)
-	if want != nil && err == nil {
-		got, gerr := r.inner.Get(r.ctx, id)
-		if gerr != nil {
-			r.t.Fatal(gerr)
-		}
-		r.sameSnapshot("compacted "+id, got, want)
-		r.o.put(id, len(want.History))
-	}
-}
-
-func (r *tailRun) scan() {
 	type fold struct {
 		want *persist.Snapshot
 		err  error
 	}
 	folds := make(map[string]fold)
 	for id := range r.o.tail {
-		want, err := r.o.get(r.ctx, r.inner, id)
+		want, err := r.o.fold(r.ctx, r.inner, id)
 		folds[id] = fold{want, err}
+		switch {
+		case err == nil && len(r.o.tail[id]) >= 2:
+			r.folds++
+		case errors.Is(err, persist.ErrCorrupt) && strings.Contains(err.Error(), "learner parameters"):
+			r.misfits++
+		case errors.Is(err, persist.ErrCorrupt) && strings.Contains(err.Error(), "gap"):
+			r.gaps++
+		}
 	}
-	if _, err := r.s.Scan(r.ctx); err != nil {
-		r.t.Fatalf("Scan: %v", err)
+	s, _, err := OpenStore(r.inner, r.dir, StoreConfig{})
+	if err != nil {
+		r.t.Fatalf("reopen: %v", err)
 	}
+	r.s = s
 	for id, f := range folds {
 		if f.err != nil {
-			continue // the scan leaves an unfoldable tail in place
+			r.o.unfolded[id] = f.err
+			continue
 		}
 		got, err := r.inner.Get(r.ctx, id)
 		if err != nil {
 			r.t.Fatal(err)
 		}
-		r.sameSnapshot("scanned "+id, got, f.want)
+		r.sameSnapshot("replayed "+id, got, f.want)
 		r.o.put(id, len(f.want.History))
 	}
-}
-
-func (r *tailRun) reopen() {
-	if err := r.s.Close(); err != nil {
-		r.t.Fatalf("Close: %v", err)
-	}
-	s, rec, err := OpenStore(r.inner, r.dir, tailStoreConfig)
-	if err != nil {
-		r.t.Fatalf("reopen: %v", err)
-	}
-	r.s = s
-	r.o.reopen(rec)
 }
 
 func (r *tailRun) sameError(what string, got, want error) {
@@ -375,8 +361,7 @@ func (r *tailRun) sameSnapshot(what string, got, want *persist.Snapshot) {
 }
 
 // check compares every session's read with the oracle's, and checks
-// each tail holds one learner and one RNG state and no delta handed to
-// AppendRounds changed.
+// no delta handed to AppendRounds changed.
 func (r *tailRun) check(step string) {
 	r.t.Helper()
 	for _, sess := range tailSessions {
@@ -386,30 +371,6 @@ func (r *tailRun) check(step string) {
 		r.sameError(step+": Get("+id+")", err, wantErr)
 		if err == nil {
 			r.sameSnapshot(step+": Get("+id+")", got, want)
-			if len(r.o.tail[id]) >= 2 {
-				r.folds++
-			}
-		} else if errors.Is(err, persist.ErrCorrupt) && strings.Contains(err.Error(), "learner parameters") {
-			r.misfits++
-		}
-		r.s.mu.Lock()
-		tail := r.s.tail[id]
-		learners, rngs := 0, 0
-		for _, d := range tail {
-			if d.Learner != nil {
-				learners++
-			}
-			if d.LearnerRNG != nil {
-				rngs++
-			}
-		}
-		r.s.mu.Unlock()
-		if len(tail) > 0 && (learners != 1 || rngs != 1) {
-			r.t.Fatalf("%s: %s's tail of %d deltas holds %d learners and %d RNG states, want 1 each",
-				step, id, len(tail), learners, rngs)
-		}
-		if len(tail) != len(r.o.tail[id]) {
-			r.t.Fatalf("%s: %s's tail holds %d deltas, the oracle's %d", step, id, len(tail), len(r.o.tail[id]))
 		}
 	}
 	for j, d := range r.sent {
@@ -419,9 +380,8 @@ func (r *tailRun) check(step string) {
 	}
 }
 
-// runTailScript plays a script of appends, retries, Puts, folds,
-// deletes and reopens against the store and the oracle, checking after
-// every step.
+// runTailScript plays a script of appends, retries, Puts, deletes and
+// reopens against the store and the oracle, checking after every step.
 func runTailScript(t *testing.T, seed uint64, script []byte) *tailRun {
 	r := newTailRun(t, seed)
 	sc := &scriptBytes{b: script}
@@ -435,9 +395,12 @@ func runTailScript(t *testing.T, seed uint64, script []byte) *tailRun {
 		next := r.next[id]
 		var name string
 		switch {
-		case op <= 5: // a fresh round; a few carry a learner of the wrong length
+		case op <= 4: // a fresh round; a few carry a learner of the wrong length
 			name = "append"
 			r.appendRounds(r.delta(i, next, sc.intn(32) == 0))
+		case op == 5: // the round after a lost one: a gap until a Put covers it
+			name = "lost round"
+			r.appendRounds(r.delta(i, next+1, false))
 		case op <= 7: // the newest round again
 			name = "retry newest"
 			r.appendRounds(r.delta(i, max(next-1, 0), false))
@@ -449,20 +412,14 @@ func runTailScript(t *testing.T, seed uint64, script []byte) *tailRun {
 			j := sc.intn(len(tailSessions))
 			r.appendRounds(r.delta(i, next+1, false), r.delta(i, next, false),
 				r.delta(j, max(r.next[tailSessions[j].id]-1, 0), false))
-		case op <= 11: // a snapshot at a watermark, mostly at or past the current one
+		case op <= 11: // a snapshot at or past the watermark: checkpoints only grow
 			name = "put"
-			w, water := sc.intn(next+1), r.o.water[id]
-			if sc.intn(4) != 0 && water <= next {
-				w = water + sc.intn(next-water+1)
+			water := r.o.water[id]
+			if water > next {
+				continue // deleted: the id takes no more snapshots
 			}
-			r.put(i, r.snapshot(i, w, sc.intn(4) != 0))
-		case op == 12:
-			name = "compact"
-			r.compact(i)
-		case op == 13:
-			name = "scan"
-			r.scan()
-		case op == 14:
+			r.put(i, r.snapshot(i, water+sc.intn(next-water+1), sc.intn(4) != 0))
+		case op <= 14:
 			name = "reopen"
 			r.reopen()
 		default: // delete, rarely: a deleted session takes no more rounds
@@ -483,13 +440,14 @@ func runTailScript(t *testing.T, seed uint64, script []byte) *tailRun {
 }
 
 // TestWalTailFoldMatchesOracle drives the store and the whole-delta
-// oracle with seeded scripts: every read, compaction and scan must
-// produce the oracle's snapshot byte for byte, or fail with its error,
-// while each session's tail holds one learner.
+// oracle with seeded scripts: the replay at every reopen must fold each
+// session's committed tail — the rounds logged past its watermark —
+// into the oracle's snapshot byte for byte, or keep the oracle's error
+// for Get, and between reopens a Get must read the inner snapshot.
 func TestWalTailFoldMatchesOracle(t *testing.T) {
 	// A step reads two to six bytes, so a script plays about a hundred.
 	const scripts, scriptLen = 12, 320
-	folds, misfits := 0, 0
+	folds, misfits, gaps := 0, 0, 0
 	for seed := uint64(1); seed <= scripts; seed++ {
 		rng := stats.NewRNG(seed)
 		script := make([]byte, scriptLen)
@@ -500,17 +458,18 @@ func TestWalTailFoldMatchesOracle(t *testing.T) {
 			r := runTailScript(t, seed, script)
 			folds += r.folds
 			misfits += r.misfits
+			gaps += r.gaps
 		})
 	}
-	// The scripts must reach the cases the change is about: reads over
-	// tails of several deltas, and deltas whose learner does not fit.
-	if folds == 0 || misfits == 0 {
-		t.Fatalf("scripts compared %d multi-delta folds and %d learner-length failures, want both > 0", folds, misfits)
+	// The scripts must reach the cases the replay is about: tails of
+	// several deltas, deltas whose learner does not fit, and gaps.
+	if folds == 0 || misfits == 0 || gaps == 0 {
+		t.Fatalf("scripts replayed %d multi-delta folds, %d learner-length failures and %d gaps, want all > 0", folds, misfits, gaps)
 	}
-	t.Logf("compared %d multi-delta folds and %d learner-length failures", folds, misfits)
+	t.Logf("replayed %d multi-delta folds, %d learner-length failures and %d gaps", folds, misfits, gaps)
 }
 
-// FuzzWalTailFold runs fuzzer-chosen tail scripts against the oracle
+// FuzzWalTailFold runs fuzzer-chosen replay scripts against the oracle
 // (see TestWalTailFoldMatchesOracle). Wired into `make fuzz`.
 func FuzzWalTailFold(f *testing.F) {
 	// Each script opens with a (rounds, learner) byte pair per session's
@@ -518,13 +477,14 @@ func FuzzWalTailFold(f *testing.F) {
 	base := []byte{0, 1, 1, 1, 0, 1}
 	seed := func(ops ...byte) []byte { return append(append([]byte(nil), base...), ops...) }
 	f.Add([]byte{})
-	// Two fresh rounds on b, a retry of the newest, a fold, a reopen.
-	f.Add(seed(0, 1, 1, 0, 1, 1, 6, 1, 12, 1, 14, 1))
-	// A wrong-length learner on a, superseded by a fresh round, folded.
+	// Two fresh rounds on b, a retry of the newest, a lost round, a
+	// reopen.
+	f.Add(seed(0, 1, 1, 0, 1, 1, 6, 1, 5, 1, 14, 1))
+	// A wrong-length learner on a, superseded by a fresh round, replayed.
 	f.Add(seed(0, 0, 0, 0, 0, 1, 12, 0))
-	// Out of order on b, a Put past the tail, a scan, a delete and an
-	// append the delete retires.
-	f.Add(seed(1, 1, 1, 1, 1, 1, 9, 1, 2, 10, 1, 3, 1, 2, 1, 13, 0, 15, 1, 0, 0, 1, 1))
+	// Out of order on b, a Put past the tail, a reopen, a delete and an
+	// append the delete retires, and a last reopen.
+	f.Add(seed(1, 1, 1, 1, 1, 1, 9, 1, 2, 10, 1, 3, 1, 2, 1, 13, 0, 15, 1, 0, 0, 1, 1, 14, 0))
 	f.Fuzz(func(t *testing.T, script []byte) {
 		// Every step rereads each session and re-checks every appended
 		// delta, so a long script costs quadratic time; the cases under

@@ -12,9 +12,9 @@
 // truncates the tail at the first frame that fails its length or
 // checksum — the bytes a dying kernel half-flushed — so replay sees
 // every committed record and nothing else. Recovery is snapshot +
-// replay: wal.Store folds the committed suffix over the inner store's
-// snapshots on every read, and the append that fills a session's tail
-// folds it into a fresh snapshot so the log can drop dead segments.
+// replay: wal.Store folds the committed suffix onto the inner store's
+// snapshots when it opens, and every snapshot it Puts marks the log so
+// the log can drop dead segments.
 package wal
 
 import (
@@ -214,7 +214,7 @@ type segInfo struct {
 	// marks holds the sessions the segment records a watermark for. The
 	// segment stays while an older kept segment holds rounds of one of
 	// them: dropping it would lose that session's mark, and a reopen
-	// would re-tail rounds already folded.
+	// would replay rounds already folded.
 	marks map[string]bool
 }
 
@@ -737,9 +737,9 @@ func (l *Log) rotate() error {
 }
 
 // Compact deletes sealed segments whose every recorded round is below
-// its session's snapshot watermark — the "fold committed runs into
-// snapshots, then drop the log prefix" half of compaction (wal.Store
-// does the folding). A segment holding a session's mark stays while an
+// its session's snapshot watermark — the "drop the log prefix" half of
+// compaction (the snapshots wal.Store Puts are the other). A segment
+// holding a session's mark stays while an
 // older kept segment holds rounds of that session, so a reopen never
 // loses a mark over rounds it still replays. It returns how many
 // segments were dropped.
@@ -783,9 +783,10 @@ func (l *Log) Compact() (dropped int, err error) {
 	return dropped, nil
 }
 
-// Stats reports the log's operational counters. CompactionLag here
-// counts only records queued for fsync; wal.Store adds the committed
-// tail awaiting folds.
+// Stats reports the log's operational counters. CompactionLag counts,
+// over every session, the rounds logged past its snapshot watermark:
+// the rounds appended since its last checkpoint, which a recovery would
+// replay.
 func (l *Log) Stats() persist.WalStats {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -795,6 +796,19 @@ func (l *Log) Stats() persist.WalStats {
 		BatchRecords: l.lastBatch,
 		Fsyncs:       l.fsyncs,
 		Segments:     len(l.sealed) + 1,
+	}
+	frontier := make(map[string]int, len(l.frontier))
+	for i := 0; i <= len(l.sealed); i++ {
+		f := l.frontier
+		if i < len(l.sealed) {
+			f = l.sealed[i].frontier
+		}
+		for sess, hi := range f {
+			frontier[sess] = max(frontier[sess], hi)
+		}
+	}
+	for sess, hi := range frontier {
+		s.CompactionLag += max(0, hi-l.marks[sess])
 	}
 	n := l.fsyncN
 	if n > fsyncWindow {

@@ -8,7 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -446,65 +445,82 @@ func appendFrameForTest(d *persist.RoundDelta, t *testing.T) []byte {
 	return appendFrame(nil, payload)
 }
 
-// TestWalStoreFoldsCommittedTail checks the store's snapshot + replay
-// read path: Get folds appended rounds over the inner snapshot, and a
-// Put prunes the folded prefix so it is not replayed twice.
+// TestWalStoreFoldsCommittedTail checks the store's redo-log shape:
+// appended rounds are durable but not read back — a Get is the inner
+// snapshot — until a reopen folds them into the inner store, and a Put
+// of the full snapshot marks the log, so the sealed segments holding
+// the folded rounds are dropped.
 func TestWalStoreFoldsCommittedTail(t *testing.T) {
 	ctx := context.Background()
+	dir := t.TempDir()
 	inner := persist.NewMemStore()
-	s, _, err := OpenStore(inner, t.TempDir(), StoreConfig{})
+	cfg := StoreConfig{Wal: Config{MaxSegmentBytes: 512}}
+	s, _, err := OpenStore(inner, dir, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
-
-	base := testSnap(t, 1)
-	if err := s.Put(ctx, "s", base); err != nil {
+	if err := s.Put(ctx, "s", testSnap(t, 1)); err != nil {
 		t.Fatal(err)
 	}
-	deltas := []*persist.RoundDelta{mkDelta("s", 1), mkDelta("s", 2)}
-	if err := s.AppendRounds(ctx, deltas); err != nil {
-		t.Fatal(err)
+	for r := 1; r <= 8; r++ {
+		if err := s.AppendRounds(ctx, []*persist.RoundDelta{mkDelta("s", r)}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	got, err := s.Get(ctx, "s")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.History) != 3 {
-		t.Fatalf("Get folded %d rounds, want 3 (1 snapshot + 2 appended)", len(got.History))
+	if len(got.History) != 1 {
+		t.Fatalf("Get read %d rounds, want the base snapshot's 1: the store keeps no rounds", len(got.History))
 	}
-	if got.History[2].MAE != deltas[1].Interaction.MAE {
-		t.Fatalf("folded round 2 MAE = %v, want %v", got.History[2].MAE, deltas[1].Interaction.MAE)
+	st, _ := s.WalStats()
+	if st.CompactionLag != 8 || st.Segments < 2 {
+		t.Fatalf("WalStats after 8 appends = %+v, want a lag of 8 and a sealed segment", st)
 	}
-	// The inner store still holds only the base snapshot: appends did
-	// not pay a snapshot rewrite.
-	innerSnap, err := inner.Get(ctx, "s")
-	if err != nil {
+	if err := s.Close(); err != nil {
 		t.Fatal(err)
-	}
-	if len(innerSnap.History) != 1 {
-		t.Fatalf("inner snapshot has %d rounds, want 1 — an append rewrote it", len(innerSnap.History))
 	}
 
-	// A full snapshot supersedes the tail; Get must not double-apply.
-	if err := s.Put(ctx, "s", got); err != nil {
-		t.Fatal(err)
-	}
-	again, err := s.Get(ctx, "s")
+	s, _, err = OpenStore(inner, dir, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(again.History) != 3 {
-		t.Fatalf("Get after snapshot = %d rounds, want 3", len(again.History))
+	defer s.Close()
+	snap, err := inner.Get(ctx, "s")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if st, ok := s.WalStats(); !ok || st.CompactionLag != 0 {
-		t.Fatalf("WalStats after snapshot = %+v, want zero compaction lag", st)
+	if len(snap.History) != 9 || snap.History[8].MAE != mkDelta("s", 8).Interaction.MAE {
+		t.Fatalf("inner snapshot after reopen has %d rounds, want 9 ending in round 8's", len(snap.History))
+	}
+	if st, _ := s.WalStats(); st.CompactionLag != 0 || st.Segments != 1 {
+		t.Fatalf("WalStats after the replay = %+v, want no lag and the active segment only", st)
+	}
+
+	// Appends past the replayed snapshot, then a checkpoint of them.
+	for r := 9; r <= 16; r++ {
+		if err := s.AppendRounds(ctx, []*persist.RoundDelta{mkDelta("s", r)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for r := 9; r <= 16; r++ {
+		if _, err := persist.ApplyDelta(snap, mkDelta("s", r)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Put(ctx, "s", snap); err != nil {
+		t.Fatal(err)
+	}
+	if st, _ := s.WalStats(); st.CompactionLag != 0 || st.Segments != 1 {
+		t.Fatalf("WalStats after the checkpoint = %+v, want no lag and the active segment only", st)
 	}
 }
 
 // TestWalStoreReopenReplays is the store-level recovery property: a
 // store reopened over the same directory and inner snapshots serves
-// exactly the pre-crash state, with the committed tail replayed.
+// exactly the pre-crash state, with the committed tail replayed into
+// the inner store.
 func TestWalStoreReopenReplays(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
@@ -523,6 +539,14 @@ func TestWalStoreReopenReplays(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// A replay cut short fails the open rather than marking the session
+	// unreadable.
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	if _, _, err := OpenStoreContext(cancelled, inner, dir, StoreConfig{}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("open with a cancelled replay = %v, want context.Canceled", err)
+	}
+
 	s2, rec, err := OpenStore(inner, dir, StoreConfig{})
 	if err != nil {
 		t.Fatal(err)
@@ -538,18 +562,12 @@ func TestWalStoreReopenReplays(t *testing.T) {
 	if len(got.History) != 3 {
 		t.Fatalf("recovered session has %d rounds, want 3", len(got.History))
 	}
-
-	// Scan folds the tail into the inner store (the WAL-aware recovery
-	// scan), after which the snapshot alone carries every round.
-	if _, err := s2.Scan(ctx); err != nil {
-		t.Fatal(err)
-	}
 	innerSnap, err := inner.Get(ctx, "s")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(innerSnap.History) != 3 {
-		t.Fatalf("inner snapshot after Scan has %d rounds, want 3", len(innerSnap.History))
+		t.Fatalf("inner snapshot after the replay has %d rounds, want 3", len(innerSnap.History))
 	}
 }
 
@@ -585,131 +603,5 @@ func TestWalStoreDeleteRetiresRounds(t *testing.T) {
 	defer s2.Close()
 	if _, err := s2.Get(ctx, "s"); !errors.Is(err, persist.ErrNotFound) {
 		t.Fatalf("Get after Delete and reopen = %v, want ErrNotFound", err)
-	}
-}
-
-// TestWalStoreFoldsInAppend checks the fold: the append that fills a
-// session's committed tail to CompactEvery folds it into a fresh inner
-// snapshot before it returns, and the log drops the retired segments.
-func TestWalStoreFoldsInAppend(t *testing.T) {
-	ctx := context.Background()
-	inner := persist.NewMemStore()
-	s, _, err := OpenStore(inner, t.TempDir(), StoreConfig{
-		CompactEvery: 4,
-		Wal:          Config{MaxSegmentBytes: 512},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if err := s.Put(ctx, "s", testSnap(t, 1)); err != nil {
-		t.Fatal(err)
-	}
-	sealed := false
-	for r := 1; r <= 12; r++ {
-		if err := s.AppendRounds(ctx, []*persist.RoundDelta{mkDelta("s", r)}); err != nil {
-			t.Fatal(err)
-		}
-		snap, err := inner.Get(ctx, "s")
-		if err != nil {
-			t.Fatal(err)
-		}
-		st, _ := s.WalStats()
-		// Rounds 4, 8 and 12 fill the tail: each of those appends folds
-		// it, and fold + tail account for every round (1 genesis + r).
-		if want := 1 + r - r%4; len(snap.History) != want || st.CompactionLag != r%4 {
-			t.Fatalf("after round %d: inner history %d, lag %d; want %d and %d",
-				r, len(snap.History), st.CompactionLag, want, r%4)
-		}
-		// A fold retires every sealed segment: each holds folded rounds
-		// and marks only.
-		if r%4 == 0 && st.Segments != 1 {
-			t.Fatalf("after the fold at round %d: Segments = %d, want the active one only", r, st.Segments)
-		}
-		sealed = sealed || st.Segments > 1
-	}
-	if !sealed {
-		t.Fatal("no segment sealed between folds; the test checks no drop")
-	}
-}
-
-// heldPutStore is an inner MemStore whose first Put of a snapshot with
-// rounds rounds waits until hold fires: it closes arrived on getting
-// there and landed once that Put returned.
-type heldPutStore struct {
-	*persist.MemStore
-	rounds  int
-	hold    <-chan time.Time
-	held    atomic.Bool
-	arrived chan struct{}
-	landed  chan struct{}
-}
-
-func (h *heldPutStore) Put(ctx context.Context, id string, snap *persist.Snapshot) error {
-	if len(snap.History) == h.rounds && h.held.CompareAndSwap(false, true) {
-		close(h.arrived)
-		<-h.hold
-		defer close(h.landed)
-	}
-	return h.MemStore.Put(ctx, id, snap)
-}
-
-// TestWalStoreFoldLandsBeforeCheckpoint: the fold's snapshot Put
-// finishes inside the append that filled the tail, so it can never
-// land over a later checkpoint. Were the fold to run after the append
-// returned, a slow inner Put of the 4-round fold would overwrite the
-// 5-round snapshot a park checkpointed meanwhile, and the checkpoint's
-// prune would already have dropped round 4 from the tail.
-func TestWalStoreFoldLandsBeforeCheckpoint(t *testing.T) {
-	ctx := context.Background()
-	inner := &heldPutStore{
-		MemStore: persist.NewMemStore(),
-		rounds:   4,
-		hold:     time.NewTimer(200 * time.Millisecond).C,
-		arrived:  make(chan struct{}),
-		landed:   make(chan struct{}),
-	}
-	s, _, err := OpenStore(inner, t.TempDir(), StoreConfig{CompactEvery: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if err := s.Put(ctx, "s", testSnap(t, 0)); err != nil {
-		t.Fatal(err)
-	}
-	for r := 0; r < 4; r++ {
-		if err := s.AppendRounds(ctx, []*persist.RoundDelta{mkDelta("s", r)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	select {
-	case <-inner.arrived:
-	case <-time.After(time.Second):
-		t.Fatal("the fold's Put never reached the inner store")
-	}
-	if err := s.AppendRounds(ctx, []*persist.RoundDelta{mkDelta("s", 4)}); err != nil {
-		t.Fatal(err)
-	}
-	park, err := s.Get(ctx, "s")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(park.History) != 5 {
-		t.Fatalf("Get before the checkpoint read %d rounds, want 5", len(park.History))
-	}
-	if err := s.Put(ctx, "s", park); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-inner.landed:
-	case <-time.After(time.Second):
-		t.Fatal("the fold's held Put never returned")
-	}
-	got, err := s.Get(ctx, "s")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.History) != 5 {
-		t.Fatalf("Get after the checkpoint read %d rounds, want 5", len(got.History))
 	}
 }

@@ -12,10 +12,9 @@ import (
 
 // listModel keeps the candidate layout the compacted class list
 // replaced: the pool-order positions of the unshown pairs, compacted on
-// MarkShown and rebuilt on Unshow, with each candidate's class taken
-// from fd.AgreeSet. TestCandidatesMatchListModel and
-// FuzzPoolShowUnshow hold the pool's candidates, counter and class
-// table to it.
+// MarkShown, with each candidate's class taken from fd.AgreeSet.
+// TestCandidatesMatchListModel and FuzzPoolMarkShown hold the pool's
+// candidates, counter and class table to it.
 type listModel struct {
 	pairs   []dataset.Pair // pool order
 	at      map[dataset.Pair]int32
@@ -48,21 +47,7 @@ func (m *listModel) markShown(pairs []dataset.Pair) {
 	m.unshown = kept
 }
 
-func (m *listModel) unshow(pairs []dataset.Pair) {
-	for _, q := range pairs {
-		if pos, ok := m.at[q]; ok {
-			m.shown[pos] = false
-		}
-	}
-	m.unshown = m.unshown[:0]
-	for pos, s := range m.shown {
-		if !s {
-			m.unshown = append(m.unshown, int32(pos))
-		}
-	}
-}
-
-// batch returns up to eight pairs for MarkShown or Unshow: candidates,
+// batch returns up to eight pairs for MarkShown: candidates,
 // shown pairs, repeats of earlier entries, pairs the pool does not hold
 // (reversed or random rows) and pool pairs with a row moved by ±2³²,
 // which must not alias the pair they truncate to.
@@ -140,39 +125,32 @@ func (m *listModel) check(t testing.TB, p *Pool, space *fd.Space, classes bool, 
 
 // runPoolScript plays ops on p and the model, one step per byte, and
 // checks the pool against the model after every step. The low two bits
-// of a byte pick the step: a MarkShown batch, an Unshow batch, one to
-// three SetValues, or an Append. Bit 2 follows a SetValue or Append
-// with a MarkShown batch (bit 3 clear) or an Unshow batch (bit 3 set)
-// before the class table has caught up. The class table is left unbuilt
-// for the first lead steps, so their batches change only bits.
+// of a byte pick the step: a MarkShown batch (0 or 1), one to three
+// SetValues, or an Append. Bit 2 follows a SetValue or Append with a
+// MarkShown batch before the class table has caught up. The class table
+// is left unbuilt for the first lead steps, so their batches change
+// only bits.
 func runPoolScript(t testing.TB, p *Pool, space *fd.Space, rng *stats.RNG, lead int, ops []byte, ctx string) {
 	t.Helper()
 	m := newListModel(p)
 	rel := p.rel
 	m.check(t, p, space, false, ctx+" built")
-	apply := func(markShown bool) {
+	apply := func() {
 		b := m.batch(rng, rel.NumRows())
-		if markShown {
-			p.MarkShown(b)
-			m.markShown(b)
-		} else {
-			p.Unshow(b)
-			m.unshow(b)
-		}
+		p.MarkShown(b)
+		m.markShown(b)
 	}
 	for i, op := range ops {
 		switch op & 3 {
-		case 0:
-			apply(true)
-		case 1:
-			apply(false)
+		case 0, 1:
+			apply()
 		case 2:
 			editStorm(rel, rng, 1+int(op>>4)%3)
 		case 3:
 			rel.MustAppend(rel.Row(rng.Intn(rel.NumRows())).Clone())
 		}
 		if op&3 >= 2 && op&4 != 0 {
-			apply(op&8 == 0)
+			apply()
 		}
 		if i < lead && p.classes.cand != nil {
 			t.Fatalf("%s: class table built before any scoring call", ctx)
@@ -182,7 +160,7 @@ func runPoolScript(t testing.TB, p *Pool, space *fd.Space, rng *stats.RNG, lead 
 }
 
 // TestCandidatesMatchListModel: on OMDB, Hospital and Tax at 3, 24 and
-// 240 rows, random scripts of MarkShown and Unshow batches — with
+// 240 rows, random scripts of MarkShown batches — with
 // repeats, shown pairs, non-candidates and rows past the int32 range —
 // SetValues and Appends, some played before the class table exists,
 // leave the pool's candidates, remaining count, agree sets and class
@@ -215,11 +193,11 @@ func TestCandidatesMatchListModel(t *testing.T) {
 	}
 }
 
-// FuzzPoolShowUnshow plays fuzzer-chosen scripts through runPoolScript
+// FuzzPoolMarkShown plays fuzzer-chosen scripts through runPoolScript
 // on a pool over a small paper dataset. The first byte picks the
 // dataset, its size and how many steps run before the class table is
 // built, and seeds the batches.
-func FuzzPoolShowUnshow(f *testing.F) {
+func FuzzPoolMarkShown(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
 	f.Add([]byte{0x35, 0, 0, 0x0e, 0x06, 1, 1, 0x17, 0x1f, 0})
 	f.Add([]byte{0xc2, 2, 0x26, 0x2e, 3, 0, 0, 0, 1, 0x0f, 0x07})

@@ -19,9 +19,8 @@ import (
 // window) rebuilds the table.
 type classTable struct {
 	// cand holds the class of each candidate, in candidate order; nil
-	// until first built. MarkShown compacts it in place and Unshow
-	// merges the returning candidates into it, so it always lists
-	// exactly the pool's candidates.
+	// until first built. MarkShown compacts it in place, so it always
+	// lists exactly the pool's candidates.
 	cand []int32
 	// count holds the number of candidates in each class.
 	count []int32
@@ -164,7 +163,7 @@ func (t *classTable) remove(idx []int32) {
 // Candidates is the read-only view a Sampler selects from: the pool's
 // unshown pairs in pool order. Besides the pairs themselves it scores
 // them through the pool's agree-set classes, one evaluation per class.
-// A view is invalidated by the pool's next MarkShown or Unshow.
+// A view is invalidated by the pool's next MarkShown.
 type Candidates struct{ p *Pool }
 
 // Len returns the number of candidates.

@@ -27,8 +27,8 @@ type Pool struct {
 	// pairs holds every candidate once, in pool order. It never changes
 	// after construction.
 	pairs []rowPair
-	// byPair lists the positions sorted by pair, so MarkShown and
-	// Unshow find a pair by binary search.
+	// byPair lists the positions sorted by pair, so MarkShown finds a
+	// pair by binary search.
 	byPair []int32
 	// shown is a bitset over positions. The bits past the last position
 	// are set, so the clear bits are exactly the candidates.
@@ -38,8 +38,8 @@ type Pool struct {
 	// classes groups the candidates by agree set for scoring; built on
 	// the first scoring call.
 	classes classTable
-	// moved is MarkShown's and Unshow's scratch: the positions that
-	// change side (MarkShown then turns them into candidate indices).
+	// moved is MarkShown's scratch: the positions that leave the
+	// candidates, turned into their candidate indices.
 	moved []int32
 }
 
@@ -353,7 +353,7 @@ func (p *Pool) position(q dataset.Pair) int32 {
 func (p *Pool) isShown(pos int32) bool { return p.shown[pos/64]&(1<<uint(pos%64)) != 0 }
 
 // Candidates returns the view of the unshown pairs the samplers select
-// from. It is invalidated by the next MarkShown or Unshow.
+// from. It is invalidated by the next MarkShown.
 func (p *Pool) Candidates() Candidates { return Candidates{p: p} }
 
 // MarkShown records that the pairs were presented, removing them from
@@ -381,38 +381,6 @@ func (p *Pool) MarkShown(pairs []dataset.Pair) {
 			moved[j] += int32(j)
 		}
 		t.remove(moved)
-	}
-	p.moved = moved
-}
-
-// Unshow reverses MarkShown for the given pairs: each shown candidate
-// among them returns to its original place in pool order, so the
-// samplers see exactly the candidates they saw before it was marked.
-// A returning pair is classed against the relation as it stands now;
-// the next delta catch-up then treats it like any other candidate.
-func (p *Pool) Unshow(pairs []dataset.Pair) {
-	moved := p.moved[:0]
-	for _, q := range pairs {
-		if pos := p.position(q); pos >= 0 && p.isShown(pos) {
-			p.shown[pos/64] &^= 1 << uint(pos%64)
-			moved = append(moved, pos)
-		}
-	}
-	p.remaining += len(moved)
-	if t := &p.classes; t.cand != nil && len(moved) > 0 {
-		slices.Sort(moved)
-		index, kept := t.index(), t.cand
-		t.cand = make([]int32, p.remaining)
-		at, j := p.cursor(), 0
-		for i := range t.cand {
-			if pos := at.seek(i); j < len(moved) && pos == moved[j] {
-				t.cand[i] = t.classOf(index, fd.AgreeSet(p.rel, p.pairs[pos].pair()))
-				j++
-			} else {
-				t.cand[i] = kept[i-j]
-			}
-		}
-		t.recount()
 	}
 	p.moved = moved
 }

@@ -312,25 +312,6 @@ func TestPoolDeterministicForSeed(t *testing.T) {
 	}
 }
 
-func TestPoolUnshowRestoresOrder(t *testing.T) {
-	rel, space := fixture()
-	pool := NewPool(rel, space, PoolConfig{Seed: 5})
-	before := pool.Remaining()
-	shown := []dataset.Pair{before[7], before[0], before[3], before[len(before)-1]}
-	pool.MarkShown(shown)
-	pool.Unshow(append(shown[:3:3], dataset.Pair{A: -1, B: -1}))
-	after := pool.Remaining()
-	want := before[:len(before)-1]
-	if len(after) != len(want) || pool.ShownCount() != 1 {
-		t.Fatalf("after Unshow: %d remaining, %d shown; want %d and 1", len(after), pool.ShownCount(), len(want))
-	}
-	for i := range want {
-		if after[i] != want[i] {
-			t.Fatalf("Remaining[%d] = %v after Unshow, want %v (pool order)", i, after[i], want[i])
-		}
-	}
-}
-
 // Remaining returns a copy of the candidate pairs not yet marked shown,
 // in pool order.
 func (p *Pool) Remaining() []dataset.Pair {

@@ -126,17 +126,15 @@ func createClass(t testing.TB, p *Pool, space *fd.Space) {
 }
 
 // checkSelectStates runs checkSelect on a pool over rel's pairs as it
-// moves through every state a session reaches: built, after MarkShown
-// and Unshow, after a SetValue that empties a class and one that
-// creates one, and after an Append, which rebuilds the class table.
+// moves through every state a session reaches: built, after MarkShown,
+// after a SetValue that empties a class and one that creates one, and
+// after an Append, which rebuilds the class table.
 func checkSelectStates(t testing.TB, p *Pool, b *belief.Belief, seed uint64, ctx string) {
 	t.Helper()
 	checkSelect(t, p, b, seed, ctx+" built")
 	shown := StochasticUS{}.Select(p.Candidates(), b, 10, stats.NewRNG(seed))
 	p.MarkShown(shown)
 	checkSelect(t, p, b, seed+1, ctx+" after MarkShown")
-	p.Unshow(shown[:len(shown)/2])
-	checkSelect(t, p, b, seed+2, ctx+" after Unshow")
 	emptyClass(t, p, b.Space())
 	checkSelect(t, p, b, seed+3, ctx+" after a SetValue emptied a class")
 	createClass(t, p, b.Space())
@@ -324,10 +322,9 @@ func TestClassSoftmaxBoundaryDraws(t *testing.T) {
 }
 
 // FuzzClassSelect drives a pool over every pair of a small random
-// relation through fuzzer-chosen MarkShown, Unshow, SetValue and Append
-// steps and checks every sampler's class path against the per-pair
-// oracle after each step. The first byte seeds the relation and the
-// belief.
+// relation through fuzzer-chosen MarkShown, SetValue and Append steps
+// and checks every sampler's class path against the per-pair oracle
+// after each step. The first byte seeds the relation and the belief.
 func FuzzClassSelect(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8})
 	f.Add([]byte{7, 0x40, 3, 1, 0x81, 2, 2, 0xc0, 9, 9})
@@ -342,20 +339,12 @@ func FuzzClassSelect(f *testing.F) {
 		p := NewPoolFrom(rel, dataset.AllPairs(rel.NumRows()))
 		b := belief.RandomPrior(space, rng.Split(), 0.05+float64(script[0]%4)/10)
 		checkSelect(t, p, b, 1, "built")
-		var shown []dataset.Pair
 		for i, op := range script[1:] {
 			arg := int(op & 0x3f)
 			switch op >> 6 {
-			case 0:
+			case 0, 1:
 				if c := p.Candidates(); c.Len() > 0 {
-					q := c.Pair(arg % c.Len())
-					p.MarkShown([]dataset.Pair{q})
-					shown = append(shown, q)
-				}
-			case 1:
-				if len(shown) > 0 {
-					p.Unshow(shown[arg%len(shown):])
-					shown = shown[:arg%len(shown)]
+					p.MarkShown([]dataset.Pair{c.Pair(arg % c.Len())})
 				}
 			case 2:
 				rel.SetValue(arg%rel.NumRows(), arg%4, fmt.Sprintf("v%d", arg%5))

@@ -80,6 +80,60 @@ func TestManagerEvictFailureDegradesSession(t *testing.T) {
 	}
 }
 
+// TestManagerFailedParkKeepsPendingRound: parking checkpoints the
+// session without rewinding it, so a park that fails leaves the
+// presented round pending — the client's submit of it still applies —
+// and a later park's snapshot resumes to the same pairs.
+func TestManagerFailedParkKeepsPendingRound(t *testing.T) {
+	ctx := context.Background()
+	fs := faulty.Wrap(persist.NewMemStore(), faulty.Config{
+		Seed: 21, FailRate: 1, Ops: []faulty.Op{faulty.OpPut},
+	})
+	m, c, _ := newTestServer(t, Options{Store: fs, Retry: fastRetry(), RetrySeed: 21})
+	info, err := m.Create(ctx, testSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	playRound(t, m, info.ID)
+	var next nextResponse
+	c.expect(http.StatusOK, "POST", "/v1/sessions/"+info.ID+"/next", nil, &next)
+	raw := c.expect(http.StatusServiceUnavailable, "DELETE", "/v1/sessions/"+info.ID, nil, nil)
+	if kind := errKind(t, raw); kind != KindStoreUnavailable {
+		t.Fatalf("failed park answered kind %q, want %q", kind, KindStoreUnavailable)
+	}
+	var got Info
+	c.expect(http.StatusOK, "GET", "/v1/sessions/"+info.ID, nil, &got)
+	if got.Pending != len(next.Pairs) || !got.Degraded {
+		t.Fatalf("after the failed park: %+v, want degraded with the %d presented pairs pending", got, len(next.Pairs))
+	}
+
+	// The store heals: the park lands, and the unparked session presents
+	// the pending pairs again.
+	fs.ClearFaults()
+	if err := m.Evict(ctx, info.ID); err != nil {
+		t.Fatal(err)
+	}
+	var again nextResponse
+	c.expect(http.StatusOK, "POST", "/v1/sessions/"+info.ID+"/next", nil, &again)
+	if len(again.Pairs) != len(next.Pairs) {
+		t.Fatalf("unparked session presented %d pairs, want %d", len(again.Pairs), len(next.Pairs))
+	}
+	for i := range again.Pairs {
+		if again.Pairs[i].A != next.Pairs[i].A || again.Pairs[i].B != next.Pairs[i].B {
+			t.Fatalf("unparked session presented %+v, want the pending round's %+v", again.Pairs, next.Pairs)
+		}
+	}
+	labels := make([]LabelingWire, len(again.Pairs))
+	for i, p := range again.Pairs {
+		labels[i] = LabelingWire{Pair: [2]int{p.A, p.B}}
+	}
+	one := 1
+	c.expect(http.StatusOK, "POST", "/v1/sessions/"+info.ID+"/submit", SubmitRequest{Round: &one, Labels: labels}, &got)
+	if got.Rounds != 2 {
+		t.Fatalf("after the submit: %+v, want 2 rounds", got)
+	}
+}
+
 // TestManagerUnparkFailedConcurrentAcquires races many acquires of one
 // parked session against a store whose Gets always fail: every acquire
 // must observe the session rolled back to parked (surfacing
@@ -471,11 +525,13 @@ func (g *repairGate) Put(ctx context.Context, id string, snap *persist.Snapshot)
 }
 
 // TestManagerResumeReadsUnderSourceLock: resuming from a session this
-// manager hosts reads its snapshot under the session's entry lock. Over
-// a replica set, that read repairs a replica missing the snapshot with
-// a Put of the winning copy; a checkpoint of the live session must
-// reach that replica only after the repair, or the older repaired copy
-// lands over the newer checkpoint.
+// manager hosts live forks the live session under its entry lock and
+// reads nothing from the store. The fork waits for a request that holds
+// the lock — here a checkpoint whose replica Put is held — and then
+// carries every round the source submitted, not the older stored copy,
+// and re-presents the source's pending round. The resume makes no Put
+// of its own: over a replica set where one replica lost the source's
+// snapshot, the only Put that replica sees is the checkpoint's.
 func TestManagerResumeReadsUnderSourceLock(t *testing.T) {
 	ctx := context.Background()
 	gate := &repairGate{Store: persist.NewMemStore(), held: make(chan struct{}), release: make(chan struct{})}
@@ -493,7 +549,11 @@ func TestManagerResumeReadsUnderSourceLock(t *testing.T) {
 		t.Fatal(err)
 	}
 	playRound(t, m, src.ID) // live: 2 rounds; stored: 1
-	// The gated replica loses its copy, so the next read repairs it.
+	pending, err := m.Next(ctx, src.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The gated replica loses its copy: a store read would repair it.
 	if err := gate.Store.Delete(ctx, src.ID); err != nil {
 		t.Fatal(err)
 	}
@@ -502,41 +562,50 @@ func TestManagerResumeReadsUnderSourceLock(t *testing.T) {
 	gate.mu.Unlock()
 	gate.armed.Store(true)
 
-	resumed := make(chan error, 1)
-	go func() {
-		_, err := m.Resume(ctx, src.ID, testSpec())
-		resumed <- err
-	}()
-	<-gate.held // the repair Put of the 1-round copy is in flight
 	checkpointed := make(chan error, 1)
 	go func() {
 		_, err := m.Snapshot(ctx, src.ID)
 		checkpointed <- err
 	}()
+	<-gate.held // the checkpoint holds the source's entry lock
+	resumed := make(chan Info, 1)
+	go func() {
+		info, err := m.Resume(ctx, src.ID, testSpec())
+		if err != nil {
+			t.Errorf("resume: %v", err)
+		}
+		resumed <- info
+	}()
 	select {
-	case err := <-checkpointed: // it did not wait for the repair
-		checkpointed <- err
+	case <-resumed:
+		t.Fatal("the resume forked the source while a checkpoint held its entry lock")
 	case <-time.After(200 * time.Millisecond):
 	}
 	close(gate.release)
-	if err := <-resumed; err != nil {
-		t.Fatalf("resume: %v", err)
-	}
 	if err := <-checkpointed; err != nil {
 		t.Fatalf("checkpoint: %v", err)
+	}
+	fork := <-resumed
+	if fork.Rounds != 2 {
+		t.Fatalf("fork has %d rounds, want the live source's 2", fork.Rounds)
+	}
+	again, err := m.Next(ctx, fork.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(again) != len(pending) {
+		t.Fatalf("fork presented %d pairs, the source's pending round %d", len(again), len(pending))
+	}
+	for i := range again {
+		if again[i].A != pending[i].A || again[i].B != pending[i].B {
+			t.Fatalf("fork presented %v, the source's pending round %v", again, pending)
+		}
 	}
 	gate.mu.Lock()
 	landed := append([]int(nil), gate.landed...)
 	gate.mu.Unlock()
-	if len(landed) != 2 || landed[0] != 1 || landed[1] != 2 {
-		t.Fatalf("gated replica landed Puts of %v rounds, want the repair's 1 then the checkpoint's 2", landed)
-	}
-	snap, err := gate.Store.Get(ctx, src.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(snap.History) != 2 {
-		t.Fatalf("gated replica holds %d rounds, want the checkpoint's 2", len(snap.History))
+	if len(landed) != 1 || landed[0] != 2 {
+		t.Fatalf("gated replica landed Puts of %v rounds, want the checkpoint's 2 only", landed)
 	}
 }
 

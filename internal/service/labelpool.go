@@ -177,10 +177,11 @@ func (m *Manager) poolFor(id string) *labelPool {
 // session's labelpool, applies every queued round the batch completes
 // (applyQueued), and returns one ticket per submission: applied,
 // failed, or queued behind a gap. Validation is all-or-nothing: no
-// round may be negative and no batch may exceed the queue bound
-// (ErrBadRequest — such a batch could never be admitted, so it is
+// round may be negative, no batch may exceed the queue bound
+// (ErrBadRequest) and no batch may name a round twice
+// (ErrDuplicateRound) — such a batch could never be admitted, so it is
 // refused before the session is touched, and a parked session stays
-// parked), no submission may collide with a queued or in-batch round
+// parked —, no submission may collide with a queued round
 // (ErrDuplicateRound), every labeling must reference in-relation rows
 // and in-schema attributes, and the batch must fit beside the rounds
 // already queued behind a gap (ErrSubmissionBacklog). On any failure
@@ -197,10 +198,15 @@ func (m *Manager) EnqueueSubmissions(ctx context.Context, id string, subs []Subm
 	if len(subs) > m.opts.MaxQueuedSubmissions {
 		return nil, badRequest(fmt.Errorf("batch of %d exceeds the queue bound of %d", len(subs), m.opts.MaxQueuedSubmissions))
 	}
+	inBatch := make(map[int]bool, len(subs))
 	for _, s := range subs {
 		if err := checkRound(s.Round); err != nil {
 			return nil, err
 		}
+		if inBatch[s.Round] {
+			return nil, fmt.Errorf("%w: round %d", ErrDuplicateRound, s.Round)
+		}
+		inBatch[s.Round] = true
 	}
 	e, err := m.acquire(ctx, id)
 	if err != nil {
@@ -217,16 +223,11 @@ func (m *Manager) EnqueueSubmissions(ctx context.Context, id string, subs []Subm
 
 	p := m.poolFor(id)
 	p.mu.Lock()
-	queued := make(map[int]bool, len(p.queue)+len(subs))
 	for _, it := range p.queue {
-		queued[it.round] = true
-	}
-	for _, s := range subs {
-		if queued[s.Round] {
+		if inBatch[it.round] {
 			p.mu.Unlock()
-			return nil, fmt.Errorf("%w: round %d", ErrDuplicateRound, s.Round)
+			return nil, fmt.Errorf("%w: round %d", ErrDuplicateRound, it.round)
 		}
-		queued[s.Round] = true
 	}
 	if len(p.queue)+len(subs) > m.opts.MaxQueuedSubmissions {
 		p.mu.Unlock()

@@ -187,6 +187,41 @@ func TestLabelpoolOversizedBatchKeepsSessionParked(t *testing.T) {
 	}
 }
 
+// TestLabelpoolInBatchDuplicateKeepsSessionParked: a batch naming one
+// round twice can never be admitted either, so it answers 409
+// duplicate_round before the session is touched: a parked session stays
+// parked, and no other session is evicted to make room for it.
+func TestLabelpoolInBatchDuplicateKeepsSessionParked(t *testing.T) {
+	m, c, _ := newTestServer(t, Options{MaxSessions: 1})
+	ctx := context.Background()
+	info, err := m.Create(ctx, testSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Evict(ctx, info.ID); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.EnqueueSubmissions(ctx, info.ID, []Submission{{Round: 1}, {Round: 1}}); !errors.Is(err, ErrDuplicateRound) {
+		t.Fatalf("EnqueueSubmissions = %v, want ErrDuplicateRound", err)
+	}
+	if h := m.Health(); h.Live != 0 || h.Parked != 1 {
+		t.Fatalf("after the duplicate batch: live=%d parked=%d, want 0 and 1", h.Live, h.Parked)
+	}
+	other, err := m.Create(ctx, testSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := EnqueueRequest{Submissions: []SubmissionWire{{Round: 1}, {Round: 1}}}
+	raw := c.expect(http.StatusConflict, "POST", "/v1/sessions/"+info.ID+"/submissions", batch, nil)
+	var e APIError
+	if err := json.Unmarshal(raw, &e); err != nil || e.Kind != KindDuplicateRound {
+		t.Fatalf("duplicate batch body %s (err %v), want kind %q", raw, err, KindDuplicateRound)
+	}
+	if got, err := m.Get(ctx, other.ID); err != nil || got.Parked {
+		t.Fatalf("the other session at MaxSessions: %+v, %v; want it live", got, err)
+	}
+}
+
 // markPolicy deterministically labels presented pairs: mark attribute 1
 // when the tuples agree on attribute 0 but differ on attribute 1 (the
 // planted team→city violations of testCSV-like data), abstain every

@@ -411,18 +411,19 @@ func (m *Manager) Create(ctx context.Context, spec Spec) (Info, error) {
 	return m.register(ctx, spec, nil)
 }
 
-// Resume registers a new session restored from a snapshot previously
-// saved in the store (for example by a prior process before shutdown).
-// The snapshot's history is replayed against a relation rebuilt from
-// spec.Source, which must describe the same data. The new session gets
-// a new id.
+// Resume registers a new session restored from a snapshot of another
+// one: a session this manager hosts, or one saved in the store (for
+// example by a prior process before shutdown). The snapshot's history
+// is replayed against a relation rebuilt from spec.Source, which must
+// describe the same data. The new session gets a new id.
 //
-// When this manager hosts the source session, the snapshot is read
-// while the source is held: a live source under its entry lock, a
-// parked one under a hold that makes unparking it wait (holdSource). A
-// replicated store's read can Put the winning copy onto a stale
-// replica, and the hold is what keeps that write from overlapping the
-// session's own checkpoints and appends.
+// A source this manager hosts live is forked from the live session
+// itself, under its entry lock: the snapshot holds every round it
+// submitted, and a pending round is presented again by the fork. Any
+// other source is read from the store, a parked one under a hold that
+// makes unparking it wait (holdSource): a replicated store's read can
+// Put the winning copy onto a stale replica, and the hold is what keeps
+// that write from overlapping the session's own checkpoints.
 func (m *Manager) Resume(ctx context.Context, snapshotID string, spec Spec) (Info, error) {
 	if err := ctx.Err(); err != nil {
 		return Info{}, err
@@ -434,14 +435,18 @@ func (m *Manager) Resume(ctx context.Context, snapshotID string, spec Spec) (Inf
 	return m.register(ctx, spec, snap)
 }
 
-// loadSource reads a resume's source snapshot from the store, holding
-// the source when this manager hosts it.
+// loadSource returns a resume's source snapshot: a live source's own,
+// taken under its entry lock, or else the store's, read while a parked
+// source is held.
 func (m *Manager) loadSource(ctx context.Context, id string) (*persist.Snapshot, error) {
-	release, err := m.holdSource(ctx, id)
+	e, release, err := m.holdSource(ctx, id)
 	if err != nil {
 		return nil, err
 	}
 	defer release()
+	if e != nil {
+		return e.sess.Snapshot()
+	}
 	var snap *persist.Snapshot
 	err = m.storeRetry(ctx, "loading snapshot "+id, func(ctx context.Context) (err error) {
 		snap, err = m.store.Get(ctx, id)
@@ -451,35 +456,35 @@ func (m *Manager) loadSource(ctx context.Context, id string) (*persist.Snapshot,
 }
 
 // holdSource holds session id for a resume's read of its snapshot and
-// returns the release. A live session is held by its entry lock. A
-// parked one stays parked — its session is not built and nothing is
-// evicted for it — and is held by its parked record's hold: unparking
-// it, or holding it again, waits until the release. An id this manager
-// does not host needs no hold.
-func (m *Manager) holdSource(ctx context.Context, id string) (release func(), err error) {
+// returns the release. A live session is returned locked, its entry
+// lock the hold. A parked one stays parked — its session is not built
+// and nothing is evicted for it — and is held by its parked record's
+// hold: unparking it, or holding it again, waits until the release. An
+// id this manager does not host needs no hold.
+func (m *Manager) holdSource(ctx context.Context, id string) (live *entry, release func(), err error) {
 	for {
 		m.mu.Lock()
-		e, live := m.live[id]
+		e, isLive := m.live[id]
 		p, parked := m.parked[id]
 		switch {
-		case live:
+		case isLive:
 			m.mu.Unlock()
 			e.mu.Lock()
 			if !e.gone {
-				return e.mu.Unlock, nil
+				return e, e.mu.Unlock, nil
 			}
 			e.mu.Unlock() // parked while we waited: hold it parked
 		case parked && p.held != nil:
 			m.mu.Unlock()
 			if err := waitHeld(ctx, p.held); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 		case parked:
 			done := make(chan struct{})
 			p.held = done
 			m.parked[id] = p
 			m.mu.Unlock()
-			return func() {
+			return nil, func() {
 				m.mu.Lock()
 				p := m.parked[id] // a held session is never unparked
 				p.held = nil
@@ -489,7 +494,7 @@ func (m *Manager) holdSource(ctx context.Context, id string) (release func(), er
 			}, nil
 		default:
 			m.mu.Unlock()
-			return func() {}, nil
+			return nil, func() {}, nil
 		}
 	}
 }
@@ -769,7 +774,8 @@ func (m *Manager) Repairs(ctx context.Context, id string, tau float64) ([]Repair
 }
 
 // Snapshot checkpoints the session into the store under its own id and
-// returns that id. The session stays live.
+// returns that id. The session stays live, a pending round included;
+// the checkpoint holds the rounds submitted so far.
 func (m *Manager) Snapshot(ctx context.Context, id string) (string, error) {
 	e, err := m.acquire(ctx, id)
 	if err != nil {

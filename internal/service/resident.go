@@ -28,6 +28,10 @@ type entry struct {
 	// it is set, flushWal checkpoints instead of appending; guarded by
 	// mu.
 	based bool
+	// checkpointed is how many rounds the session's last landed
+	// snapshot holds; flushWal checkpoints instead of appending once the
+	// session is checkpointEvery rounds past it. Guarded by mu.
+	checkpointed int
 	// gone marks the entry evicted or shut down. A goroutine that won
 	// the entry lock after blocking must re-check it and retry the
 	// lookup: the session now lives in the store, not here.
@@ -112,12 +116,13 @@ func (m *Manager) victimLocked(keep *entry) *entry {
 // continues from memory, nothing submitted is lost, and a later
 // checkpoint (Sweep, Snapshot, Shutdown, or a forced eviction) retries
 // and clears the mark.
+//
+// An unsubmitted round is not checkpointed (it carries no annotator
+// evidence): the snapshot holds the sampler RNG from before the round
+// was drawn, so the unparked session presents the same pairs again. A
+// failed park leaves the round pending in the live session.
 func (m *Manager) evict(ctx context.Context, e *entry) error {
 	defer e.mu.Unlock()
-	// An unsubmitted round is dropped: it carries no annotator evidence,
-	// and the discard rewinds the sampler RNG and the pool, so the
-	// snapshot resumes to re-present the same pairs.
-	e.sess.DiscardPending()
 	if err := m.checkpointLocked(ctx, e); err != nil {
 		return err
 	}
@@ -149,6 +154,7 @@ func (m *Manager) checkpointLocked(ctx context.Context, e *entry) error {
 		return err
 	}
 	e.based = true
+	e.checkpointed = len(snap.History)
 	if e.wal != nil {
 		e.wal.clear()
 	}
@@ -241,6 +247,7 @@ func (m *Manager) acquire(ctx context.Context, id string) (*entry, error) {
 				e.sess = sess
 				e.wal = wrec
 				e.based = true // the snapshot we just resumed from is the base
+				e.checkpointed = len(snap.History)
 				return e, nil
 			}
 		}

@@ -221,7 +221,7 @@ func TestObserverOrderedUnderConcurrentAccess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ws.Close()
+	defer func() { ws.Close() }()
 	m := NewManager(Options{Store: ws})
 	info, err := m.Create(ctx, datasetSpec(34))
 	if err != nil {
@@ -290,8 +290,20 @@ func TestObserverOrderedUnderConcurrentAccess(t *testing.T) {
 		t.Fatal("concurrent drivers completed no rounds")
 	}
 	// Every submit acked after its round's append, so the store holds
-	// exactly the live session's rounds and its post-round belief.
-	snap, err := m.store.Get(ctx, info.ID)
+	// exactly the live session's rounds and its post-round belief once
+	// a reopen replays the log.
+	if err := ws.Close(); err != nil {
+		t.Fatal(err)
+	}
+	snaps, err = persist.NewDirStore(filepath.Join(dir, "snapshots"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws, _, err = wal.OpenStore(snaps, filepath.Join(dir, "wal"), wal.StoreConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := ws.Get(ctx, info.ID)
 	if err != nil {
 		t.Fatalf("store get: %v", err)
 	}

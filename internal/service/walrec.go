@@ -113,14 +113,23 @@ func (w *walRecorder) backlog() int {
 	return int(w.n.Load())
 }
 
+// checkpointEvery bounds how many rounds a session appends past its
+// last checkpoint: the flush that reaches it lands a full snapshot
+// instead, so a recovery replays at most this many rounds per session
+// and the log can drop the segments behind the checkpoint. Its cost is
+// one snapshot Put per session, amortized over checkpointEvery
+// O(space)-sized appends.
+const checkpointEvery = 64
+
 // flushWal makes the entry's recorded rounds durable — the durability
 // unit behind every submit: a submit acks to its caller only after its
 // delta's group commit fsynced (quorum-fsynced under replication).
 // Deltas are appended only on top of a base snapshot: until one lands
 // (at create or resume, or after that checkpoint failed), the flush is
 // a full checkpoint instead, which covers every recorded round. So no
-// delta ever reaches the log without a snapshot to replay onto. Caller
-// holds e.mu.
+// delta ever reaches the log without a snapshot to replay onto. Once a
+// session is checkpointEvery rounds past its last checkpoint, the flush
+// is a full checkpoint too. Caller holds e.mu.
 //
 // Failure follows the degraded-mode playbook: the deltas are restored
 // for the next flush, the session is marked degraded, and serving
@@ -133,6 +142,11 @@ func (m *Manager) flushWal(ctx context.Context, e *entry) error {
 	}
 	if !e.based {
 		return m.checkpointLocked(ctx, e)
+	}
+	// A failed periodic checkpoint still appends: the rounds must not
+	// wait in memory for the snapshot store to heal.
+	if e.sess.Rounds()-e.checkpointed >= checkpointEvery && m.checkpointLocked(ctx, e) == nil {
+		return nil
 	}
 	deltas := e.wal.take()
 	if len(deltas) == 0 {

@@ -176,6 +176,53 @@ func TestManagerWalSubmitDurability(t *testing.T) {
 	}
 }
 
+// TestManagerWalCheckpointEvery: a session's rounds are appended until
+// it is checkpointEvery rounds past its last checkpoint; the flush that
+// gets there lands a full snapshot instead of an append, and the log
+// then drops every sealed segment behind it. The store reads only the
+// snapshots: between checkpoints it answers the base.
+func TestManagerWalCheckpointEvery(t *testing.T) {
+	ctx := context.Background()
+	dir, err := persist.NewDirStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws, _, err := wal.OpenStore(dir, t.TempDir(), wal.StoreConfig{Wal: wal.Config{MaxSegmentBytes: 4 << 10}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ws.Close()
+	m := NewManager(Options{Store: ws})
+	info, err := m.Create(ctx, datasetSpec(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := 1; r <= checkpointEvery+1; r++ {
+		if err := walPlayRound(ctx, m, info.ID); err != nil {
+			t.Fatalf("round %d: %v", r, err)
+		}
+		snap, err := ws.Get(ctx, info.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, _ := ws.WalStats()
+		stored, lag, appended := 0, r, r
+		if r >= checkpointEvery {
+			stored, lag, appended = checkpointEvery, r-checkpointEvery, r-1
+		}
+		if len(snap.History) != stored || st.CompactionLag != lag || st.Appended != uint64(appended) {
+			t.Fatalf("after round %d: stored %d rounds, lag %d, %d appended; want %d, %d and %d",
+				r, len(snap.History), st.CompactionLag, st.Appended, stored, lag, appended)
+		}
+		if r == checkpointEvery-1 && st.Segments < 2 {
+			t.Fatalf("before the checkpoint: %d segments, want sealed ones for it to drop", st.Segments)
+		}
+		if r == checkpointEvery && st.Segments != 1 {
+			t.Fatalf("after the checkpoint: %d segments, want the active one only", st.Segments)
+		}
+	}
+}
+
 // TestManagerWalGroupCommit is the group-commit claim on the stack
 // `etserve -store` serves from — a Manager over a WAL store over a
 // directory store, default configuration: submits that queue while an
@@ -308,7 +355,6 @@ func TestManagerRestartNeverReusesID(t *testing.T) {
 	}
 
 	ws = open()
-	defer ws.Close()
 	m = NewManager(Options{Store: ws})
 	fresh, err := m.Create(ctx, datasetSpec(6))
 	if err != nil {
@@ -329,6 +375,12 @@ func TestManagerRestartNeverReusesID(t *testing.T) {
 	if resumed.Rounds != 3 {
 		t.Fatalf("resumed %s with %d rounds, want 3", old.ID, resumed.Rounds)
 	}
+	// The crash: the acked rounds are in the log, which a reopen replays.
+	if err := ws.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ws = open()
+	defer ws.Close()
 	snap, err := ws.Get(ctx, fresh.ID)
 	if err != nil {
 		t.Fatal(err)
