@@ -30,12 +30,14 @@ const maxAllocsPerRound = 200
 // maxResidentSessionBytes caps the live heap one resident
 // OMDB-240 session holds after 48 rounds over the service-default
 // 147-hypothesis space — relation, pool and its agree-set class table,
-// beliefs and trajectory (~229 KB measured). A per-pair violation memo
+// beliefs and trajectory (~183 KB measured). A per-pair violation memo
 // held ~2.2 MiB, a pool paying 28 bytes per position (a dataset.Pair, a
-// position list, a class id per position) ~433 KiB, and second copies
-// of the session's facts — the learner's per-pair label map and the
-// relation's string tuples beside its codes — ~306 KB.
-const maxResidentSessionBytes = 272 << 10
+// position list, a class id per position) ~433 KiB, second copies of
+// the session's facts — the learner's per-pair label map and the
+// relation's string tuples beside its codes — ~306 KB, and a pool
+// index of positions sorted by pair (4 bytes per position) with each
+// round's labelings grown by append to twice their length ~233 KB.
+const maxResidentSessionBytes = 208 << 10
 
 // maxResidentWalSessionBytes caps the live heap one resident session
 // of etperf's durable shape holds when its store is a write-ahead log:

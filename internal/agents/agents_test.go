@@ -213,7 +213,7 @@ func TestLearnerRoundTrip(t *testing.T) {
 		t.Fatalf("Name = %q", l.Name())
 	}
 	pool := sampling.NewPoolFrom(rel, dataset.AllPairs(rel.NumRows()))
-	got := l.Present(pool.Candidates(), 10)
+	got := pool.Show(l.Present(pool.Candidates(), 10))
 	if len(got) != 10 {
 		t.Fatalf("presented %d", len(got))
 	}

@@ -38,8 +38,9 @@ func NewLearner(prior *belief.Belief, sampler sampling.Sampler, rng *stats.RNG) 
 func (l *Learner) Name() string { return l.sampler.Name() }
 
 // Present implements the response model: select k of the candidates
-// under the current belief.
-func (l *Learner) Present(c sampling.Candidates, k int) []dataset.Pair {
+// under the current belief. It returns their candidate indices, which
+// the pool's Show turns into the pairs shown.
+func (l *Learner) Present(c sampling.Candidates, k int) []int {
 	return l.sampler.Select(c, l.belief, k, l.rng)
 }
 

@@ -21,8 +21,7 @@ func TestFPTrainerAlwaysBestResponds(t *testing.T) {
 	learner := agents.NewLearner(belief.DataEstimatePrior(space, rel, 0.1), sampling.StochasticUS{}, rng.Split())
 
 	for i := 0; i < 15; i++ {
-		presented := learner.Present(pool.Candidates(), 10)
-		pool.MarkShown(presented)
+		presented := pool.Show(learner.Present(pool.Candidates(), 10))
 		trainer.Observe(rel, presented)
 		labeled := trainer.Label(rel, presented)
 		if !IsBestResponse(trainer.Belief(), rel, labeled) {
@@ -44,8 +43,7 @@ func TestNoisyTrainerIsExploitable(t *testing.T) {
 
 	var sawGap bool
 	for i := 0; i < 10; i++ {
-		presented := learner.Present(pool.Candidates(), 10)
-		pool.MarkShown(presented)
+		presented := pool.Show(learner.Present(pool.Candidates(), 10))
 		trainer.Observe(rel, presented)
 		labeled := trainer.Label(rel, presented)
 		if Exploitability(trainer.Belief(), rel, labeled) > 0 {

@@ -226,8 +226,7 @@ func TestConvergenceProposition1(t *testing.T) {
 	var trMove, leMove []float64
 	trPrev, lePrev := trainer.Belief().Confidences(), learner.Belief().Confidences()
 	for i := 0; i < iterations && pool.RemainingCount() > 0; i++ {
-		presented := learner.Present(pool.Candidates(), k)
-		pool.MarkShown(presented)
+		presented := pool.Show(learner.Present(pool.Candidates(), k))
 		trainer.Observe(rel, presented)
 		labeled := trainer.Label(rel, presented)
 		learner.Incorporate(rel, labeled)

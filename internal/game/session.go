@@ -168,8 +168,7 @@ func (s *Session) NextContext(ctx context.Context) ([]dataset.Pair, error) {
 	t := s.eng.round()
 	s.eng.obs.RoundStarted(t)
 	s.pendingRNG = s.eng.learner.RNGState()
-	presented := s.eng.learner.Present(s.pool.Candidates(), s.k)
-	s.pool.MarkShown(presented)
+	presented := s.pool.Show(s.eng.learner.Present(s.pool.Candidates(), s.k))
 	s.pending = presented
 	s.eng.obs.PairsPresented(t, presented)
 	return presented, nil
@@ -206,7 +205,10 @@ func (s *Session) SubmitContext(ctx context.Context, labeled []belief.Labeling) 
 	for _, p := range s.pending {
 		allowed[p] = struct{}{}
 	}
-	var fresh, revisions []belief.Labeling
+	// fresh grows into the round's record: every pending pair, labeled
+	// or abstained, so it never outgrows len(s.pending).
+	fresh := make([]belief.Labeling, 0, len(s.pending))
+	var revisions []belief.Labeling
 	dup := -1
 	for i, lp := range labeled {
 		if _, ok := seen[lp.Pair]; ok {
@@ -417,14 +419,21 @@ func ResumeSession(snap *persist.Snapshot, cfg SessionConfig) (*Session, error) 
 	if err != nil {
 		return nil, err
 	}
+	// Every round's presented pairs share one array, which also marks
+	// them all shown in one pass over the pool.
+	labeled := 0
+	for _, r := range rounds {
+		labeled += len(r.Labeled)
+	}
+	shown := make([]dataset.Pair, 0, labeled)
 	records := make([]IterationRecord, len(rounds))
 	for i, r := range rounds {
-		presented := make([]dataset.Pair, 0, len(r.Labeled))
+		from := len(shown)
 		for _, lp := range r.Labeled {
-			presented = append(presented, lp.Pair)
+			shown = append(shown, lp.Pair)
 		}
 		records[i] = IterationRecord{
-			Presented:     presented,
+			Presented:     shown[from:len(shown):len(shown)],
 			Labeled:       r.Labeled,
 			Revisions:     r.Revisions,
 			MAE:           r.MAE,
@@ -433,8 +442,8 @@ func ResumeSession(snap *persist.Snapshot, cfg SessionConfig) (*Session, error) 
 		if r.Detection != nil {
 			records[i].Detection = *r.Detection
 		}
-		s.pool.MarkShown(presented)
 	}
+	s.pool.MarkShown(shown)
 	s.eng.restore(records)
 	if state, ok, err := snap.RestoreLearnerRNG(); err != nil {
 		return nil, err

@@ -2,6 +2,7 @@ package sampling
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"exptrain/internal/datagen"
@@ -10,11 +11,22 @@ import (
 	"exptrain/internal/stats"
 )
 
+// Pair returns candidate i, 0 ≤ i < Len, in O(pool size/64). The
+// samplers name candidates by index and the pool's Show maps them; the
+// tests read single candidates back through this.
+func (c Candidates) Pair(i int) dataset.Pair {
+	at := c.p.cursor()
+	return c.p.pairs[at.seek(i)].pair()
+}
+
 // listModel keeps the candidate layout the compacted class list
 // replaced: the pool-order positions of the unshown pairs, compacted on
-// MarkShown, with each candidate's class taken from fd.AgreeSet.
-// TestCandidatesMatchListModel and FuzzPoolMarkShown hold the pool's
-// candidates, counter and class table to it.
+// Show and MarkShown, with each candidate's class taken from
+// fd.AgreeSet. A pair is found by a map instead of the pool's one-pass
+// MarkShown, and a candidate index by the position list instead of
+// Show's cursor sweep. TestCandidatesMatchListModel and
+// FuzzPoolMarkShown hold the pool's candidates, counter and class table
+// to it.
 type listModel struct {
 	pairs   []dataset.Pair // pool order
 	at      map[dataset.Pair]int32
@@ -45,6 +57,23 @@ func (m *listModel) markShown(pairs []dataset.Pair) {
 		}
 	}
 	m.unshown = kept
+}
+
+// show returns the pairs of the candidates at idx, in the order of idx,
+// and marks them shown.
+func (m *listModel) show(idx []int) []dataset.Pair {
+	out := make([]dataset.Pair, len(idx))
+	for j, i := range idx {
+		out[j] = m.pairs[m.unshown[i]]
+	}
+	m.markShown(out)
+	return out
+}
+
+// indices returns up to eight distinct candidate indices for Show, in
+// random order, as a Sampler's Select returns them.
+func (m *listModel) indices(rng *stats.RNG) []int {
+	return rng.SampleWithoutReplacement(len(m.unshown), min(1+rng.Intn(8), len(m.unshown)))
 }
 
 // batch returns up to eight pairs for MarkShown: candidates,
@@ -125,46 +154,55 @@ func (m *listModel) check(t testing.TB, p *Pool, space *fd.Space, classes bool, 
 
 // runPoolScript plays ops on p and the model, one step per byte, and
 // checks the pool against the model after every step. The low two bits
-// of a byte pick the step: a MarkShown batch (0 or 1), one to three
-// SetValues, or an Append. Bit 2 follows a SetValue or Append with a
-// MarkShown batch before the class table has caught up. The class table
-// is left unbuilt for the first lead steps, so their batches change
-// only bits.
+// of a byte pick the step: a Show batch (0), a MarkShown batch (1), one
+// to three SetValues, or an Append. Bit 2 follows a SetValue or Append
+// with a batch before the class table has caught up, a Show batch when
+// bit 3 is set and a MarkShown batch otherwise. The class table is left
+// unbuilt for the first lead steps, so their batches change only bits.
 func runPoolScript(t testing.TB, p *Pool, space *fd.Space, rng *stats.RNG, lead int, ops []byte, ctx string) {
 	t.Helper()
 	m := newListModel(p)
 	rel := p.rel
 	m.check(t, p, space, false, ctx+" built")
-	apply := func() {
-		b := m.batch(rng, rel.NumRows())
-		p.MarkShown(b)
-		m.markShown(b)
+	apply := func(show bool, step string) {
+		if !show {
+			b := m.batch(rng, rel.NumRows())
+			p.MarkShown(b)
+			m.markShown(b)
+			return
+		}
+		idx := m.indices(rng)
+		if got, want := p.Show(idx), m.show(idx); !slices.Equal(got, want) {
+			t.Fatalf("%s: Show(%v) = %v, model %v", step, idx, got, want)
+		}
 	}
 	for i, op := range ops {
+		step := fmt.Sprintf("%s step %d (op %#x)", ctx, i, op)
 		switch op & 3 {
 		case 0, 1:
-			apply()
+			apply(op&3 == 0, step)
 		case 2:
 			editStorm(rel, rng, 1+int(op>>4)%3)
 		case 3:
 			rel.MustAppend(rel.Row(rng.Intn(rel.NumRows())).Clone())
 		}
 		if op&3 >= 2 && op&4 != 0 {
-			apply()
+			apply(op&8 != 0, step)
 		}
 		if i < lead && p.classes.cand != nil {
 			t.Fatalf("%s: class table built before any scoring call", ctx)
 		}
-		m.check(t, p, space, i >= lead, fmt.Sprintf("%s step %d (op %#x)", ctx, i, op))
+		m.check(t, p, space, i >= lead, step)
 	}
 }
 
 // TestCandidatesMatchListModel: on OMDB, Hospital and Tax at 3, 24 and
-// 240 rows, random scripts of MarkShown batches — with
+// 240 rows, random scripts of Show batches, MarkShown batches — with
 // repeats, shown pairs, non-candidates and rows past the int32 range —
 // SetValues and Appends, some played before the class table exists,
-// leave the pool's candidates, remaining count, agree sets and class
-// counts equal to the list model's after every step. Checking every
+// return the model's pairs from every Show and leave the pool's
+// candidates, remaining count, agree sets and class counts equal to
+// the list model's after every step. Checking every
 // candidate costs O(pool²/64) a step, so the 240-row pools of several
 // thousand pairs play shorter scripts.
 func TestCandidatesMatchListModel(t *testing.T) {
@@ -215,4 +253,21 @@ func FuzzPoolMarkShown(f *testing.F) {
 		p := NewPool(ds.Rel, space, PoolConfig{MaxAgreeingPerFD: 20, Seed: uint64(script[0])})
 		runPoolScript(t, p, space, stats.NewRNG(uint64(script[0])), int(script[0]>>6), script[1:], "fuzz")
 	})
+}
+
+// TestShowRejectsBadIndices: Show panics on a candidate index that is
+// negative, past the candidates or repeated.
+func TestShowRejectsBadIndices(t *testing.T) {
+	rel, _ := fixture()
+	for _, idx := range [][]int{{-1}, {66}, {3, 0, 3}} {
+		p := NewPoolFrom(rel, allPairs(rel))
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("Show(%v) of %d candidates did not panic", idx, p.RemainingCount())
+				}
+			}()
+			p.Show(idx)
+		}()
+	}
 }

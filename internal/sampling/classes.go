@@ -2,7 +2,6 @@ package sampling
 
 import (
 	"exptrain/internal/belief"
-	"exptrain/internal/dataset"
 	"exptrain/internal/fd"
 )
 
@@ -19,8 +18,8 @@ import (
 // window) rebuilds the table.
 type classTable struct {
 	// cand holds the class of each candidate, in candidate order; nil
-	// until first built. MarkShown compacts it in place, so it always
-	// lists exactly the pool's candidates.
+	// until first built. Show and MarkShown compact it in place, so it
+	// always lists exactly the pool's candidates.
 	cand []int32
 	// count holds the number of candidates in each class.
 	count []int32
@@ -161,19 +160,14 @@ func (t *classTable) remove(idx []int32) {
 }
 
 // Candidates is the read-only view a Sampler selects from: the pool's
-// unshown pairs in pool order. Besides the pairs themselves it scores
-// them through the pool's agree-set classes, one evaluation per class.
-// A view is invalidated by the pool's next MarkShown.
+// unshown pairs in pool order, each named by its index in that order.
+// It scores them through the pool's agree-set classes, one evaluation
+// per class. A view is invalidated by the pool's next Show or
+// MarkShown.
 type Candidates struct{ p *Pool }
 
 // Len returns the number of candidates.
 func (c Candidates) Len() int { return c.p.remaining }
-
-// Pair returns candidate i, 0 ≤ i < Len, in O(pool size/64).
-func (c Candidates) Pair(i int) dataset.Pair {
-	at := c.p.cursor()
-	return c.p.pairs[at.seek(i)].pair()
-}
 
 // countClasses brings the pool's class table up to date for space,
 // sizes sc.value to one entry per class for the caller to fill, sets

@@ -4,7 +4,6 @@ import (
 	"math/bits"
 
 	"exptrain/internal/belief"
-	"exptrain/internal/dataset"
 	"exptrain/internal/stats"
 )
 
@@ -28,7 +27,7 @@ type QueryByCommittee struct {
 func (QueryByCommittee) Name() string { return "QBC" }
 
 // Select implements Sampler.
-func (s QueryByCommittee) Select(c Candidates, b *belief.Belief, k int, rng *stats.RNG) []dataset.Pair {
+func (s QueryByCommittee) Select(c Candidates, b *belief.Belief, k int, rng *stats.RNG) []int {
 	confs := s.committee(b, rng)
 	// A member's vote on a pair is a property of the pair's agree-set
 	// class, so each class is voted on once.
@@ -97,7 +96,7 @@ type EpsilonGreedy struct {
 func (EpsilonGreedy) Name() string { return "EpsilonGreedy" }
 
 // Select implements Sampler.
-func (s EpsilonGreedy) Select(c Candidates, b *belief.Belief, k int, rng *stats.RNG) []dataset.Pair {
+func (s EpsilonGreedy) Select(c Candidates, b *belief.Belief, k int, rng *stats.RNG) []int {
 	// Rank once by entropy; then walk the ranking, substituting random
 	// picks with probability ε.
 	sc := selPool.Get().(*selectScratch)
@@ -108,22 +107,22 @@ func (s EpsilonGreedy) Select(c Candidates, b *belief.Belief, k int, rng *stats.
 
 // walk takes min(k, c.Len()) distinct candidates: each uniform-random
 // with probability ε, otherwise the next of ranked not yet taken.
-func (s EpsilonGreedy) walk(c Candidates, ranked []dataset.Pair, k int, rng *stats.RNG) []dataset.Pair {
+func (s EpsilonGreedy) walk(c Candidates, ranked []int, k int, rng *stats.RNG) []int {
 	eps := s.Epsilon
 	if eps == 0 { //etlint:ignore floatcmp zero value means unset; callers assign literals
 		eps = 0.2
 	}
 	k = min(k, c.Len())
-	taken := make(map[dataset.Pair]struct{}, k)
-	out := make([]dataset.Pair, 0, k)
+	taken := make(map[int]struct{}, k)
+	out := make([]int, 0, k)
 	next := 0
 	takeGreedy := func() {
 		for next < len(ranked) {
-			p := ranked[next]
+			i := ranked[next]
 			next++
-			if _, dup := taken[p]; !dup {
-				taken[p] = struct{}{}
-				out = append(out, p)
+			if _, dup := taken[i]; !dup {
+				taken[i] = struct{}{}
+				out = append(out, i)
 				return
 			}
 		}
@@ -134,10 +133,10 @@ func (s EpsilonGreedy) walk(c Candidates, ranked []dataset.Pair, k int, rng *sta
 			// fall back to greedy so selection always terminates.
 			picked := false
 			for attempt := 0; attempt < 8; attempt++ {
-				p := c.Pair(rng.Intn(c.Len()))
-				if _, dup := taken[p]; !dup {
-					taken[p] = struct{}{}
-					out = append(out, p)
+				i := rng.Intn(c.Len())
+				if _, dup := taken[i]; !dup {
+					taken[i] = struct{}{}
+					out = append(out, i)
 					picked = true
 					break
 				}

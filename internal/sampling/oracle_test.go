@@ -8,7 +8,6 @@ import (
 	"testing/quick"
 
 	"exptrain/internal/belief"
-	"exptrain/internal/dataset"
 	"exptrain/internal/stats"
 )
 
@@ -31,7 +30,7 @@ type perPair struct {
 }
 
 // selectPerPair is s.Select computed per candidate.
-func (o *perPair) selectPerPair(s Sampler, c Candidates, b *belief.Belief, k int, rng *stats.RNG) []dataset.Pair {
+func (o *perPair) selectPerPair(s Sampler, c Candidates, b *belief.Belief, k int, rng *stats.RNG) []int {
 	switch s := s.(type) {
 	case Uncertainty:
 		return o.topKByScore(c, k, o.candidateScores(c, b, stats.BernoulliEntropy))
@@ -71,7 +70,7 @@ func (o *perPair) fill(c Candidates, t *classTable) []float64 {
 // topKByScore returns the k highest-scoring candidates, ties broken by
 // candidate order for determinism. scores holds one value per
 // candidate.
-func (o *perPair) topKByScore(c Candidates, k int, scores []float64) []dataset.Pair {
+func (o *perPair) topKByScore(c Candidates, k int, scores []float64) []int {
 	k = min(k, c.Len())
 	o.idx = resize(o.idx, len(scores))
 	idx := o.idx
@@ -79,11 +78,7 @@ func (o *perPair) topKByScore(c Candidates, k int, scores []float64) []dataset.P
 		idx[i] = i
 	}
 	sort.SliceStable(idx, func(a, b int) bool { return scores[idx[a]] > scores[idx[b]] })
-	out := make([]dataset.Pair, k)
-	for i := 0; i < k; i++ {
-		out[i] = c.Pair(idx[i])
-	}
-	return out
+	return append([]int(nil), idx[:k]...)
 }
 
 // softmaxSelect draws k distinct candidates with probabilities
@@ -91,17 +86,17 @@ func (o *perPair) topKByScore(c Candidates, k int, scores []float64) []dataset.P
 // from the distribution. When every undrawn candidate's mass has
 // underflowed to zero, the mass spreads uniformly over the undrawn
 // candidates; Normalize's own fallback would revive the drawn ones.
-func (o *perPair) softmaxSelect(c Candidates, b *belief.Belief, k int, gamma float64, rng *stats.RNG, score func(pdirty float64) float64) []dataset.Pair {
+func (o *perPair) softmaxSelect(c Candidates, b *belief.Belief, k int, gamma float64, rng *stats.RNG, score func(pdirty float64) float64) []int {
 	k = min(k, c.Len())
 	scores := o.candidateScores(c, b, score)
 	probs := resize(o.probs, len(scores))
 	Softmax(probs, scores, gamma)
 	drawn := resize(o.drawn, len(scores))
 	clear(drawn)
-	out := make([]dataset.Pair, 0, k)
+	out := make([]int, 0, k)
 	for len(out) < k {
 		i := SampleCategorical(rng, probs)
-		out = append(out, c.Pair(i))
+		out = append(out, i)
 		probs[i], drawn[i] = 0, true
 		if Normalize(probs) <= 0 {
 			u := 1 / float64(len(probs)-len(out))

@@ -1,6 +1,8 @@
 package sampling
 
 import (
+	"cmp"
+	"fmt"
 	"math"
 	"math/bits"
 	"slices"
@@ -27,9 +29,6 @@ type Pool struct {
 	// pairs holds every candidate once, in pool order. It never changes
 	// after construction.
 	pairs []rowPair
-	// byPair lists the positions sorted by pair, so MarkShown finds a
-	// pair by binary search.
-	byPair []int32
 	// shown is a bitset over positions. The bits past the last position
 	// are set, so the clear bits are exactly the candidates.
 	shown []uint64
@@ -38,8 +37,8 @@ type Pool struct {
 	// classes groups the candidates by agree set for scoring; built on
 	// the first scoring call.
 	classes classTable
-	// moved is MarkShown's scratch: the positions that leave the
-	// candidates, turned into their candidate indices.
+	// moved is Show's scratch: the candidate indices that leave the
+	// candidates.
 	moved []int32
 }
 
@@ -103,9 +102,12 @@ func NewPool(rel *dataset.Relation, space *fd.Space, cfg PoolConfig) *Pool {
 	// Second pass: the draws, in FD order. A hypothesis over the cap
 	// draws maxPer ranks into its partition's enumeration order
 	// (classes by smallest member, ascending (a, b) within a class);
-	// one under it contributes every pair in that order.
+	// one under it contributes every pair in that order. Every pair
+	// added has A < B, so the set never holds more than n(n−1)/2
+	// distinct pairs, however many calls add them.
+	n := rel.NumRows()
 	rng := stats.NewRNG(cfg.Seed)
-	cs := newCandidateSet(bound)
+	cs := newCandidateSet(min(bound, n*(n-1)/2))
 	var idx []int
 	for _, tab := range fdTable {
 		if tab.total > maxPer {
@@ -126,7 +128,6 @@ func NewPool(rel *dataset.Relation, space *fd.Space, cfg PoolConfig) *Pool {
 			}
 		}
 	}
-	n := rel.NumRows()
 	if n >= 2 {
 		for t := 0; t < randomPairs; t++ {
 			a := rng.Intn(n)
@@ -166,15 +167,18 @@ type candidateSet struct {
 	keys []uint64
 }
 
-// newCandidateSet returns a set for at most bound add calls. The hash
-// table and the key list share one allocation.
+// newCandidateSet returns a set for at most bound distinct pairs. The
+// hash table and the key list share one allocation.
 func newCandidateSet(bound int) *candidateSet {
 	b := bits.Len(uint(2*max(bound, 1) - 1))
 	buf := make([]uint64, 1<<b+bound)
 	return &candidateSet{set: buf[:1<<b], shift: uint(64 - b), keys: buf[1<<b : 1<<b]}
 }
 
-// add appends q to the pool order unless an earlier call added it.
+// add appends q to the pool order unless an earlier call added it. It
+// probes in a loop of its own: NewPool makes tens of thousands of add
+// calls, and one probe helper shared with has made construction ~14%
+// slower.
 func (cs *candidateSet) add(q dataset.Pair) {
 	k := (uint64(q.A)<<32 | uint64(q.B)) + 1
 	mask := uint64(len(cs.set) - 1)
@@ -190,52 +194,35 @@ func (cs *candidateSet) add(q dataset.Pair) {
 	}
 }
 
+// has reports whether an add call added q.
+func (cs *candidateSet) has(q rowPair) bool {
+	k := (uint64(q.a)<<32 | uint64(q.b)) + 1
+	mask := uint64(len(cs.set) - 1)
+	for h := k * 0x9e3779b97f4a7c15 >> cs.shift; ; h = (h + 1) & mask {
+		switch cs.set[h] {
+		case k:
+			return true
+		case 0:
+			return false
+		}
+	}
+}
+
 // pool returns the pool over the distinct pairs added, in pool order.
-// byPair comes from a stable two-pass counting sort of the positions by
-// (A, B): O(distinct pairs + rows), no comparison sort.
 func (cs *candidateSet) pool(rel *dataset.Relation) *Pool {
 	u := len(cs.keys)
 	p := &Pool{
 		rel:       rel,
 		pairs:     make([]rowPair, u),
-		byPair:    make([]int32, u),
 		shown:     make([]uint64, (u+63)/64),
 		remaining: u,
 	}
 	if u%64 != 0 {
 		p.shown[u/64] = ^uint64(0) << uint(u%64)
 	}
-	rows := 0
 	for i, k := range cs.keys {
 		k--
-		q := rowPair{a: int32(k >> 32), b: int32(uint32(k))}
-		p.pairs[i] = q
-		rows = max(rows, int(q.a)+1, int(q.b)+1)
-	}
-	count := make([]int32, rows+1)
-	prefix := func() {
-		for v := 1; v <= rows; v++ {
-			count[v] += count[v-1]
-		}
-	}
-	order := make([]int32, u) // the positions by B
-	for _, q := range p.pairs {
-		count[q.b+1]++
-	}
-	prefix()
-	for i, q := range p.pairs {
-		order[count[q.b]] = int32(i)
-		count[q.b]++
-	}
-	clear(count)
-	for _, q := range p.pairs {
-		count[q.a+1]++
-	}
-	prefix()
-	for _, i := range order {
-		a := p.pairs[i].a
-		p.byPair[count[a]] = i
-		count[a]++
+		p.pairs[i] = rowPair{a: int32(k >> 32), b: int32(uint32(k))}
 	}
 	return p
 }
@@ -327,74 +314,83 @@ func isqrt(x int) int {
 	return s
 }
 
-// position returns pair q's pool position, or -1 when q is not a
-// candidate. A row outside the int32 range names no candidate.
-func (p *Pool) position(q dataset.Pair) int32 {
-	a, b := int32(q.A), int32(q.B)
-	if int(a) != q.A || int(b) != q.B {
-		return -1
-	}
-	lo, hi := 0, len(p.byPair)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		r := p.pairs[p.byPair[mid]]
-		if r.a < a || (r.a == a && r.b < b) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(p.byPair) && p.pairs[p.byPair[lo]] == (rowPair{a, b}) {
-		return p.byPair[lo]
-	}
-	return -1
-}
-
-func (p *Pool) isShown(pos int32) bool { return p.shown[pos/64]&(1<<uint(pos%64)) != 0 }
-
 // Candidates returns the view of the unshown pairs the samplers select
-// from. It is invalidated by the next MarkShown.
+// from. It is invalidated by the next Show or MarkShown.
 func (p *Pool) Candidates() Candidates { return Candidates{p: p} }
 
-// MarkShown records that the pairs were presented, removing them from
-// the candidates. Pairs that are not candidates, or already shown, are
-// ignored. The class table's candidate list is compacted in place,
+// Show presents the candidates at the distinct indices idx, as a
+// Sampler's Select returns them: it returns their pairs, in the order
+// of idx, and removes them from the candidates. The indices are mapped
+// to positions in one cursor sweep, and they are already positions in
+// the class table's candidate list, which is compacted in place,
 // preserving order — order-preservation is what keeps seeded sampler
 // runs bit-identical to the original filter-on-read implementation (a
 // swap-remove would permute what the samplers see). Before the first
-// scoring call there is no list, and only bits change.
-func (p *Pool) MarkShown(pairs []dataset.Pair) {
-	moved := p.moved[:0]
-	for _, q := range pairs {
-		if pos := p.position(q); pos >= 0 && !p.isShown(pos) {
-			p.shown[pos/64] |= 1 << uint(pos%64)
-			moved = append(moved, pos)
+// scoring call there is no list, and only bits change. Show panics on
+// an index that is out of range or repeated.
+func (p *Pool) Show(idx []int) []dataset.Pair {
+	order := p.moved[:0] // the entries of idx, by ascending index
+	for j := range idx {
+		order = append(order, int32(j))
+	}
+	slices.SortFunc(order, func(a, b int32) int { return cmp.Compare(idx[a], idx[b]) })
+	out := make([]dataset.Pair, len(idx))
+	at, prev := p.cursor(), -1
+	for n, j := range order {
+		i := idx[j]
+		if i <= prev || i >= p.remaining {
+			panic(fmt.Sprintf("sampling: Show of candidate %d: out of range of %d or repeated", i, p.remaining))
 		}
+		prev = i
+		// The cursor has loaded pos's word already and reads no word
+		// before it again, so setting the bit cannot move a later seek.
+		pos := at.seek(i)
+		p.shown[pos/64] |= 1 << uint(pos%64)
+		out[j] = p.pairs[pos].pair()
+		order[n] = int32(i)
+	}
+	p.remaining -= len(order)
+	if t := &p.classes; t.cand != nil && len(order) > 0 {
+		t.remove(order)
+	}
+	p.moved = order
+	return out
+}
+
+// MarkShown records that the pairs were presented, removing them from
+// the candidates: a resumed session's earlier rounds. Pairs that are
+// not candidates, or already shown, are ignored. It makes one pass over
+// the pool against a transient set of the pairs, so a session marks
+// its whole history at once; the live rounds go through Show. Like
+// Show, it compacts the class table's candidate list in order.
+func (p *Pool) MarkShown(pairs []dataset.Pair) {
+	if len(pairs) == 0 {
+		return
+	}
+	set := newCandidateSet(len(pairs))
+	for _, q := range pairs {
+		// Pool rows are non-negative int32s; any other row names no
+		// candidate, and could alias one in the set's key.
+		if q.A >= 0 && q.B >= 0 && q.A <= math.MaxInt32 && q.B <= math.MaxInt32 {
+			set.add(q)
+		}
+	}
+	var moved []int32 // the leaving candidates' indices before the call
+	i := 0
+	for pos, q := range p.pairs {
+		w, bit := pos/64, uint64(1)<<uint(pos%64)
+		if p.shown[w]&bit != 0 {
+			continue
+		}
+		if set.has(q) {
+			p.shown[w] |= bit
+			moved = append(moved, int32(i))
+		}
+		i++
 	}
 	p.remaining -= len(moved)
 	if t := &p.classes; t.cand != nil && len(moved) > 0 {
-		slices.Sort(moved)
-		// A leaving position's index before the call: the candidates
-		// still below it plus the leaving ones below it, now set.
-		p.clearBelow(moved)
-		for j := range moved {
-			moved[j] += int32(j)
-		}
 		t.remove(moved)
-	}
-	p.moved = moved
-}
-
-// clearBelow replaces each of the ascending positions in pos by the
-// number of clear bits of shown below it, in one sweep.
-func (p *Pool) clearBelow(pos []int32) {
-	w, set := 0, 0
-	for j, at := range pos {
-		for ; w < int(at/64); w++ {
-			set += bits.OnesCount64(p.shown[w])
-		}
-		below := p.shown[w] & (1<<uint(at%64) - 1)
-		pos[j] = at - int32(set+bits.OnesCount64(below))
 	}
 }
 

@@ -113,20 +113,12 @@ func newPoolFromOracle(rel *dataset.Relation, cand []dataset.Pair) *Pool {
 	p := &Pool{
 		rel:       rel,
 		pairs:     make([]rowPair, 0, unique),
-		byPair:    make([]int32, 0, unique),
 		shown:     make([]uint64, (unique+63)/64),
 		remaining: unique,
 	}
-	pos := order
 	for i, q := range cand {
 		if keep[i] {
-			pos[i] = int32(len(p.pairs))
 			p.pairs = append(p.pairs, rowPair{int32(q.A), int32(q.B)})
-		}
-	}
-	for _, i := range sorted {
-		if keep[i] {
-			p.byPair = append(p.byPair, pos[i])
 		}
 	}
 	for i := unique; i < 64*len(p.shown); i++ {

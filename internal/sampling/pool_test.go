@@ -2,6 +2,7 @@ package sampling
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -11,17 +12,13 @@ import (
 	"exptrain/internal/stats"
 )
 
-// samePool fails unless got and want hold the same pairs, pair index,
-// shown bitset (the bits past the last position included) and
-// remaining count, with the same lengths and no spare capacity on
-// either side.
+// samePool fails unless got and want hold the same pairs, shown bitset
+// (the bits past the last position included) and remaining count, with
+// the same lengths and no spare capacity on either side.
 func samePool(t testing.TB, got, want *Pool, ctx string) {
 	t.Helper()
 	if !slices.Equal(got.pairs, want.pairs) {
 		t.Fatalf("%s: pairs differ: %d pairs, oracle %d", ctx, len(got.pairs), len(want.pairs))
-	}
-	if !slices.Equal(got.byPair, want.byPair) {
-		t.Fatalf("%s: byPair differs", ctx)
 	}
 	if !slices.Equal(got.shown, want.shown) {
 		t.Fatalf("%s: shown differs", ctx)
@@ -30,8 +27,7 @@ func samePool(t testing.TB, got, want *Pool, ctx string) {
 		t.Fatalf("%s: %d remaining, oracle %d", ctx, got.remaining, want.remaining)
 	}
 	for _, c := range [][2]int{
-		{cap(got.pairs), cap(want.pairs)}, {cap(got.byPair), cap(want.byPair)},
-		{cap(got.shown), cap(want.shown)},
+		{cap(got.pairs), cap(want.pairs)}, {cap(got.shown), cap(want.shown)},
 	} {
 		if c[0] != c[1] {
 			t.Fatalf("%s: capacities %d, oracle %d", ctx, c[0], c[1])
@@ -69,6 +65,32 @@ func TestPoolMatchesOracle(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// maxWidePoolBytes caps what NewPool allocates over a 100-row,
+// 40-column relation and its 31,200-FD MaxLHS-2 space (~1.3 MiB
+// measured). Its dedup set was once sized by the add calls, about 200
+// per FD, instead of by the 4,950 pairs 100 rows hold: ~177 MiB.
+const maxWidePoolBytes = 8 << 20
+
+// TestWidePoolAllocation: a pool over a wide relation allocates for
+// the pairs its rows hold, not for the agreeing pairs each of its
+// many hypotheses could contribute.
+func TestWidePoolAllocation(t *testing.T) {
+	rel := randomRelation(stats.NewRNG(40), 100, 40)
+	space := enumerated(rel, 2, 0)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	p := NewPool(rel, space, PoolConfig{Seed: 1})
+	runtime.ReadMemStats(&after)
+	if p.Size() > 100*99/2 {
+		t.Fatalf("pool holds %d pairs over 100 rows", p.Size())
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > maxWidePoolBytes {
+		t.Fatalf("NewPool over %d FDs and 100 rows allocated %d bytes, ceiling %d", space.Size(), got, maxWidePoolBytes)
+	} else {
+		t.Logf("NewPool over %d FDs and 100 rows allocated %d bytes (ceiling %d) for %d pairs", space.Size(), got, maxWidePoolBytes, p.Size())
 	}
 }
 

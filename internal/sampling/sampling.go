@@ -22,7 +22,6 @@ import (
 	"sync"
 
 	"exptrain/internal/belief"
-	"exptrain/internal/dataset"
 	"exptrain/internal/stats"
 )
 
@@ -67,8 +66,9 @@ type Sampler interface {
 	// Name identifies the strategy in experiment reports, matching the
 	// paper's method names.
 	Name() string
-	// Select returns min(k, c.Len()) distinct candidate pairs.
-	Select(c Candidates, b *belief.Belief, k int, rng *stats.RNG) []dataset.Pair
+	// Select returns min(k, c.Len()) distinct candidate indices, each in
+	// [0, c.Len()); the pool's Show turns them into pairs.
+	Select(c Candidates, b *belief.Belief, k int, rng *stats.RNG) []int
 }
 
 // Random is the Fixed Random Sampling baseline: it ignores the belief
@@ -79,14 +79,8 @@ type Random struct{}
 func (Random) Name() string { return "Random" }
 
 // Select implements Sampler.
-func (Random) Select(c Candidates, _ *belief.Belief, k int, rng *stats.RNG) []dataset.Pair {
-	k = min(k, c.Len())
-	idx := rng.SampleWithoutReplacement(c.Len(), k)
-	out := make([]dataset.Pair, k)
-	for i, j := range idx {
-		out[i] = c.Pair(j)
-	}
-	return out
+func (Random) Select(c Candidates, _ *belief.Belief, k int, rng *stats.RNG) []int {
+	return rng.SampleWithoutReplacement(c.Len(), min(k, c.Len()))
 }
 
 // Uncertainty is greedy uncertainty sampling (US): it deterministically
@@ -99,7 +93,7 @@ type Uncertainty struct{}
 func (Uncertainty) Name() string { return "US" }
 
 // Select implements Sampler.
-func (Uncertainty) Select(c Candidates, b *belief.Belief, k int, _ *stats.RNG) []dataset.Pair {
+func (Uncertainty) Select(c Candidates, b *belief.Belief, k int, _ *stats.RNG) []int {
 	sc := selPool.Get().(*selectScratch)
 	defer selPool.Put(sc)
 	return classTopK(c, c.scoreClasses(sc, b, stats.BernoulliEntropy), sc, k)
@@ -119,7 +113,7 @@ type StochasticBR struct {
 func (StochasticBR) Name() string { return "StochasticBR" }
 
 // Select implements Sampler.
-func (s StochasticBR) Select(c Candidates, b *belief.Belief, k int, rng *stats.RNG) []dataset.Pair {
+func (s StochasticBR) Select(c Candidates, b *belief.Belief, k int, rng *stats.RNG) []int {
 	return classSoftmax(c, b, k, gammaOrDefault(s.Gamma), rng, belief.SelfPayoffOf)
 }
 
@@ -136,7 +130,7 @@ type StochasticUS struct {
 func (StochasticUS) Name() string { return "StochasticUS" }
 
 // Select implements Sampler.
-func (s StochasticUS) Select(c Candidates, b *belief.Belief, k int, rng *stats.RNG) []dataset.Pair {
+func (s StochasticUS) Select(c Candidates, b *belief.Belief, k int, rng *stats.RNG) []int {
 	return classSoftmax(c, b, k, gammaOrDefault(s.Gamma), rng, stats.BernoulliEntropy)
 }
 
@@ -162,11 +156,10 @@ func gammaOrDefault(g float64) float64 {
 // candidates it ranks the distinct values of the classes present into
 // levels, highest first, and then places each candidate of the levels
 // that fill the k slots, in one pass in candidate order, at its
-// level's next free slot. The placements arrive in ascending candidate
-// index, so one cursor sweep over the pool turns them into pairs.
-func classTopK(c Candidates, t *classTable, sc *selectScratch, k int) []dataset.Pair {
+// level's next free slot.
+func classTopK(c Candidates, t *classTable, sc *selectScratch, k int) []int {
 	k = min(k, c.Len())
-	out := make([]dataset.Pair, k)
+	out := make([]int, k)
 	value, count := sc.value, sc.count
 	order := resize(sc.order, len(count))[:0]
 	for cl, n := range count {
@@ -192,7 +185,7 @@ func classTopK(c Candidates, t *classTable, sc *selectScratch, k int) []dataset.
 		level[cl] = int32(len(slot) - 1)
 		ranked += int(count[cl])
 	}
-	placed, at := 0, c.p.cursor()
+	placed := 0
 	for i, cl := range t.cand {
 		if placed == k {
 			break
@@ -201,7 +194,7 @@ func classTopK(c Candidates, t *classTable, sc *selectScratch, k int) []dataset.
 		if l < 0 || slot[l] == k {
 			continue
 		}
-		out[slot[l]] = c.p.pairs[at.seek(i)].pair()
+		out[slot[l]] = i
 		slot[l]++
 		placed++
 	}
@@ -224,9 +217,9 @@ func classTopK(c Candidates, t *classTable, sc *selectScratch, k int) []dataset.
 // changes no sum and the sums need not skip them. Should every undrawn
 // candidate's mass underflow to zero, the mass spreads uniformly over
 // the undrawn candidates.
-func classSoftmax(c Candidates, b *belief.Belief, k int, gamma float64, rng *stats.RNG, score func(pdirty float64) float64) []dataset.Pair {
+func classSoftmax(c Candidates, b *belief.Belief, k int, gamma float64, rng *stats.RNG, score func(pdirty float64) float64) []int {
 	k = min(k, c.Len())
-	out := make([]dataset.Pair, 0, k)
+	out := make([]int, 0, k)
 	if k == 0 {
 		return out
 	}
@@ -255,7 +248,7 @@ func classSoftmax(c Candidates, b *belief.Belief, k int, gamma float64, rng *sta
 			pick = l.lastWithMass()
 			before = l.sum(0, 0, pick)
 		}
-		out = append(out, c.Pair(pick))
+		out = append(out, pick)
 		if len(out) == k {
 			sc.drawn = l.drawn
 			return out

@@ -27,16 +27,18 @@ func allPairs(rel *dataset.Relation) []dataset.Pair {
 	return dataset.AllPairs(rel.NumRows())
 }
 
-// cands is the candidate view of a pool over exactly the given pairs.
-func cands(rel *dataset.Relation, pairs []dataset.Pair) Candidates {
-	return NewPoolFrom(rel, pairs).Candidates()
+// pick runs s over a pool of exactly the given pairs and returns the
+// pairs it selects, in selection order.
+func pick(s Sampler, rel *dataset.Relation, pairs []dataset.Pair, b *belief.Belief, k int, rng *stats.RNG) []dataset.Pair {
+	p := NewPoolFrom(rel, pairs)
+	return p.Show(s.Select(p.Candidates(), b, k, rng))
 }
 
 func TestRandomSelectBasics(t *testing.T) {
 	rel, space := fixture()
 	b := belief.UniformPrior(space, 0.5, 0.1)
 	pool := allPairs(rel)
-	got := Random{}.Select(cands(rel, pool), b, 10, stats.NewRNG(1))
+	got := pick(Random{}, rel, pool, b, 10, stats.NewRNG(1))
 	if len(got) != 10 {
 		t.Fatalf("selected %d, want 10", len(got))
 	}
@@ -48,7 +50,7 @@ func TestRandomSelectBasics(t *testing.T) {
 		seen[p] = true
 	}
 	// Oversized k clamps.
-	if got := (Random{}).Select(cands(rel, pool[:3]), b, 10, stats.NewRNG(1)); len(got) != 3 {
+	if got := pick(Random{}, rel, pool[:3], b, 10, stats.NewRNG(1)); len(got) != 3 {
 		t.Fatalf("clamped select returned %d", len(got))
 	}
 }
@@ -63,7 +65,7 @@ func TestUncertaintySelectsHighestEntropy(t *testing.T) {
 	b.SetDist(idx, stats.NewBeta(1, 1)) // mean 0.5 → max entropy
 
 	pool := allPairs(rel)
-	got := Uncertainty{}.Select(cands(rel, pool), b, 3, stats.NewRNG(1))
+	got := pick(Uncertainty{}, rel, pool, b, 3, stats.NewRNG(1))
 	wantScore := b.Uncertainty(rel, got[0])
 	// Verify it actually returns the global top score.
 	for _, p := range pool {
@@ -72,7 +74,7 @@ func TestUncertaintySelectsHighestEntropy(t *testing.T) {
 		}
 	}
 	// Deterministic regardless of RNG.
-	again := Uncertainty{}.Select(cands(rel, pool), b, 3, stats.NewRNG(999))
+	again := pick(Uncertainty{}, rel, pool, b, 3, stats.NewRNG(999))
 	for i := range got {
 		if got[i] != again[i] {
 			t.Fatal("US should be RNG independent")
@@ -94,7 +96,7 @@ func TestStochasticBRPrefersHighPayoff(t *testing.T) {
 	rng := stats.NewRNG(7)
 	high, total := 0, 0
 	for trial := 0; trial < 200; trial++ {
-		for _, p := range s.Select(cands(rel, pool), b, 1, rng) {
+		for _, p := range pick(s, rel, pool, b, 1, rng) {
 			total++
 			if b.SelfPayoff(rel, p) > 0.9 {
 				high++
@@ -113,7 +115,7 @@ func TestStochasticUSApproachesUSAsGammaToZero(t *testing.T) {
 	b.SetDist(idx, stats.NewBeta(1, 1))
 
 	pool := allPairs(rel)
-	usPick := Uncertainty{}.Select(cands(rel, pool), b, 1, stats.NewRNG(1))[0]
+	usPick := pick(Uncertainty{}, rel, pool, b, 1, stats.NewRNG(1))[0]
 	usScore := b.Uncertainty(rel, usPick)
 
 	s := StochasticUS{Gamma: 0.005}
@@ -121,7 +123,7 @@ func TestStochasticUSApproachesUSAsGammaToZero(t *testing.T) {
 	match := 0
 	const trials = 100
 	for i := 0; i < trials; i++ {
-		p := s.Select(cands(rel, pool), b, 1, rng)[0]
+		p := pick(s, rel, pool, b, 1, rng)[0]
 		if math.Abs(b.Uncertainty(rel, p)-usScore) < 1e-9 {
 			match++
 		}
@@ -140,7 +142,7 @@ func TestStochasticSpreadsMoreThanGreedy(t *testing.T) {
 	distinct := func(s Sampler, trials int) int {
 		seen := map[dataset.Pair]bool{}
 		for i := 0; i < trials; i++ {
-			for _, p := range s.Select(cands(rel, pool), b, 2, rng) {
+			for _, p := range pick(s, rel, pool, b, 2, rng) {
 				seen[p] = true
 			}
 		}
@@ -157,7 +159,7 @@ func TestSoftmaxSelectDistinct(t *testing.T) {
 	rel, space := fixture()
 	b := belief.New(space, stats.NewBeta(1, 1))
 	pool := allPairs(rel)
-	got := StochasticBR{}.Select(cands(rel, pool), b, len(pool), stats.NewRNG(3))
+	got := pick(StochasticBR{}, rel, pool, b, len(pool), stats.NewRNG(3))
 	if len(got) != len(pool) {
 		t.Fatalf("full draw returned %d of %d", len(got), len(pool))
 	}

@@ -26,8 +26,9 @@ func selectors() []Sampler {
 
 // checkSelect runs every sampler at k ∈ {1, 10, n−1, n} over p's
 // candidates through its class path and through the per-pair oracle,
-// from equal RNG states, and fails unless both return the same pairs
-// in the same order and leave the RNG in the same state.
+// from equal RNG states, and fails unless both return the same
+// candidate indices in the same order and leave the RNG in the same
+// state.
 func checkSelect(t testing.TB, p *Pool, b *belief.Belief, seed uint64, ctx string) {
 	t.Helper()
 	c := p.Candidates()
@@ -126,15 +127,14 @@ func createClass(t testing.TB, p *Pool, space *fd.Space) {
 }
 
 // checkSelectStates runs checkSelect on a pool over rel's pairs as it
-// moves through every state a session reaches: built, after MarkShown,
+// moves through every state a session reaches: built, after a Show,
 // after a SetValue that empties a class and one that creates one, and
 // after an Append, which rebuilds the class table.
 func checkSelectStates(t testing.TB, p *Pool, b *belief.Belief, seed uint64, ctx string) {
 	t.Helper()
 	checkSelect(t, p, b, seed, ctx+" built")
-	shown := StochasticUS{}.Select(p.Candidates(), b, 10, stats.NewRNG(seed))
-	p.MarkShown(shown)
-	checkSelect(t, p, b, seed+1, ctx+" after MarkShown")
+	p.Show(StochasticUS{}.Select(p.Candidates(), b, 10, stats.NewRNG(seed)))
+	checkSelect(t, p, b, seed+1, ctx+" after Show")
 	emptyClass(t, p, b.Space())
 	checkSelect(t, p, b, seed+3, ctx+" after a SetValue emptied a class")
 	createClass(t, p, b.Space())
@@ -146,8 +146,8 @@ func checkSelectStates(t testing.TB, p *Pool, b *belief.Belief, seed uint64, ctx
 // TestClassSelectMatchesPerPair: on random relations and on the paper's
 // datasets, under random, flat, uniform and data-estimate beliefs,
 // every class-level sampler returns exactly the per-pair oracle's
-// pairs, in order, and leaves the RNG where the oracle leaves it, in
-// every pool state checkSelectStates visits.
+// candidate indices, in order, and leaves the RNG where the oracle
+// leaves it, in every pool state checkSelectStates visits.
 func TestClassSelectMatchesPerPair(t *testing.T) {
 	rng := stats.NewRNG(5)
 	for r := 0; r < 4; r++ {
@@ -188,7 +188,7 @@ func TestSoftmaxDrawsDistinctAfterUnderflow(t *testing.T) {
 	b := belief.New(space, stats.NewBeta(1, 1))
 	pool := allPairs(rel)
 	for _, s := range []Sampler{StochasticUS{Gamma: 1e-4}, StochasticBR{Gamma: 1e-4}} {
-		got := s.Select(cands(rel, pool), b, 38, stats.NewRNG(2))
+		got := pick(s, rel, pool, b, 38, stats.NewRNG(2))
 		seen := map[dataset.Pair]bool{}
 		for _, p := range got {
 			if seen[p] {
@@ -310,19 +310,19 @@ func TestClassSoftmaxBoundaryDraws(t *testing.T) {
 			values := o.candidateScores(c, tc.b, score)
 			top = append(top, tab.cand[slices.Index(values, slices.Max(values))])
 		}
-		var hide []dataset.Pair
+		var hide []int
 		for i, id := range tab.cand {
 			if slices.Contains(top, id) {
-				hide = append(hide, c.Pair(i))
+				hide = append(hide, i)
 			}
 		}
-		tc.p.MarkShown(hide)
+		tc.p.Show(hide)
 		check(tc.name+" without its top classes", tc.p.Candidates(), tc.b)
 	}
 }
 
 // FuzzClassSelect drives a pool over every pair of a small random
-// relation through fuzzer-chosen MarkShown, SetValue and Append steps
+// relation through fuzzer-chosen Show, SetValue and Append steps
 // and checks every sampler's class path against the per-pair oracle
 // after each step. The first byte seeds the relation and the belief.
 func FuzzClassSelect(f *testing.F) {
@@ -343,8 +343,8 @@ func FuzzClassSelect(f *testing.F) {
 			arg := int(op & 0x3f)
 			switch op >> 6 {
 			case 0, 1:
-				if c := p.Candidates(); c.Len() > 0 {
-					p.MarkShown([]dataset.Pair{c.Pair(arg % c.Len())})
+				if n := p.RemainingCount(); n > 0 {
+					p.Show([]int{arg % n})
 				}
 			case 2:
 				rel.SetValue(arg%rel.NumRows(), arg%4, fmt.Sprintf("v%d", arg%5))
@@ -377,7 +377,7 @@ func BenchmarkSelect(b *testing.B) {
 			pool := NewPool(ds.Rel, space, PoolConfig{Seed: 1})
 			rng := stats.NewRNG(3)
 			for pool.ShownCount() < shown {
-				pool.MarkShown(StochasticUS{}.Select(pool.Candidates(), bel, 10, rng))
+				pool.Show(StochasticUS{}.Select(pool.Candidates(), bel, 10, rng))
 			}
 			pool.Candidates().countClasses(new(selectScratch), space) // build the class table outside the timer
 			shapes = append(shapes, shape{fmt.Sprintf("fds=%d/shown=%d", space.Size(), shown), bel, pool})

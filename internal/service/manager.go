@@ -46,6 +46,9 @@ func (s Source) materialize() (rel *dataset.Relation, ds *datagen.Dataset, err e
 		return nil, nil, fmt.Errorf("service: source has both CSV and dataset %q", s.Dataset)
 	case len(s.CSV) > 0:
 		rel, err = dataset.ReadCSV(bytes.NewReader(s.CSV))
+		if err == nil && rel.Schema().Arity() > fd.MaxAttrs {
+			return nil, nil, fmt.Errorf("service: CSV has %d columns; an attribute set holds at most %d", rel.Schema().Arity(), fd.MaxAttrs)
+		}
 		return rel, nil, err
 	case s.Dataset != "":
 		gen, err := datagen.ByName(s.Dataset)

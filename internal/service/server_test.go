@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"exptrain/internal/fd"
 	"exptrain/internal/persist"
 	"exptrain/internal/sampling"
 )
@@ -140,6 +141,41 @@ func TestServerRoundTrip(t *testing.T) {
 	c.expect(http.StatusOK, "GET", "/v1/sessions", nil, &list)
 	if len(list.Sessions) != 1 {
 		t.Fatalf("list: %+v", list)
+	}
+}
+
+// TestServerRejectsWideCSV: a CSV with more columns than an attribute
+// set holds fails a create, and a resume, with 400 bad_request instead
+// of a handler panic; one of exactly fd.MaxAttrs columns is served.
+func TestServerRejectsWideCSV(t *testing.T) {
+	_, c, _ := newTestServer(t, Options{})
+	csvOf := func(cols int) string {
+		var b strings.Builder
+		for row := 0; row < 4; row++ {
+			for j := 0; j < cols; j++ {
+				if j > 0 {
+					b.WriteByte(',')
+				}
+				if row == 0 {
+					fmt.Fprintf(&b, "c%d", j)
+				} else {
+					fmt.Fprintf(&b, "v%d", (row+j)%2)
+				}
+			}
+			b.WriteByte('\n')
+		}
+		return b.String()
+	}
+	var info Info
+	c.expect(http.StatusCreated, "POST", "/v1/sessions", CreateRequest{CSV: csvOf(fd.MaxAttrs), K: 2, MaxLHS: 1}, &info)
+	c.playHTTPRound(info.ID)
+	for _, resume := range []string{"", info.ID} {
+		raw := c.expect(http.StatusBadRequest, "POST", "/v1/sessions",
+			CreateRequest{CSV: csvOf(fd.MaxAttrs + 1), K: 2, MaxLHS: 1, Resume: resume}, nil)
+		var e APIError
+		if err := json.Unmarshal(raw, &e); err != nil || e.Kind != "bad_request" {
+			t.Fatalf("create of %d columns (resume %q): body %s, want a bad_request envelope", fd.MaxAttrs+1, resume, raw)
+		}
 	}
 }
 
